@@ -193,7 +193,7 @@ func BenchmarkMigrationPlanner(b *testing.B) {
 	}
 }
 
-// --- interest-management ablation (Euclid vs grid) --------------------------
+// --- interest-management ablation (Euclid oracle vs the index) --------------
 
 func aoiWorld(n int) []*entity.Entity {
 	world := make([]*entity.Entity, n)
@@ -226,18 +226,18 @@ func BenchmarkAoIEuclid(b *testing.B) {
 	}
 }
 
-func BenchmarkAoIGrid(b *testing.B) {
+func BenchmarkAoIIncremental(b *testing.B) {
 	for _, n := range []int{50, 150, 300, 1000} {
 		b.Run(fmt.Sprintf("users=%d", n), func(b *testing.B) {
-			benchAoI(b, aoi.NewGrid(50), n)
+			benchAoI(b, aoi.NewIncremental(50), n)
 		})
 	}
 }
 
 // --- wire serialization ablation --------------------------------------------
 
-func sampleUpdate(visible int) *proto.StateUpdate {
-	upd := &proto.StateUpdate{
+func sampleUpdate(visible int) *proto.StateKeyframe {
+	upd := &proto.StateKeyframe{
 		Tick: 42,
 		Self: entity.Entity{ID: 1, Pos: entity.Vec2{X: 10, Y: 20}, Health: 90, Owner: "s1", Seq: 7},
 	}
@@ -271,71 +271,9 @@ func BenchmarkWireStateUpdateDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateModes compares full state updates against RTF's delta
-// bandwidth optimization on a live single-server cluster with moving bots,
-// reporting measured wire bytes per tick for each mode.
-func BenchmarkUpdateModes(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		delta bool
-	}{{"full", false}, {"delta", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			net := transport.NewLoopback()
-			defer net.Close()
-			asg := zone.NewAssignment()
-			node, err := net.Attach("s1", 1<<16)
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv, err := server.New(server.Config{
-				Node: node, Zone: 1, Assignment: asg,
-				App: game.New(game.DefaultConfig()), IDPrefix: 1, Seed: 1,
-				DeltaUpdates: mode.delta,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv.Start()
-			const nBots = 60
-			swarm := make([]*bots.Bot, nBots)
-			for i := range swarm {
-				cn, err := net.Attach(fmt.Sprintf("c%d", i+1), 1<<14)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cl := client.New(cn, "s1")
-				if err := cl.Join(1, entity.Vec2{X: float64(100 + i*3), Y: 100}, cn.ID()); err != nil {
-					b.Fatal(err)
-				}
-				swarm[i] = bots.New(cl, bots.PassiveProfile(), int64(i+1))
-			}
-			for i := 0; i < 5; i++ {
-				srv.Tick()
-				for _, bt := range swarm {
-					bt.Step()
-				}
-			}
-			totalBytes := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, bt := range swarm {
-					bt.Step()
-				}
-				srv.Tick()
-				totalBytes += srv.Monitor().LastBreakdown().BytesOut
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(totalBytes)/float64(b.N), "bytes/tick")
-		})
-	}
-}
-
-// --- tick pipeline parallelism ablation ---------------------------------------
-
-// BenchmarkTickPipeline measures the staged real-time loop at n = 500 users
-// under Euclidean interest management, sequential (workers=1) versus fanned
-// out over 4 workers. The ns/op ratio of the two sub-benchmarks is the
+// BenchmarkTickPipeline measures the staged real-time loop at n = 500
+// users, sequential (workers=1) versus fanned out over 4 workers. The
+// ns/op ratio of the two sub-benchmarks is the
 // measured intra-replica speedup S(4) of the model's USL term; the wire
 // output is byte-identical in both modes (see the pipeline determinism
 // tests), so the comparison is pure execution cost. On a single-core host
@@ -357,7 +295,6 @@ func BenchmarkTickPipeline(b *testing.B) {
 			srv, err := server.New(server.Config{
 				Node: node, Zone: 1, Assignment: asg,
 				App: game.New(game.DefaultConfig()), IDPrefix: 1, Seed: 1,
-				AOI:         aoi.NewEuclid(server.DefaultAOIRadius),
 				Parallelism: mode.workers,
 			})
 			if err != nil {

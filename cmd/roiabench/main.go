@@ -49,7 +49,6 @@ var (
 	benchOut  = flag.String("bench-out", "", "variability/cost: also write the result as a BENCH-schema JSON snapshot (diffable via tools/benchjson -compare)")
 	flightOut = flag.String("flightrec-out", "", "variability: write flight-recorder captures (one JSON object per line) to this path")
 	costOut   = flag.String("cost-out", "", "cost: write the per-scenario cost rows (one JSON object per line) to this path")
-	deltaFlag = flag.Bool("delta", false, "cost: measure the proto v5 delta publish path (delta+keyframe stream, incremental AoI) instead of full updates")
 )
 
 func main() {
@@ -291,16 +290,9 @@ func run() error {
 	}
 	if want("cost") {
 		any = true
-		opts := experiments.CostOpts{}
-		if *deltaFlag {
-			opts = experiments.CostOpts{DeltaUpdates: true, IncrementalAOI: true}
-		}
-		res, err := experiments.CostWithOpts(*seedFlag, *runsFlag, opts)
+		res, err := experiments.Cost(*seedFlag, *runsFlag)
 		if err != nil {
 			return err
-		}
-		if *deltaFlag {
-			fmt.Println("(delta publish path: proto v5 delta+keyframe stream, incremental AoI)")
 		}
 		fmt.Printf("Hot-path cost (%d runs per scenario, %d measured ticks each):\n",
 			res.Runs, res.Rows[0].Ticks)

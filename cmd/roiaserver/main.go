@@ -44,7 +44,6 @@ import (
 	"roia/internal/game"
 	"roia/internal/model"
 	"roia/internal/params"
-	"roia/internal/rtf/aoi"
 	"roia/internal/rtf/entity"
 	"roia/internal/rtf/monitor"
 	"roia/internal/rtf/server"
@@ -71,8 +70,6 @@ var (
 	costFlag    = flag.Bool("cost", true, "track per-stage allocation, GC attribution, per-client egress, and AoI churn")
 	deadline    = flag.Duration("deadline", 0, "tick QoS deadline for violation accounting (default: the tick interval, 1/U)")
 	parFlag     = flag.Int("parallelism", 1, "worker count for the tick pipeline's parallel stages (1 = sequential; wire output is identical either way)")
-	deltaFlag   = flag.Bool("delta", false, "publish wire-v5 StateDelta/StateKeyframe streams (incremental AoI index) instead of full per-tick StateUpdates")
-	keyTicksF   = flag.Int("keyframe-ticks", 0, "with -delta: periodic keyframe cadence in ticks (0 = server default)")
 )
 
 func main() {
@@ -111,28 +108,19 @@ func run() error {
 	if *costFlag {
 		cost = telemetry.NewCostTracker()
 	}
-	var aoiMgr aoi.Manager
-	if *deltaFlag {
-		// The maintained index is what keeps the delta publish stage
-		// allocation-free; full-update mode keeps the default Euclid scan.
-		aoiMgr = aoi.NewIncremental(server.DefaultAOIRadius)
-	}
 	srv, err := server.New(server.Config{
-		AOI:           aoiMgr,
-		Node:          node,
-		Zone:          zone.ID(*zoneFlag),
-		Assignment:    assignment,
-		App:           game.New(game.DefaultConfig()),
-		IDPrefix:      uint16(*prefixFlag),
-		Seed:          *seedFlag,
-		TickInterval:  *tickFlag,
-		Tracer:        tracer,
-		Profiler:      profiler,
-		FlightRec:     flightRec,
-		Cost:          cost,
-		Parallelism:   *parFlag,
-		DeltaUpdates:  *deltaFlag,
-		KeyframeTicks: *keyTicksF,
+		Node:         node,
+		Zone:         zone.ID(*zoneFlag),
+		Assignment:   assignment,
+		App:          game.New(game.DefaultConfig()),
+		IDPrefix:     uint16(*prefixFlag),
+		Seed:         *seedFlag,
+		TickInterval: *tickFlag,
+		Tracer:       tracer,
+		Profiler:     profiler,
+		FlightRec:    flightRec,
+		Cost:         cost,
+		Parallelism:  *parFlag,
 	})
 	if err != nil {
 		return err

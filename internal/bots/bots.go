@@ -90,16 +90,13 @@ func (b *Bot) Step() {
 }
 
 // aim picks an attack direction: toward a random nearby entity when one
-// is known (real interaction), otherwise a random direction. The client's
-// world cache covers both update modes (full and delta).
+// is known (real interaction), otherwise a random direction.
 func (b *Bot) aim() *game.Attack {
-	if upd := b.c.LastUpdate(); upd != nil {
-		if world := b.c.World(); len(world) > 0 {
-			target := world[b.rng.Intn(len(world))]
-			d := target.Pos.Sub(upd.Self.Pos)
-			if d != (entity.Vec2{}) {
-				return &game.Attack{DirX: d.X, DirY: d.Y}
-			}
+	if upd := b.c.LastUpdate(); upd != nil && len(upd.Visible) > 0 {
+		target := upd.Visible[b.rng.Intn(len(upd.Visible))]
+		d := target.Pos.Sub(upd.Self.Pos)
+		if d != (entity.Vec2{}) {
+			return &game.Attack{DirX: d.X, DirY: d.Y}
 		}
 	}
 	ang := b.rng.Float64() * 2 * math.Pi

@@ -64,7 +64,7 @@ func TestBotAimsAtVisibleTargets(t *testing.T) {
 	b, srv := setup(t)
 	srv.Send("bot", proto.Registry.EncodeToBytes(&proto.JoinAck{Entity: 5}))
 	// Give the bot a state update with one visible target east of it.
-	srv.Send("bot", proto.Registry.EncodeToBytes(&proto.StateUpdate{
+	srv.Send("bot", proto.Registry.EncodeToBytes(&proto.StateKeyframe{
 		Tick: 1,
 		Self: entity.Entity{ID: 5, Pos: entity.Vec2{X: 0, Y: 0}},
 		Visible: []entity.Entity{

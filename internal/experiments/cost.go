@@ -7,7 +7,6 @@ import (
 
 	"roia/internal/bots"
 	"roia/internal/game"
-	"roia/internal/rtf/aoi"
 	"roia/internal/rtf/entity"
 	"roia/internal/rtf/fleet"
 	"roia/internal/rtf/server"
@@ -74,41 +73,21 @@ type costRunDelta struct {
 	churnLeave   *telemetry.LogHistogram
 }
 
-// CostOpts selects the publish-path variant the cost harness measures.
-// The zero value is the classic full-update pipeline; `roiabench -fig cost
-// -delta` switches all three knobs on to price the proto v5 publish unit.
-type CostOpts struct {
-	// DeltaUpdates switches servers to the v5 delta+keyframe stream.
-	DeltaUpdates bool
-	// KeyframeTicks sets the keyframe cadence (0 = server default).
-	KeyframeTicks int
-	// IncrementalAOI replaces the default Euclid manager with the
-	// incremental grid index (aoi.NewIncremental at the default radius).
-	IncrementalAOI bool
-}
-
 // costRun executes one fresh fleet for a scenario with cost trackers on and
 // returns the measurement-window deltas of every cumulative counter (warm-up
 // ticks are excluded by differencing snapshots). The windowed histograms
 // (GC pause, payload, churn) are taken from the end snapshot; their rotating
 // windows are dominated by the measurement phase.
-func costRun(sc VariabilityScenario, seed int64, warmTicks, measureTicks int, opts CostOpts) (*costRunDelta, error) {
+func costRun(sc VariabilityScenario, seed int64, warmTicks, measureTicks int) (*costRunDelta, error) {
 	net := transport.NewLoopback()
 	defer net.Close()
-	var newAOI func() aoi.Manager
-	if opts.IncrementalAOI {
-		newAOI = func() aoi.Manager { return aoi.NewIncremental(server.DefaultAOIRadius) }
-	}
 	fl, err := fleet.New(fleet.Config{
-		Network:       net,
-		Zone:          1,
-		Assignment:    zone.NewAssignment(),
-		NewApp:        func() server.Application { return game.New(game.DefaultConfig()) },
-		Seed:          seed,
-		CostTrackers:  true,
-		DeltaUpdates:  opts.DeltaUpdates,
-		KeyframeTicks: opts.KeyframeTicks,
-		NewAOI:        newAOI,
+		Network:      net,
+		Zone:         1,
+		Assignment:   zone.NewAssignment(),
+		NewApp:       func() server.Application { return game.New(game.DefaultConfig()) },
+		Seed:         seed,
+		CostTrackers: true,
 	})
 	if err != nil {
 		return nil, err
@@ -194,13 +173,6 @@ func costRun(sc VariabilityScenario, seed int64, warmTicks, measureTicks int, op
 // This is the measured side of the paper's cost model: Eq. (1) prices a tick
 // in microseconds, this harness shows which resources that price buys.
 func Cost(seed int64, runs int) (*CostResult, error) {
-	return CostWithOpts(seed, runs, CostOpts{})
-}
-
-// CostWithOpts is Cost with an explicit publish-path variant, so the full
-// and delta pipelines can be priced against each other on identical
-// scenarios (the BENCH_4 → BENCH_5 comparison).
-func CostWithOpts(seed int64, runs int, opts CostOpts) (*CostResult, error) {
 	const (
 		warmTicks    = 30
 		measureTicks = 150
@@ -219,7 +191,7 @@ func CostWithOpts(seed int64, runs int, opts CostOpts) (*CostResult, error) {
 			churnLeave: telemetry.NewLogHistogram(),
 		}
 		for r := 0; r < runs; r++ {
-			d, err := costRun(sc, seed+int64(r)*1000, warmTicks, measureTicks, opts)
+			d, err := costRun(sc, seed+int64(r)*1000, warmTicks, measureTicks)
 			if err != nil {
 				return nil, fmt.Errorf("%s run %d: %w", sc.Name, r, err)
 			}

@@ -13,7 +13,6 @@ import (
 	"roia/internal/model"
 	"roia/internal/params"
 	"roia/internal/rms"
-	"roia/internal/rtf/aoi"
 	"roia/internal/rtf/fleet"
 	"roia/internal/rtf/monitor"
 	"roia/internal/rtf/server"
@@ -22,16 +21,18 @@ import (
 	"roia/internal/telemetry"
 )
 
-// RecalibrateRow is one publish-path variant's refitted profile and the
-// model ceiling it implies.
-type RecalibrateRow struct {
-	// Mode names the variant ("full" or "delta").
-	Mode string
+// RecalibrateResult is the publish path's refitted profile and the model
+// ceiling it implies.
+type RecalibrateResult struct {
+	// UserCounts are the bot populations the server was sampled at.
+	UserCounts []int
+	// U is the QoS threshold (ms) the ceilings were derived against.
+	U float64
 	// Set is the refitted parameter profile (live-loop tasks measured on
 	// this machine; absent tasks have zero curves).
 	Set *params.Set
 	// AOIFit / SUFit are the goodness-of-fit of the two publish-half
-	// parameters the variant is supposed to move.
+	// parameters.
 	AOIFit, SUFit fit.Result
 	// NMax is the single-replica model ceiling n_max(1,0) under the
 	// refitted profile; Bounded is false when the search cap was reached
@@ -47,23 +48,12 @@ type RecalibrateRow struct {
 	AuditNMax int
 }
 
-// RecalibrateResult compares the model ceilings of the full-update and
-// delta publish paths, both refitted live on this machine.
-type RecalibrateResult struct {
-	// UserCounts are the bot populations each variant was sampled at.
-	UserCounts []int
-	// U is the QoS threshold (ms) the ceilings were derived against.
-	U float64
-	// Full and Delta are the two variants' rows.
-	Full, Delta RecalibrateRow
-}
-
-// recalibSample measures the live-loop parameters of one publish-path
-// variant across the given user counts and returns the pooled sample log.
-func recalibSample(seed int64, counts []int, delta bool) ([]monitor.Sample, error) {
+// recalibSample measures the live-loop parameters across the given user
+// counts and returns the pooled sample log.
+func recalibSample(seed int64, counts []int) ([]monitor.Sample, error) {
 	var samples []monitor.Sample
 	for rep := 0; rep < 3; rep++ {
-		s, err := recalibSampleOnce(seed+int64(rep)*7919, counts, delta)
+		s, err := recalibSampleOnce(seed+int64(rep)*7919, counts)
 		if err != nil {
 			return nil, err
 		}
@@ -100,24 +90,18 @@ func medianSamples(in []monitor.Sample) []monitor.Sample {
 }
 
 // recalibSampleOnce is one pooled measurement pass over the user counts.
-func recalibSampleOnce(seed int64, counts []int, delta bool) ([]monitor.Sample, error) {
+func recalibSampleOnce(seed int64, counts []int) ([]monitor.Sample, error) {
 	var samples []monitor.Sample
 	for _, n := range counts {
 		err := func() error {
 			net := transport.NewLoopback()
 			defer net.Close()
-			var newAOI func() aoi.Manager
-			if delta {
-				newAOI = func() aoi.Manager { return aoi.NewIncremental(server.DefaultAOIRadius) }
-			}
 			fl, err := fleet.New(fleet.Config{
-				Network:      net,
-				Zone:         1,
-				Assignment:   zone.NewAssignment(),
-				NewApp:       func() server.Application { return game.New(game.DefaultConfig()) },
-				Seed:         seed + int64(n),
-				DeltaUpdates: delta,
-				NewAOI:       newAOI,
+				Network:    net,
+				Zone:       1,
+				Assignment: zone.NewAssignment(),
+				NewApp:     func() server.Application { return game.New(game.DefaultConfig()) },
+				Seed:       seed + int64(n),
 			})
 			if err != nil {
 				return err
@@ -146,33 +130,47 @@ func recalibSampleOnce(seed int64, counts []int, delta bool) ([]monitor.Sample, 
 			return nil
 		}()
 		if err != nil {
-			return nil, fmt.Errorf("n=%d delta=%v: %w", n, delta, err)
+			return nil, fmt.Errorf("n=%d: %w", n, err)
 		}
 	}
 	return samples, nil
 }
 
-// recalibRow fits one variant's samples and derives its ceilings,
-// including the audit-log reading of n_max.
-func recalibRow(mode string, samples []monitor.Sample, u float64) (RecalibrateRow, error) {
-	res, err := calibrate.FromSamples("publish-"+mode, samples, nil)
+// RecalibratePublish refits the live-loop parameters — most importantly
+// the publish half, t_aoi and t_su — on this machine and derives the model
+// ceiling the profile implies (Eq. 2), which propagates through every
+// consumer of the model: the RMS manager's triggers and audit records, the
+// fleet collector's roia_fleet_nmax gauge, and roiatop's occupancy-vs-
+// ceiling column.
+func RecalibratePublish(seed int64) (*RecalibrateResult, error) {
+	// Sample well into the quadratic regime: the ceiling lands near
+	// n_max ≈ 1000+, and extrapolating a degree-2 fit from small-n
+	// samples is noise-dominated (t_aoi is microseconds down there).
+	counts := []int{200, 400, 600, 800}
+	const u = 10 // ms, the demo threshold used by the examples
+	samples, err := recalibSample(seed, counts)
 	if err != nil {
-		return RecalibrateRow{}, fmt.Errorf("fit %s: %w", mode, err)
+		return nil, err
 	}
-	sanitizeSet(res.Set)
-	mdl, err := model.New(res.Set, u, params.CDefault)
+	fitted, err := calibrate.FromSamples("publish", samples, nil)
 	if err != nil {
-		return RecalibrateRow{}, err
+		return nil, fmt.Errorf("fit: %w", err)
+	}
+	sanitizeSet(fitted.Set)
+	mdl, err := model.New(fitted.Set, u, params.CDefault)
+	if err != nil {
+		return nil, err
 	}
 	nmax, bounded := mdl.MaxUsers(1, 0)
-	row := RecalibrateRow{
-		Mode:    mode,
-		Set:     res.Set,
-		AOIFit:  res.Fits[monitor.AOI],
-		SUFit:   res.Fits[monitor.SU],
-		NMax:    nmax,
-		Bounded: bounded,
-		Trigger: model.ReplicationTrigger(nmax, model.DefaultTriggerFraction),
+	res := &RecalibrateResult{
+		UserCounts: counts,
+		U:          u,
+		Set:        fitted.Set,
+		AOIFit:     fitted.Fits[monitor.AOI],
+		SUFit:      fitted.Fits[monitor.SU],
+		NMax:       nmax,
+		Bounded:    bounded,
+		Trigger:    model.ReplicationTrigger(nmax, model.DefaultTriggerFraction),
 	}
 	// Drive one RMS decision under the refitted model and read n_max back
 	// out of the audit record — the ceiling the controller actually uses.
@@ -181,64 +179,22 @@ func recalibRow(mode string, samples []monitor.Sample, u float64) (RecalibrateRo
 	mgr := rms.NewManager(&staticCluster{users: nmax / 2}, rms.Config{Model: mdl, Audit: audit})
 	mgr.Step(0)
 	if recs := auditRecords(log.String()); len(recs) > 0 {
-		row.AuditNMax = recs[len(recs)-1].NMax
+		res.AuditNMax = recs[len(recs)-1].NMax
 	}
-	return row, nil
+	return res, nil
 }
 
-// RecalibratePublish refits the live-loop parameters — most importantly
-// the publish half, t_aoi and t_su — under the classic full-update
-// pipeline and under the delta+incremental publish path, on this machine,
-// and compares the model ceilings the two profiles imply. The cheaper
-// publish unit raises n_max (Eq. 2), which propagates through every
-// consumer of the model: the RMS manager's triggers and audit records, the
-// fleet collector's roia_fleet_nmax gauge, and roiatop's occupancy-vs-
-// ceiling column.
-func RecalibratePublish(seed int64) (*RecalibrateResult, error) {
-	// Sample well into the quadratic regime: the ceilings land near
-	// n_max ≈ 1000+, and extrapolating a degree-2 fit from small-n
-	// samples is noise-dominated (t_aoi is microseconds down there). At
-	// n ≤ 400 a full Euclid scan is as cheap as the incremental index —
-	// the O(n²) separation only shows at larger populations.
-	counts := []int{200, 400, 600, 800}
-	const u = 10 // ms, the demo threshold used by the examples
-	fullSamples, err := recalibSample(seed, counts, false)
-	if err != nil {
-		return nil, err
-	}
-	deltaSamples, err := recalibSample(seed, counts, true)
-	if err != nil {
-		return nil, err
-	}
-	full, err := recalibRow("full", fullSamples, u)
-	if err != nil {
-		return nil, err
-	}
-	delta, err := recalibRow("delta", deltaSamples, u)
-	if err != nil {
-		return nil, err
-	}
-	return &RecalibrateResult{UserCounts: counts, U: u, Full: full, Delta: delta}, nil
-}
-
-// FormatRecalibrate renders the recalibration comparison.
+// FormatRecalibrate renders the recalibration result.
 func FormatRecalibrate(res *RecalibrateResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "publish-path recalibration at U=%.0fms, n in %v:\n", res.U, res.UserCounts)
-	fmt.Fprintf(&b, "%-6s %-34s %-34s %8s %8s %10s\n", "mode", "t_aoi", "t_su", "n_max", "trigger", "audit nmax")
-	for _, r := range []RecalibrateRow{res.Full, res.Delta} {
-		nm := fmt.Sprintf("%d", r.NMax)
-		if !r.Bounded {
-			nm = ">" + nm
-		}
-		fmt.Fprintf(&b, "%-6s %-34s %-34s %8s %8d %10d\n",
-			r.Mode, r.Set.AOI.String(), r.Set.SU.String(), nm, r.Trigger, r.AuditNMax)
+	fmt.Fprintf(&b, "%-34s %-34s %8s %8s %10s\n", "t_aoi", "t_su", "n_max", "trigger", "audit nmax")
+	nm := fmt.Sprintf("%d", res.NMax)
+	if !res.Bounded {
+		nm = ">" + nm
 	}
-	if res.Delta.NMax > res.Full.NMax {
-		fmt.Fprintf(&b, "delta publish raises the single-replica ceiling by %d users (%.0f%%)\n",
-			res.Delta.NMax-res.Full.NMax,
-			100*float64(res.Delta.NMax-res.Full.NMax)/float64(res.Full.NMax))
-	}
+	fmt.Fprintf(&b, "%-34s %-34s %8s %8d %10d\n",
+		res.Set.AOI.String(), res.Set.SU.String(), nm, res.Trigger, res.AuditNMax)
 	return b.String()
 }
 

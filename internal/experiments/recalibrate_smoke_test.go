@@ -11,12 +11,10 @@ func TestRecalibratePublishSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + FormatRecalibrate(res))
-	for _, r := range []RecalibrateRow{res.Full, res.Delta} {
-		if r.NMax <= 0 {
-			t.Fatalf("%s: n_max = %d, want positive", r.Mode, r.NMax)
-		}
-		if r.AuditNMax != r.NMax {
-			t.Fatalf("%s: audit n_max %d != model n_max %d", r.Mode, r.AuditNMax, r.NMax)
-		}
+	if res.NMax <= 0 {
+		t.Fatalf("n_max = %d, want positive", res.NMax)
+	}
+	if res.AuditNMax != res.NMax {
+		t.Fatalf("audit n_max %d != model n_max %d", res.AuditNMax, res.NMax)
 	}
 }

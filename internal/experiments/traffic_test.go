@@ -105,7 +105,7 @@ func TestTrafficAccountingCountsOnlyDeliveredFrames(t *testing.T) {
 		t.Fatalf("ClientEgressBytes(c1) = %d, %v; want nonzero egress for a joined client", b, ok)
 	}
 	snap := cost.Snapshot()
-	if snap.EgressByType["state_update"] == 0 {
-		t.Fatalf("no state_update egress billed: %+v", snap.EgressByType)
+	if snap.EgressByType["state_keyframe"] == 0 || snap.EgressByType["state_delta"] == 0 {
+		t.Fatalf("no state_keyframe/state_delta egress billed: %+v", snap.EgressByType)
 	}
 }

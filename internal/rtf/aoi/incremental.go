@@ -6,69 +6,77 @@ import (
 	"roia/internal/rtf/entity"
 )
 
-// Incremental is a uniform spatial hash that is maintained, not rebuilt:
-// Build re-buckets only the entities that moved across a cell boundary
-// since the previous tick and evicts the ones that despawned, instead of
-// reallocating the whole index. In the steady state (no new cells visited,
-// slice capacities warmed up) Build allocates nothing, which is what lets
-// the publish stage hit 0 allocs/op.
+// Incremental is a uniform spatial hash (cell edge = Radius, so candidates
+// lie in the 3×3 neighbourhood) that is maintained, not rebuilt: Build
+// re-buckets only the entities that moved across a cell boundary since the
+// previous tick and evicts the ones that despawned. The hash map is only
+// consulted when a cell is entered for the first time or an entity changes
+// cell: every entity keeps a small integer handle across ticks (found again
+// by merge-walking the ID-sorted world against the previous tick's roster),
+// its place in the index is an array read, and every cell carries direct
+// links to its neighbours. An entity that stayed in its cell costs Build
+// one position store; a Visible query costs one map lookup. In the steady
+// state Build allocates nothing, which is what lets the publish stage hit
+// 0 allocs/op.
 //
 // Visible output is deterministic (cell scan order and within-cell
 // insertion order are fully determined by the Build history) but NOT
 // ID-sorted, unlike Euclid's; callers that need sorted visible sets — the
-// delta publish path's merge diff does — must sort the result.
+// publish path's merge diff does — must sort the result.
 type Incremental struct {
 	// Radius is the visibility radius.
 	Radius float64
-	// CellSize is the edge length of one grid cell; zero defaults to
-	// Radius (the usual choice: candidates lie in the 3×3 neighbourhood).
-	CellSize float64
 
-	// cells maps a cell to its residents. Emptied cells keep their slice
-	// (capacity is the point of the exercise); the map grows with the area
-	// the world has ever visited, bounded by world size / cell size.
-	cells map[cellKey][]resident
-	// slots tracks where each live entity currently resides, so a move is
-	// a swap-remove plus an append rather than a rebuild.
-	slots map[entity.ID]slot
-	// prevIDs/curIDs are reusable ascending-ID scratch sets for the
-	// despawn merge walk.
-	prevIDs []entity.ID
-	curIDs  []entity.ID
+	// cells holds every cell an entity has ever occupied, index maps a
+	// cell's coordinates to its position in cells. Emptied cells keep
+	// their slice (capacity is the point of the exercise); both grow with
+	// the area the world has ever visited, bounded by world size / Radius.
+	cells []cell
+	index map[cellKey]int32
+	// where[h] is the place of the entity holding handle h; free lists the
+	// handles of despawned entities for reuse.
+	where []place
+	free  []int32
+	// ids/handles are the previous Build's roster in ascending ID order;
+	// nextIDs/nextHandles are the scratch the current Build fills.
+	ids, nextIDs         []entity.ID
+	handles, nextHandles []int32
+}
+
+type cellKey struct{ cx, cy int32 }
+
+// neighbourhood lists the cells of a 3×3 block by their position in
+// Incremental.cells, row by row; -1 where no cell exists.
+type neighbourhood [9]int32
+
+type cell struct {
+	key       cellKey
+	residents []resident
+	// near is the cell's 3×3 neighbourhood, itself included (near[4]).
+	near neighbourhood
 }
 
 type resident struct {
-	id  entity.ID
-	pos entity.Vec2
+	id     entity.ID
+	pos    entity.Vec2
+	handle int32
 }
 
-type slot struct {
-	key cellKey
-	idx int32
-}
+// place locates a resident: residents[idx] of cells[cell]. cell is -1
+// while the handle's entity is in no cell.
+type place struct{ cell, idx int32 }
 
 // NewIncremental returns an Incremental manager with the given visibility
 // radius.
 func NewIncremental(radius float64) *Incremental {
-	return &Incremental{
-		Radius: radius,
-		cells:  make(map[cellKey][]resident),
-		slots:  make(map[entity.ID]slot),
-	}
-}
-
-func (g *Incremental) cellSize() float64 {
-	if g.CellSize > 0 {
-		return g.CellSize
-	}
-	if g.Radius > 0 {
-		return g.Radius
-	}
-	return 1
+	return &Incremental{Radius: radius}
 }
 
 func (g *Incremental) key(pos entity.Vec2) cellKey {
-	cs := g.cellSize()
+	cs := g.Radius
+	if cs <= 0 {
+		cs = 1
+	}
 	return cellKey{int32(math.Floor(pos.X / cs)), int32(math.Floor(pos.Y / cs))}
 }
 
@@ -76,63 +84,106 @@ func (g *Incremental) key(pos entity.Vec2) cellKey {
 // into the live index. New entities are bucketed, entities that crossed a
 // cell boundary are re-bucketed, entities that moved within their cell get
 // their stored position refreshed, and entities absent from world are
-// evicted via a merge walk of the previous and current ID sets.
+// evicted — all found by one merge walk of the previous roster and world.
 func (g *Incremental) Build(world []*entity.Entity) {
-	if g.cells == nil { // zero-value construction
-		g.cells = make(map[cellKey][]resident)
-		g.slots = make(map[entity.ID]slot)
+	if g.index == nil {
+		g.index = make(map[cellKey]int32)
 	}
-	g.curIDs = g.curIDs[:0]
+	g.nextIDs, g.nextHandles = g.nextIDs[:0], g.nextHandles[:0]
+	i := 0
 	for _, e := range world {
-		g.curIDs = append(g.curIDs, e.ID)
-		k := g.key(e.Pos)
-		sl, ok := g.slots[e.ID]
+		for ; i < len(g.ids) && g.ids[i] < e.ID; i++ {
+			g.evict(g.handles[i])
+		}
+		var h int32
 		switch {
-		case !ok:
-			g.add(e.ID, e.Pos, k)
-		case sl.key == k:
-			g.cells[k][sl.idx].pos = e.Pos
+		case i < len(g.ids) && g.ids[i] == e.ID:
+			h = g.handles[i]
+			i++
+		case len(g.free) > 0:
+			h = g.free[len(g.free)-1]
+			g.free = g.free[:len(g.free)-1]
 		default:
-			g.remove(sl)
-			g.add(e.ID, e.Pos, k)
+			h = int32(len(g.where))
+			g.where = append(g.where, place{cell: -1})
 		}
-	}
-	// Evict despawned entities: IDs in the previous set but not the
-	// current one. Both sets are ascending, so one merge walk finds them.
-	i, j := 0, 0
-	for i < len(g.prevIDs) {
-		for j < len(g.curIDs) && g.curIDs[j] < g.prevIDs[i] {
-			j++
-		}
-		if j >= len(g.curIDs) || g.curIDs[j] != g.prevIDs[i] {
-			id := g.prevIDs[i]
-			if sl, ok := g.slots[id]; ok {
-				g.remove(sl)
-				delete(g.slots, id)
+		g.nextIDs = append(g.nextIDs, e.ID)
+		g.nextHandles = append(g.nextHandles, h)
+
+		k := g.key(e.Pos)
+		if p := g.where[h]; p.cell >= 0 {
+			if c := &g.cells[p.cell]; c.key == k {
+				c.residents[p.idx].pos = e.Pos
+				continue
 			}
+			g.remove(p)
 		}
-		i++
+		ci := g.cellAt(k)
+		c := &g.cells[ci]
+		g.where[h] = place{cell: ci, idx: int32(len(c.residents))}
+		c.residents = append(c.residents, resident{id: e.ID, pos: e.Pos, handle: h})
 	}
-	g.prevIDs, g.curIDs = g.curIDs, g.prevIDs
+	for ; i < len(g.ids); i++ {
+		g.evict(g.handles[i])
+	}
+	g.ids, g.nextIDs = g.nextIDs, g.ids
+	g.handles, g.nextHandles = g.nextHandles, g.handles
 }
 
-func (g *Incremental) add(id entity.ID, pos entity.Vec2, k cellKey) {
-	c := g.cells[k]
-	g.slots[id] = slot{key: k, idx: int32(len(c))}
-	g.cells[k] = append(c, resident{id: id, pos: pos})
+// evict drops a despawned entity from its cell and recycles its handle.
+func (g *Incremental) evict(h int32) {
+	g.remove(g.where[h])
+	g.where[h].cell = -1
+	g.free = append(g.free, h)
 }
 
-// remove swap-deletes a resident from its cell, fixing the displaced
-// resident's slot index. The caller owns the slots entry of the removed ID.
-func (g *Incremental) remove(sl slot) {
-	c := g.cells[sl.key]
-	last := len(c) - 1
-	if int(sl.idx) != last {
-		moved := c[last]
-		c[sl.idx] = moved
-		g.slots[moved.id] = slot{key: sl.key, idx: sl.idx}
+// remove swap-deletes the resident at p from its cell and re-points the
+// displaced resident's place.
+func (g *Incremental) remove(p place) {
+	c := &g.cells[p.cell]
+	last := int32(len(c.residents) - 1)
+	if p.idx != last {
+		moved := c.residents[last]
+		c.residents[p.idx] = moved
+		g.where[moved.handle].idx = p.idx
 	}
-	g.cells[sl.key] = c[:last]
+	c.residents = c.residents[:last]
+}
+
+// cellAt returns the cell with the given coordinates, creating it — and
+// linking it with the neighbours that exist — on first use.
+func (g *Incremental) cellAt(k cellKey) int32 {
+	if ci, ok := g.index[k]; ok {
+		return ci
+	}
+	ci := int32(len(g.cells))
+	g.index[k] = ci
+	g.cells = append(g.cells, cell{key: k})
+	near := g.around(k)
+	g.cells[ci].near = near
+	for slot, n := range near {
+		if n >= 0 {
+			g.cells[n].near[len(near)-1-slot] = ci // the opposite direction
+		}
+	}
+	return ci
+}
+
+// around looks the 3×3 neighbourhood of k up in the hash map.
+func (g *Incremental) around(k cellKey) neighbourhood {
+	var near neighbourhood
+	slot := 0
+	for dy := int32(-1); dy <= 1; dy++ {
+		for dx := int32(-1); dx <= 1; dx++ {
+			ci, ok := g.index[cellKey{k.cx + dx, k.cy + dy}]
+			if !ok {
+				ci = -1
+			}
+			near[slot] = ci
+			slot++
+		}
+	}
+	return near
 }
 
 // Visible implements Manager over the state folded in by Build. It never
@@ -140,7 +191,7 @@ func (g *Incremental) remove(sl slot) {
 // run yet it falls back to a read-only linear scan of world.
 func (g *Incremental) Visible(dst []entity.ID, subject entity.ID, pos entity.Vec2, world []*entity.Entity) []entity.ID {
 	r2 := g.Radius * g.Radius
-	if g.slots == nil || len(g.slots) == 0 {
+	if len(g.cells) == 0 {
 		for _, cand := range world {
 			if cand.ID != subject && pos.Dist2(cand.Pos) <= r2 {
 				dst = append(dst, cand.ID)
@@ -148,22 +199,24 @@ func (g *Incremental) Visible(dst []entity.ID, subject entity.ID, pos entity.Vec
 		}
 		return dst
 	}
-	cs := g.cellSize()
-	// A disc of radius R around a point inside cell c only reaches cells
-	// within ceil(R/cs) index distance: floor((x±R)/cs) is bounded by
-	// floor(x/cs) ± ceil(R/cs). With the usual CellSize == Radius this is
-	// the classic 3×3 neighbourhood.
-	reach := int32(math.Ceil(g.Radius / cs))
-	center := g.key(pos)
-	for dy := -reach; dy <= reach; dy++ {
-		for dx := -reach; dx <= reach; dx++ {
-			for _, cand := range g.cells[cellKey{center.cx + dx, center.cy + dy}] {
-				if cand.id == subject {
-					continue
-				}
-				if pos.Dist2(cand.pos) <= r2 {
-					dst = append(dst, cand.id)
-				}
+	// A disc of radius R around a point only reaches the 3×3 cells around
+	// the point's own: floor((x±R)/R) is bounded by floor(x/R) ± 1. A
+	// subject of the world stands in an existing cell, whose links answer
+	// the query; any other position is looked up cell by cell.
+	k := g.key(pos)
+	var near neighbourhood
+	if ci, ok := g.index[k]; ok {
+		near = g.cells[ci].near
+	} else {
+		near = g.around(k)
+	}
+	for _, n := range near {
+		if n < 0 {
+			continue
+		}
+		for _, cand := range g.cells[n].residents {
+			if cand.id != subject && pos.Dist2(cand.pos) <= r2 {
+				dst = append(dst, cand.id)
 			}
 		}
 	}
@@ -172,10 +225,10 @@ func (g *Incremental) Visible(dst []entity.ID, subject entity.ID, pos entity.Vec
 
 // Diff merge-walks two ascending entity-ID sets, appending the IDs present
 // only in cur to enters and the IDs present only in prev to gone, and
-// returns both extended slices. It is the visible-set differ of the delta
-// publish path: prev is the client's last published visible set, cur the
-// tick's new one, and the outputs become the StateDelta Enters/Gone columns
-// (and the AoI-churn metric counts). Passing recycled [:0] slices keeps it
+// returns both extended slices. It is the visible-set differ of the publish
+// path: prev is the client's last published visible set, cur the tick's new
+// one, and the outputs become the StateDelta Enters/Gone columns (and the
+// AoI-churn metric counts). Passing recycled [:0] slices keeps it
 // allocation-free.
 func Diff(prev, cur, enters, gone []entity.ID) (e, g []entity.ID) {
 	i, j := 0, 0

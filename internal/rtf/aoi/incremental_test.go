@@ -66,7 +66,12 @@ func TestIncrementalMatchesEuclidProperty(t *testing.T) {
 				return 1
 			})
 			inc.Build(world)
-			for _, subj := range world {
+			// Every subject of the world, plus one observer standing where
+			// possibly no entity ever has (a cell the index does not hold).
+			probes := append(slices.Clone(world), &entity.Entity{
+				Pos: entity.Vec2{X: rng.Float64()*600 - 200, Y: rng.Float64()*600 - 200},
+			})
+			for _, subj := range probes {
 				want := euclid.Visible(nil, subj.ID, subj.Pos, world)
 				got := inc.Visible(nil, subj.ID, subj.Pos, world)
 				slices.Sort(want)

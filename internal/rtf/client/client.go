@@ -8,7 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,6 +38,20 @@ type pendingInput struct {
 	at  time.Time
 }
 
+// View is the client's picture of the game after the last state update it
+// applied: its own avatar plus every other entity in its area of interest.
+type View struct {
+	// Tick is the server tick the view reflects.
+	Tick uint64
+	// AckSeq is the last input sequence the server had applied by then.
+	AckSeq uint64
+	// Self is the client's own avatar.
+	Self entity.Entity
+	// Visible is every other entity in the area of interest, in ascending
+	// ID order.
+	Visible []entity.Entity
+}
+
 // Client is one user connection.
 type Client struct {
 	node transport.Node
@@ -47,23 +61,30 @@ type Client struct {
 	avatar     entity.ID
 	joined     bool
 	inputSeq   uint64
-	lastUpdate *proto.StateUpdate
-	world      map[entity.ID]entity.Entity
 	events     [][]byte
 	updates    uint64
 	migrations int
 	w          *wire.Writer
 
-	// Delta-stream state (proto v5, server.Config.DeltaUpdates). A delta
-	// applies only when its BaseTick matches lastTick of a synced client;
-	// anything else — a gap, a duplicate, an unknown entity — flips synced
-	// off and counts a resync, and the client coasts on its last coherent
-	// world until the next keyframe re-anchors it. The client never applies
-	// a delta onto a base it does not hold, so it cannot diverge silently.
+	// view is the state the update stream has built so far (nothing until
+	// the first keyframe). A keyframe replaces view wholesale; a
+	// delta applies only when its BaseTick matches view.Tick of a synced
+	// client and every entity it touches is held. Anything else — a gap, a
+	// duplicate, an unknown entity — leaves view untouched, flips synced off
+	// and counts a resync, and the client coasts on its last coherent view
+	// until the next keyframe re-anchors it. The client never applies a
+	// delta onto a base it does not hold, so it cannot diverge silently.
+	view      View
 	synced    bool
-	lastTick  uint64
 	resyncs   uint64
 	keyframes uint64
+	// spare is the buffer the next visible set is built in — decoded from
+	// a keyframe or merged from a delta — before it trades places with
+	// view.Visible; delta is the decode shell whose columns keep their
+	// capacity. A steady update stream is thus applied without allocating.
+	spare  []entity.Entity
+	delta  proto.StateDelta
+	frames []transport.Frame
 
 	// pending holds send timestamps of unacked inputs, oldest first;
 	// ackSeq is the highest AckSeq delivered (guards against reordered
@@ -127,23 +148,22 @@ func (c *Client) Updates() uint64 {
 
 // Resyncs reports how many times the delta stream lost coherence (a gap,
 // duplicate, reorder or unknown-entity delta) and the client had to wait
-// for a keyframe to re-anchor. Zero on full-update streams.
+// for a keyframe to re-anchor.
 func (c *Client) Resyncs() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.resyncs
 }
 
-// Keyframes reports how many full keyframes the delta stream delivered.
+// Keyframes reports how many keyframes the client has applied.
 func (c *Client) Keyframes() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.keyframes
 }
 
-// Synced reports whether the client holds a coherent delta-stream view
-// (anchored by a keyframe with no unapplied gap since). Always false on
-// full-update streams, where World is maintained per update instead.
+// Synced reports whether the client holds a coherent view (anchored by a
+// keyframe with no unapplied gap since).
 func (c *Client) Synced() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -165,30 +185,25 @@ func (c *Client) Migrations() int {
 	return c.migrations
 }
 
-// LastUpdate returns the most recent state update, or nil.
-func (c *Client) LastUpdate() *proto.StateUpdate {
+// LastUpdate returns the client's current view, or nil before the first
+// keyframe. The view and its Visible slice belong to the client and are
+// rewritten by the next Poll: read them between polls, on the goroutine
+// that polls, and copy what must outlive that.
+func (c *Client) LastUpdate() *View {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lastUpdate
+	if c.keyframes == 0 {
+		return nil
+	}
+	return &c.view
 }
 
-// World returns the client's view of nearby entities (everything received
-// in state updates and not yet reported gone, excluding its own avatar),
-// in ID order. Under delta updates (see server.Config.DeltaUpdates) this
-// cache is the authoritative client view; under full updates it is the
-// union of recently visible entities.
+// World returns a copy of the client's view of nearby entities (its own
+// avatar excluded), in ID order.
 func (c *Client) World() []entity.Entity {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]entity.Entity, 0, len(c.world))
-	for id, e := range c.world {
-		if id == c.avatar {
-			continue
-		}
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return slices.Clone(c.view.Visible)
 }
 
 // DrainEvents returns and clears the application events accumulated from
@@ -299,138 +314,69 @@ func (c *Client) sendLocked(msg wire.Message) error {
 }
 
 // Poll drains and processes all pending server traffic: join acks update
-// the avatar binding, state updates are retained (the latest wins), and
-// migration notices re-point the client at its new server — the
-// "switching user connections between servers" of Section III-B. It
-// returns the number of state updates processed.
+// the avatar binding, state updates advance the view, and migration notices
+// re-point the client at its new server — the "switching user connections
+// between servers" of Section III-B. It returns the number of state updates
+// applied.
 func (c *Client) Poll() int {
-	frames := transport.Drain(c.node, 0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.frames = transport.DrainInto(c.node, c.frames[:0], 0)
 	now := c.now()
 	seen := 0
-	for _, f := range frames {
-		if len(f.Payload) < 2 {
+	for i := range c.frames {
+		payload := c.frames[i].Payload
+		c.frames[i] = transport.Frame{} // the buffer must not pin the payload
+		if len(payload) < 2 {
 			continue
 		}
-		switch wire.Kind(binary.BigEndian.Uint16(f.Payload)) {
+		switch wire.Kind(binary.BigEndian.Uint16(payload)) {
 		case proto.KindJoinAck:
-			msg, err := proto.Registry.Decode(f.Payload)
+			msg, err := proto.Registry.Decode(payload)
 			if err != nil {
 				continue
 			}
 			ack := msg.(*proto.JoinAck)
 			c.avatar = ack.Entity
 			c.joined = true
-		case proto.KindStateUpdate:
-			msg, err := proto.Registry.Decode(f.Payload)
-			if err != nil {
-				continue
-			}
-			upd := msg.(*proto.StateUpdate)
-			c.resolveAckLocked(upd.AckSeq, now)
-			c.lastUpdate = upd
-			if c.world == nil {
-				c.world = make(map[entity.ID]entity.Entity, len(upd.Visible)+1)
-			}
-			c.world[upd.Self.ID] = upd.Self
-			for _, e := range upd.Visible {
-				c.world[e.ID] = e
-			}
-			for _, id := range upd.Gone {
-				delete(c.world, id)
-			}
-			if len(upd.Events) > 0 {
-				c.events = append(c.events, upd.Events)
-			}
-			c.updates++
-			seen++
 		case proto.KindStateKeyframe:
-			msg, err := proto.Registry.Decode(f.Payload)
-			if err != nil {
+			// A keyframe is a complete visible set: decode it into the
+			// spare buffer, then replace the view wholesale and re-anchor
+			// the delta chain.
+			kf := proto.StateKeyframe{Visible: c.spare}
+			err := kf.UnmarshalWire(wire.NewReader(payload[2:]))
+			c.spare = kf.Visible
+			if err != nil || !ascending(kf.Visible) {
 				continue
 			}
-			kf := msg.(*proto.StateKeyframe)
 			c.resolveAckLocked(kf.AckSeq, now)
-			// A keyframe is a complete visible set: replace the world
-			// wholesale and re-anchor the delta chain.
-			if c.world == nil {
-				c.world = make(map[entity.ID]entity.Entity, len(kf.Visible)+1)
-			} else {
-				clear(c.world)
-			}
-			c.world[kf.Self.ID] = kf.Self
-			for _, e := range kf.Visible {
-				c.world[e.ID] = e
-			}
-			c.lastTick = kf.Tick
+			c.view.Tick, c.view.AckSeq, c.view.Self = kf.Tick, kf.AckSeq, kf.Self
+			c.view.Visible, c.spare = c.spare, c.view.Visible
 			c.synced = true
 			c.keyframes++
-			c.lastUpdate = &proto.StateUpdate{Tick: kf.Tick, AckSeq: kf.AckSeq, Self: kf.Self}
-			if len(kf.Events) > 0 {
-				c.events = append(c.events, kf.Events)
-			}
-			c.updates++
+			c.appliedLocked(kf.Events)
 			seen++
 		case proto.KindStateDelta:
-			msg, err := proto.Registry.Decode(f.Payload)
-			if err != nil {
+			d := &c.delta
+			if d.UnmarshalWire(wire.NewReader(payload[2:])) != nil {
 				continue
 			}
-			upd := msg.(*proto.StateDelta)
-			c.resolveAckLocked(upd.AckSeq, now)
-			if !c.synced || upd.BaseTick != c.lastTick {
-				// Base mismatch (dropped, duplicated or reordered frame) or
-				// not yet anchored: count a resync once per loss of sync and
-				// coast until the next keyframe.
+			c.resolveAckLocked(d.AckSeq, now)
+			if !c.synced || d.BaseTick != c.view.Tick || !c.applyDeltaLocked(d) {
+				// Base mismatch (dropped, duplicated or reordered frame), not
+				// yet anchored, or a delta touching an entity this client
+				// does not hold: count a resync once per loss of sync and
+				// coast until the next keyframe rather than guess.
 				if c.synced {
 					c.synced = false
 					c.resyncs++
 				}
 				continue
 			}
-			self, ok := c.world[c.avatar]
-			if !ok {
-				c.synced = false
-				c.resyncs++
-				continue
-			}
-			self.ApplyMasked(&upd.Self, upd.SelfMask)
-			c.world[self.ID] = self
-			applied := true
-			for i := range upd.Updates {
-				d := &upd.Updates[i]
-				prev, known := c.world[d.ID]
-				if !known {
-					// Delta against an entity this client never saw: the
-					// stream and our view have diverged — stop applying and
-					// wait for the keyframe rather than guess.
-					c.synced = false
-					c.resyncs++
-					applied = false
-					break
-				}
-				prev.ApplyMasked(&d.State, d.Mask)
-				c.world[d.ID] = prev
-			}
-			if !applied {
-				continue
-			}
-			for _, e := range upd.Enters {
-				c.world[e.ID] = e
-			}
-			for _, id := range upd.Gone {
-				delete(c.world, id)
-			}
-			c.lastTick = upd.Tick
-			c.lastUpdate = &proto.StateUpdate{Tick: upd.Tick, AckSeq: upd.AckSeq, Self: self}
-			if len(upd.Events) > 0 {
-				c.events = append(c.events, upd.Events)
-			}
-			c.updates++
+			c.appliedLocked(d.Events)
 			seen++
 		case proto.KindMigrateNotice:
-			msg, err := proto.Registry.Decode(f.Payload)
+			msg, err := proto.Registry.Decode(payload)
 			if err != nil {
 				continue
 			}
@@ -445,12 +391,78 @@ func (c *Client) Poll() int {
 				_ = c.sendLocked(c.lastJoin)
 			}
 		case proto.KindJoinNack:
-			if _, err := proto.Registry.Decode(f.Payload); err == nil {
+			if _, err := proto.Registry.Decode(payload); err == nil {
 				c.joinNacks++
 			}
 		}
 	}
 	return seen
+}
+
+// appliedLocked books one applied state update and keeps its events.
+func (c *Client) appliedLocked(events []byte) {
+	if len(events) > 0 {
+		c.events = append(c.events, events)
+	}
+	c.updates++
+}
+
+// ascending reports whether the entities are in strictly ascending ID
+// order — the invariant of view.Visible the delta merge walk relies on.
+func ascending(ents []entity.Entity) bool {
+	for i := 1; i < len(ents); i++ {
+		if ents[i].ID <= ents[i-1].ID {
+			return false
+		}
+	}
+	return true
+}
+
+// applyDeltaLocked advances the view by one delta, all or nothing: the
+// next visible set is merged into the spare buffer, and the view is only
+// touched once the whole delta has proved consistent with it.
+func (c *Client) applyDeltaLocked(d *proto.StateDelta) bool {
+	next, ok := mergeDelta(c.spare[:0], c.view.Visible, d)
+	if !ok {
+		c.spare = next
+		return false
+	}
+	c.spare, c.view.Visible = c.view.Visible, next
+	c.view.Tick, c.view.AckSeq = d.Tick, d.AckSeq
+	c.view.Self.ApplyMasked(&d.Self, d.SelfMask)
+	return true
+}
+
+// mergeDelta appends to dst the visible set that results from applying d to
+// held, and reports whether d is consistent with held: every column of a
+// delta ascends by ID like held does, so one merge walk suffices, and each
+// Updates and Gone entry must name a held entity, each Enters entry a new
+// one. dst is returned either way so its growth is kept.
+func mergeDelta(dst, held []entity.Entity, d *proto.StateDelta) ([]entity.Entity, bool) {
+	if !ascending(d.Enters) {
+		return dst, false
+	}
+	u, e, g := 0, 0, 0
+	for i := range held {
+		id := held[i].ID
+		for e < len(d.Enters) && d.Enters[e].ID < id {
+			dst = append(dst, d.Enters[e])
+			e++
+		}
+		if e < len(d.Enters) && d.Enters[e].ID == id {
+			return dst, false
+		}
+		if g < len(d.Gone) && d.Gone[g] == id {
+			g++
+			continue
+		}
+		dst = append(dst, held[i])
+		if u < len(d.Updates) && d.Updates[u].ID == id {
+			dst[len(dst)-1].ApplyMasked(&d.Updates[u].State, d.Updates[u].Mask)
+			u++
+		}
+	}
+	return append(dst, d.Enters[e:]...), u == len(d.Updates) && g == len(d.Gone)
 }
 
 // Close detaches the client from the network.

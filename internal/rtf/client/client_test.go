@@ -7,6 +7,7 @@ import (
 	"roia/internal/rtf/entity"
 	"roia/internal/rtf/proto"
 	"roia/internal/rtf/transport"
+	"roia/internal/rtf/wire"
 )
 
 // fakeServer lets tests hand-feed protocol frames to a client.
@@ -81,10 +82,10 @@ func TestJoinAckBindsAvatar(t *testing.T) {
 func TestPollRetainsLatestUpdateAndAccumulatesEvents(t *testing.T) {
 	c, srv := setup(t)
 	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.JoinAck{Entity: 1}))
-	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateUpdate{
+	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateKeyframe{
 		Tick: 1, Self: entity.Entity{ID: 1}, Events: []byte("hit"),
 	}))
-	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateUpdate{
+	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateKeyframe{
 		Tick: 2, Self: entity.Entity{ID: 1},
 	}))
 	if got := c.Poll(); got != 2 {
@@ -148,5 +149,159 @@ func TestLeaveResetsJoined(t *testing.T) {
 	}
 	if err := c.SendInput([]byte{1}); !errors.Is(err, ErrNotJoined) {
 		t.Fatal("input accepted after leave")
+	}
+}
+
+// anchoredClient returns a client synced at tick 10 holding entities 2, 4
+// and 6.
+func anchoredClient(t *testing.T) (*Client, *fakeServer) {
+	t.Helper()
+	c, srv := setup(t)
+	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.JoinAck{Entity: 1}))
+	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateKeyframe{
+		Tick: 10,
+		Self: entity.Entity{ID: 1, Health: 100, Owner: "srv"},
+		Visible: []entity.Entity{
+			{ID: 2, Health: 20, Owner: "srv"},
+			{ID: 4, Health: 40, Owner: "srv"},
+			{ID: 6, Health: 60, Owner: "srv"},
+		},
+	}))
+	if c.Poll() != 1 || !c.Synced() {
+		t.Fatal("keyframe did not anchor the client")
+	}
+	return c, srv
+}
+
+func TestDeltaMergesEveryColumn(t *testing.T) {
+	c, srv := anchoredClient(t)
+	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateDelta{
+		Tick: 11, BaseTick: 10, AckSeq: 3,
+		SelfMask: entity.FieldHealth, Self: entity.Entity{Health: 90},
+		Updates: []proto.EntityDelta{{ID: 6, Mask: entity.FieldPos, State: entity.Entity{Pos: entity.Vec2{X: 7}}}},
+		Enters:  []entity.Entity{{ID: 3, Health: 30}, {ID: 9, Health: 99}},
+		Gone:    []entity.ID{2},
+	}))
+	if c.Poll() != 1 {
+		t.Fatal("consistent delta rejected")
+	}
+	want := []entity.Entity{
+		{ID: 3, Health: 30},
+		{ID: 4, Health: 40, Owner: "srv"},
+		{ID: 6, Health: 60, Owner: "srv", Pos: entity.Vec2{X: 7}},
+		{ID: 9, Health: 99},
+	}
+	got := c.World()
+	if len(got) != len(want) {
+		t.Fatalf("world = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("world[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	v := c.LastUpdate()
+	if v.Tick != 11 || v.AckSeq != 3 || v.Self.Health != 90 || v.Self.Owner != "srv" || len(v.Visible) != len(want) {
+		t.Fatalf("view = %+v", v)
+	}
+}
+
+// TestRejectedDeltaLeavesViewUntouched: a delta that names an entity the
+// client does not hold must not apply in part — not its Self, not the
+// Updates ahead of the bad entry — however late in the delta the
+// inconsistency sits.
+func TestRejectedDeltaLeavesViewUntouched(t *testing.T) {
+	for name, bad := range map[string]*proto.StateDelta{
+		"update for unknown entity": {
+			Updates: []proto.EntityDelta{
+				{ID: 2, Mask: entity.FieldHealth, State: entity.Entity{Health: 1}},
+				{ID: 5, Mask: entity.FieldHealth, State: entity.Entity{Health: 1}},
+			},
+		},
+		"gone for unknown entity": {
+			Updates: []proto.EntityDelta{{ID: 2, Mask: entity.FieldHealth, State: entity.Entity{Health: 1}}},
+			Gone:    []entity.ID{4, 7},
+		},
+		"enter for held entity": {
+			Enters: []entity.Entity{{ID: 3}, {ID: 6}},
+		},
+		"enters out of order": {
+			Enters: []entity.Entity{{ID: 9}, {ID: 3}},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, srv := anchoredClient(t)
+			before, beforeView := c.World(), *c.LastUpdate()
+			bad.Tick, bad.BaseTick = 11, 10
+			bad.SelfMask, bad.Self = entity.FieldHealth, entity.Entity{Health: 1}
+			srv.send(t, "cli", proto.Registry.EncodeToBytes(bad))
+			if c.Poll() != 0 {
+				t.Fatal("inconsistent delta applied")
+			}
+			if c.Synced() || c.Resyncs() != 1 {
+				t.Fatalf("synced=%v resyncs=%d, want unsynced after one resync", c.Synced(), c.Resyncs())
+			}
+			after, v := c.World(), c.LastUpdate()
+			if len(after) != len(before) {
+				t.Fatalf("world changed: %+v → %+v", before, after)
+			}
+			for i := range before {
+				if after[i] != before[i] {
+					t.Fatalf("world[%d] changed: %+v → %+v", i, before[i], after[i])
+				}
+			}
+			if v.Tick != beforeView.Tick || v.Self != beforeView.Self {
+				t.Fatalf("view changed: %+v → %+v", beforeView, *v)
+			}
+		})
+	}
+}
+
+// TestSteadyUpdateStreamAppliesWithoutAllocating pins the decode-and-merge
+// path: once the shell and buffers have grown, applying a delta allocates
+// nothing, and polling a keyframe allocates only what the transport does
+// (plus one string per Owner decoded, of which this keyframe has none).
+func TestSteadyUpdateStreamAppliesWithoutAllocating(t *testing.T) {
+	c, srv := anchoredClient(t)
+	keyframe := proto.Registry.EncodeToBytes(&proto.StateKeyframe{
+		Tick: 10, Self: entity.Entity{ID: 1}, Visible: []entity.Entity{{ID: 2}, {ID: 4}, {ID: 6}},
+	})
+	transportOnly := testing.AllocsPerRun(100, func() {
+		srv.send(t, "cli", []byte{0}) // too short to be a message
+		c.Poll()
+	})
+	if n := testing.AllocsPerRun(100, func() {
+		srv.send(t, "cli", keyframe)
+		if c.Poll() != 1 {
+			t.Fatal("keyframe rejected")
+		}
+	}); n > transportOnly {
+		t.Fatalf("polling a keyframe allocates %v times, the transport alone %v", n, transportOnly)
+	}
+	payload := proto.Registry.EncodeToBytes(&proto.StateDelta{
+		Tick: 11, BaseTick: 10,
+		SelfMask: entity.FieldPos, Self: entity.Entity{Pos: entity.Vec2{X: 1}},
+		Updates: []proto.EntityDelta{{ID: 4, Mask: entity.FieldPos | entity.FieldSeq, State: entity.Entity{Seq: 2}}},
+		Enters:  []entity.Entity{{ID: 5}},
+		Gone:    []entity.ID{5},
+	})
+	apply := func() {
+		if c.delta.UnmarshalWire(wire.NewReader(payload[2:])) != nil {
+			t.Fatal("decode failed")
+		}
+		// Alternate between "5 enters" and "5 leaves" so both columns work.
+		if len(c.view.Visible) == 3 {
+			c.delta.Gone = c.delta.Gone[:0]
+		} else {
+			c.delta.Enters = c.delta.Enters[:0]
+		}
+		if !c.applyDeltaLocked(&c.delta) {
+			t.Fatal("delta rejected")
+		}
+	}
+	apply()
+	apply()
+	if n := testing.AllocsPerRun(100, apply); n != 0 {
+		t.Fatalf("applying a delta allocates %v times, want 0", n)
 	}
 }

@@ -3,11 +3,12 @@ package client_test
 // FuzzDeltaApply throws hostile delta streams at the client: frames from a
 // recorded real session delivered out of order, duplicated, truncated or
 // replaced with garbage. The client may coast or resync — it must never
-// panic and never diverge silently: after a known-good keyframe its world
-// must equal that keyframe's content exactly, and any rejected delta must
-// be visible in Resyncs.
+// panic and never diverge silently: a frame it does not apply must leave its
+// world exactly as it was (no half-applied delta), and after a known-good
+// keyframe its world must equal that keyframe's content exactly.
 
 import (
+	"slices"
 	"testing"
 
 	"roia/internal/game"
@@ -21,7 +22,7 @@ import (
 )
 
 // recordDeltaSession plays a short two-client session against a real
-// delta-mode server and returns every payload the server sent to the
+// server and returns every payload the server sent to the
 // passive observer client, in order (JoinAck first, then a mix of
 // keyframes and deltas while the second client moves through the
 // observer's AoI).
@@ -40,7 +41,6 @@ func recordDeltaSession(f *testing.F) [][]byte {
 		App:           game.New(game.DefaultConfig()),
 		IDPrefix:      1,
 		Seed:          1,
-		DeltaUpdates:  true,
 		KeyframeTicks: 5,
 	})
 	if err != nil {
@@ -109,11 +109,15 @@ func FuzzDeltaApply(f *testing.F) {
 		}
 		cl := client.New(cn, "s1")
 		deliver := func(payload []byte) {
+			before := cl.World()
 			if err := src.Send("c1", payload); err != nil {
 				t.Fatal(err)
 			}
-			cl.Poll()
+			applied := cl.Poll()
 			transport.Drain(src, 0) // discard anything the client sent back
+			if after := cl.World(); applied == 0 && !slices.Equal(before, after) {
+				t.Fatalf("frame %x was not applied yet changed the world:\n%+v\n%+v", payload, before, after)
+			}
 		}
 
 		// The recorded log starts with the JoinAck; anchor the avatar

@@ -31,7 +31,7 @@ func joinedClient(t *testing.T) (*Client, *fakeServer, *fakeClock) {
 
 func ack(srv *fakeServer, t *testing.T, tick, ackSeq uint64) {
 	t.Helper()
-	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateUpdate{
+	srv.send(t, "cli", proto.Registry.EncodeToBytes(&proto.StateKeyframe{
 		Tick: tick, AckSeq: ackSeq, Self: entity.Entity{ID: 1},
 	}))
 }
@@ -198,7 +198,7 @@ func TestRTTUnderLossyTransport(t *testing.T) {
 				}
 			}
 		}
-		if err := sn.Send("cli", proto.Registry.EncodeToBytes(&proto.StateUpdate{
+		if err := sn.Send("cli", proto.Registry.EncodeToBytes(&proto.StateKeyframe{
 			Tick: uint64(i), AckSeq: applied, Self: entity.Entity{ID: 1},
 		})); err != nil {
 			t.Fatal(err)
@@ -207,7 +207,7 @@ func TestRTTUnderLossyTransport(t *testing.T) {
 	}
 	// Flush stragglers past the age-out horizon.
 	clk.advance(pendingAge + time.Second)
-	if err := sn.Send("cli", proto.Registry.EncodeToBytes(&proto.StateUpdate{
+	if err := sn.Send("cli", proto.Registry.EncodeToBytes(&proto.StateKeyframe{
 		Tick: 1000, AckSeq: applied, Self: entity.Entity{ID: 1},
 	})); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ const (
 	// FieldSeq marks a sequence-number advance. Seq increments with every
 	// applied change, so FieldSeq is set on effectively every dirty entity;
 	// it still travels masked so a delta stream reproduces the exact Seq a
-	// full update would have delivered.
+	// keyframe would have delivered.
 	FieldSeq
 
 	// FieldAll marks every field group: the mask of a newly appeared entity.

@@ -77,7 +77,7 @@ func TestFleetCostMetricsExposition(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE roia_fleet_egress_bytes_total counter",
-		`roia_fleet_egress_bytes_total{zone="1",type="state_update"} `,
+		`roia_fleet_egress_bytes_total{zone="1",type="state_delta"} `,
 		"# TYPE roia_fleet_egress_client_bytes_total counter",
 		`roia_fleet_egress_client_bytes_total{zone="1"} `,
 		"# TYPE roia_fleet_egress_payload_q_bytes gauge",

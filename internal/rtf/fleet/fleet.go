@@ -21,7 +21,6 @@ import (
 	"roia/internal/cloud"
 	"roia/internal/model"
 	"roia/internal/rms"
-	"roia/internal/rtf/aoi"
 	"roia/internal/rtf/server"
 	"roia/internal/rtf/transport"
 	"roia/internal/rtf/zone"
@@ -86,17 +85,6 @@ type Config struct {
 	// server.Config.Parallelism); wire output stays byte-identical for
 	// any value.
 	Parallelism int
-	// DeltaUpdates switches every spawned server to the proto v5
-	// delta+keyframe stream (see server.Config.DeltaUpdates).
-	DeltaUpdates bool
-	// KeyframeTicks sets the keyframe cadence of spawned servers under
-	// DeltaUpdates (see server.Config.KeyframeTicks; 0 means the server
-	// default).
-	KeyframeTicks int
-	// NewAOI optionally builds the interest manager for each spawned
-	// server (e.g. aoi.NewIncremental for the zero-rebuild index); nil
-	// uses the server default.
-	NewAOI func() aoi.Manager
 	// Now stamps lifecycle events (default time.Now). Inject a fake
 	// clock to make event logs deterministic in simulations and tests.
 	Now func() time.Time
@@ -406,28 +394,21 @@ func (f *Fleet) AddReplica() (string, error) {
 	if f.cfg.CostTrackers {
 		cost = telemetry.NewCostTracker()
 	}
-	var aoiMgr aoi.Manager
-	if f.cfg.NewAOI != nil {
-		aoiMgr = f.cfg.NewAOI()
-	}
 	srv, err := server.New(server.Config{
-		Node:          node,
-		Zone:          f.cfg.Zone,
-		Assignment:    f.cfg.Assignment,
-		App:           f.cfg.NewApp(),
-		World:         f.cfg.World,
-		AOI:           aoiMgr,
-		IDPrefix:      f.cfg.IDBase + uint16(f.nextIdx),
-		Seed:          f.cfg.Seed + int64(f.nextIdx),
-		TickInterval:  f.cfg.TickInterval,
-		Parallelism:   f.cfg.Parallelism,
-		DeltaUpdates:  f.cfg.DeltaUpdates,
-		KeyframeTicks: f.cfg.KeyframeTicks,
-		MigTrace:      migTrace,
-		Profiler:      profiler,
-		FlightRec:     flightRec,
-		Cost:          cost,
-		Events:        f.cfg.Events,
+		Node:         node,
+		Zone:         f.cfg.Zone,
+		Assignment:   f.cfg.Assignment,
+		App:          f.cfg.NewApp(),
+		World:        f.cfg.World,
+		IDPrefix:     f.cfg.IDBase + uint16(f.nextIdx),
+		Seed:         f.cfg.Seed + int64(f.nextIdx),
+		TickInterval: f.cfg.TickInterval,
+		Parallelism:  f.cfg.Parallelism,
+		MigTrace:     migTrace,
+		Profiler:     profiler,
+		FlightRec:    flightRec,
+		Cost:         cost,
+		Events:       f.cfg.Events,
 	})
 	if err != nil {
 		_ = node.Close()

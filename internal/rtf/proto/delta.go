@@ -15,11 +15,12 @@ type EntityDelta struct {
 	State entity.Entity
 }
 
-// StateDelta is the per-tick incremental state update of protocol v5: the
-// difference between the client's visible world at BaseTick (the previous
-// update it applied) and at Tick. A client that missed the base — joins,
-// migrations, dropped frames — cannot apply it and waits for the next
-// StateKeyframe instead (resync).
+// StateDelta is the per-tick, area-of-interest-filtered state update
+// delivered to one client (step 3 of the real-time loop): the difference
+// between the client's visible world at BaseTick (the previous update it
+// applied) and at Tick. A client that missed the base — joins, migrations,
+// dropped frames — cannot apply it and waits for the next StateKeyframe
+// instead (resync).
 //
 // Updates, Enters and Gone are strictly ascending by entity ID; ID columns
 // are gap-encoded (first absolute, then successive differences) so dense ID
@@ -30,7 +31,10 @@ type StateDelta struct {
 	Tick uint64
 	// BaseTick is the tick of the update this delta applies on top of.
 	BaseTick uint64
-	// AckSeq is the last applied input sequence number (see StateUpdate).
+	// AckSeq is the sequence number of the last input of this client the
+	// server applied before building the update (0 while none). The client
+	// matches it against its send timestamps to measure the user-perceived
+	// input→update response time the model's QoS threshold U promises.
 	AckSeq uint64
 	// SelfMask names the avatar field groups that changed; Self carries
 	// only those (the avatar's ID never travels — the client knows it).
@@ -78,7 +82,10 @@ func (m *StateDelta) MarshalWire(w *wire.Writer) {
 	w.Blob(m.Events)
 }
 
-// UnmarshalWire implements wire.Message.
+// UnmarshalWire implements wire.Message. The Updates, Enters, Gone and
+// Visible columns of the two state messages decode into the receiver's
+// existing slices when their capacity suffices, so a client that keeps one
+// message shell per kind decodes its update stream without allocating.
 func (m *StateDelta) UnmarshalWire(r *wire.Reader) error {
 	m.Tick = r.Uvarint()
 	m.BaseTick = m.Tick - r.Uvarint()
@@ -94,7 +101,7 @@ func (m *StateDelta) UnmarshalWire(r *wire.Reader) error {
 	if n > uint64(r.Remaining()) { // each update needs >1 byte
 		return wire.ErrStringTooLong
 	}
-	m.Updates = make([]EntityDelta, n)
+	m.Updates = resize(m.Updates, n)
 	prev := uint64(0)
 	for i := range m.Updates {
 		u := &m.Updates[i]
@@ -112,7 +119,7 @@ func (m *StateDelta) UnmarshalWire(r *wire.Reader) error {
 	if e > uint64(r.Remaining()) {
 		return wire.ErrStringTooLong
 	}
-	m.Enters = make([]entity.Entity, e)
+	m.Enters = resize(m.Enters, e)
 	for i := range m.Enters {
 		if err := m.Enters[i].UnmarshalWire(r); err != nil {
 			return err
@@ -125,7 +132,7 @@ func (m *StateDelta) UnmarshalWire(r *wire.Reader) error {
 	if g > uint64(r.Remaining()) {
 		return wire.ErrStringTooLong
 	}
-	m.Gone = make([]entity.ID, g)
+	m.Gone = resize(m.Gone, g)
 	prev = 0
 	for i := range m.Gone {
 		prev += r.Uvarint()
@@ -133,6 +140,15 @@ func (m *StateDelta) UnmarshalWire(r *wire.Reader) error {
 	}
 	m.Events = r.Blob()
 	return r.Err()
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. Elements keep whatever they held: callers overwrite them.
+func resize[T any](s []T, n uint64) []T {
+	if uint64(cap(s)) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // StateKeyframe is a full self-contained state update of protocol v5: the
@@ -143,7 +159,7 @@ func (m *StateDelta) UnmarshalWire(r *wire.Reader) error {
 type StateKeyframe struct {
 	// Tick is the server tick this keyframe reflects.
 	Tick uint64
-	// AckSeq is the last applied input sequence number (see StateUpdate).
+	// AckSeq is the last applied input sequence number (see StateDelta).
 	AckSeq uint64
 	// Self is the client's own avatar state.
 	Self entity.Entity
@@ -183,7 +199,7 @@ func (m *StateKeyframe) UnmarshalWire(r *wire.Reader) error {
 	if n > uint64(r.Remaining()) { // each entity needs >1 byte
 		return wire.ErrStringTooLong
 	}
-	m.Visible = make([]entity.Entity, n)
+	m.Visible = resize(m.Visible, n)
 	for i := range m.Visible {
 		if err := m.Visible[i].UnmarshalWire(r); err != nil {
 			return err

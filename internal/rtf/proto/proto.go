@@ -20,11 +20,13 @@ import (
 //	v4  JoinNack added (draining servers reject joins explicitly)
 //	v5  StateDelta/StateKeyframe added (masked per-entity field deltas
 //	    with periodic keyframes; see DESIGN §17)
+//	v6  StateUpdate retired: StateDelta/StateKeyframe are the only client
+//	    state stream (kind number 5 stays reserved)
 //
 // The format has no in-band negotiation: fields are appended at the end of
 // a message's fixed prefix or, as with AckSeq, inserted with a version
 // bump, and mixed-version fleets are not supported.
-const Version = 5
+const Version = 6
 
 // Message kinds of the RTF protocol.
 const (
@@ -32,6 +34,9 @@ const (
 	KindJoinAck
 	KindLeave
 	KindInput
+	// KindStateUpdate is the retired v1–v5 full state update. No message
+	// is registered under it; the number stays reserved because wire kinds
+	// are never reused.
 	KindStateUpdate
 	KindShadowUpdate
 	KindForwarded
@@ -49,7 +54,6 @@ var Registry = wire.NewRegistry(
 	func() wire.Message { return &JoinAck{} },
 	func() wire.Message { return &Leave{} },
 	func() wire.Message { return &Input{} },
-	func() wire.Message { return &StateUpdate{} },
 	func() wire.Message { return &ShadowUpdate{} },
 	func() wire.Message { return &Forwarded{} },
 	func() wire.Message { return &MigrateInit{} },
@@ -146,84 +150,6 @@ func (m *Input) MarshalWire(w *wire.Writer) {
 func (m *Input) UnmarshalWire(r *wire.Reader) error {
 	m.Seq = r.Uint64()
 	m.Payload = r.Blob()
-	return r.Err()
-}
-
-// StateUpdate is the per-tick, area-of-interest-filtered state delivered to
-// one client (step 3 of the real-time loop).
-type StateUpdate struct {
-	// Tick is the server tick this update reflects.
-	Tick uint64
-	// AckSeq is the sequence number of the last input of this client the
-	// server applied before building the update (0 while none). The client
-	// matches it against its send timestamps to measure the user-perceived
-	// input→update response time the model's QoS threshold U promises.
-	AckSeq uint64
-	// Self is the client's own avatar state.
-	Self entity.Entity
-	// Visible is the filtered set of other entities in the client's area
-	// of interest. Under delta updates (server.Config.DeltaUpdates) only
-	// entities that changed since the last update are listed.
-	Visible []entity.Entity
-	// Gone lists entities that left the client's area of interest since
-	// the last update (only used under delta updates); the client drops
-	// them from its world cache.
-	Gone []entity.ID
-	// Events is an opaque application payload (e.g. hits suffered).
-	Events []byte
-}
-
-// WireKind implements wire.Message.
-func (*StateUpdate) WireKind() wire.Kind { return KindStateUpdate }
-
-// MarshalWire implements wire.Message.
-func (m *StateUpdate) MarshalWire(w *wire.Writer) {
-	w.Uint64(m.Tick)
-	w.Uint64(m.AckSeq)
-	m.Self.MarshalWire(w)
-	w.Uvarint(uint64(len(m.Visible)))
-	for i := range m.Visible {
-		m.Visible[i].MarshalWire(w)
-	}
-	w.Uvarint(uint64(len(m.Gone)))
-	for _, id := range m.Gone {
-		w.Uint64(uint64(id))
-	}
-	w.Blob(m.Events)
-}
-
-// UnmarshalWire implements wire.Message.
-func (m *StateUpdate) UnmarshalWire(r *wire.Reader) error {
-	m.Tick = r.Uint64()
-	m.AckSeq = r.Uint64()
-	if err := m.Self.UnmarshalWire(r); err != nil {
-		return err
-	}
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n > uint64(r.Remaining()) { // each entity needs >1 byte
-		return wire.ErrStringTooLong
-	}
-	m.Visible = make([]entity.Entity, n)
-	for i := range m.Visible {
-		if err := m.Visible[i].UnmarshalWire(r); err != nil {
-			return err
-		}
-	}
-	g := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if g > uint64(r.Remaining()) {
-		return wire.ErrStringTooLong
-	}
-	m.Gone = make([]entity.ID, g)
-	for i := range m.Gone {
-		m.Gone[i] = entity.ID(r.Uint64())
-	}
-	m.Events = r.Blob()
 	return r.Err()
 }
 

@@ -44,8 +44,8 @@ func TestInputRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStateUpdateRoundTrip(t *testing.T) {
-	in := &StateUpdate{
+func TestStateKeyframeRoundTrip(t *testing.T) {
+	in := &StateKeyframe{
 		Tick:   100,
 		AckSeq: 41,
 		Self:   entity.Entity{ID: 1, Owner: "s1", Health: 95, Pos: entity.Vec2{X: 4, Y: 5}},
@@ -55,9 +55,9 @@ func TestStateUpdateRoundTrip(t *testing.T) {
 		},
 		Events: []byte("hit:2"),
 	}
-	m := roundTrip(t, in).(*StateUpdate)
+	m := roundTrip(t, in).(*StateKeyframe)
 	if m.Tick != 100 || m.AckSeq != 41 || m.Self != in.Self || len(m.Visible) != 2 {
-		t.Fatalf("update = %+v", m)
+		t.Fatalf("keyframe = %+v", m)
 	}
 	if m.Visible[0] != in.Visible[0] || m.Visible[1] != in.Visible[1] {
 		t.Fatalf("visible = %+v", m.Visible)
@@ -65,12 +65,71 @@ func TestStateUpdateRoundTrip(t *testing.T) {
 	if string(m.Events) != "hit:2" {
 		t.Fatalf("events = %q", m.Events)
 	}
+	m = roundTrip(t, &StateKeyframe{Tick: 1, Self: entity.Entity{ID: 9}}).(*StateKeyframe)
+	if len(m.Visible) != 0 || len(m.Events) != 0 {
+		t.Fatalf("empty keyframe = %+v", m)
+	}
 }
 
-func TestStateUpdateEmptyVisible(t *testing.T) {
-	m := roundTrip(t, &StateUpdate{Tick: 1, Self: entity.Entity{ID: 9}}).(*StateUpdate)
-	if len(m.Visible) != 0 || len(m.Events) != 0 {
-		t.Fatalf("empty update = %+v", m)
+// sampleDelta exercises every column of a StateDelta.
+func sampleDelta() *StateDelta {
+	return &StateDelta{
+		Tick:     9,
+		BaseTick: 8,
+		AckSeq:   1234,
+		SelfMask: entity.FieldPos | entity.FieldSeq,
+		Self:     entity.Entity{Pos: entity.Vec2{X: 4, Y: 5}, Seq: 7},
+		Updates: []EntityDelta{
+			{ID: 2, Mask: entity.FieldHealth, State: entity.Entity{Health: 90}},
+			{ID: 300, Mask: entity.FieldOwner | entity.FieldPos, State: entity.Entity{Owner: "s2", Pos: entity.Vec2{X: 1}}},
+		},
+		Enters: []entity.Entity{{ID: 5, Owner: "s1", Kind: entity.NPC, Seq: 2}},
+		Gone:   []entity.ID{3, 1 << 33},
+		Events: []byte("e"),
+	}
+}
+
+func TestStateDeltaRoundTrip(t *testing.T) {
+	in := sampleDelta()
+	m := roundTrip(t, in).(*StateDelta)
+	if m.Tick != in.Tick || m.BaseTick != in.BaseTick || m.AckSeq != in.AckSeq ||
+		m.SelfMask != in.SelfMask || m.Self != in.Self || string(m.Events) != "e" {
+		t.Fatalf("delta = %+v", m)
+	}
+	if len(m.Updates) != 2 || m.Updates[0] != in.Updates[0] || m.Updates[1] != in.Updates[1] {
+		t.Fatalf("updates = %+v", m.Updates)
+	}
+	if len(m.Enters) != 1 || m.Enters[0] != in.Enters[0] {
+		t.Fatalf("enters = %+v", m.Enters)
+	}
+	if len(m.Gone) != 2 || m.Gone[0] != in.Gone[0] || m.Gone[1] != in.Gone[1] {
+		t.Fatalf("gone = %+v", m.Gone)
+	}
+}
+
+// TestStateDecodeReusesShell pins what the client's allocation-free decode
+// relies on: unmarshalling into a message that already holds large enough
+// columns keeps their backing arrays and overwrites every listed element.
+func TestStateDecodeReusesShell(t *testing.T) {
+	big := sampleDelta()
+	big.Gone = append(big.Gone, 1<<34)
+	var shell StateDelta
+	decode := func(m *StateDelta) {
+		t.Helper()
+		if err := shell.UnmarshalWire(wire.NewReader(Registry.EncodeToBytes(m)[2:])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode(big)
+	gone := &shell.Gone[0]
+	small := sampleDelta()
+	small.Updates = small.Updates[:1]
+	decode(small)
+	if &shell.Gone[0] != gone {
+		t.Fatal("Gone column reallocated although its capacity sufficed")
+	}
+	if len(shell.Updates) != 1 || len(shell.Gone) != 2 || shell.Gone[1] != 1<<33 {
+		t.Fatalf("shell after second decode = %+v", shell)
 	}
 }
 
@@ -112,52 +171,61 @@ func TestMigrationMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStateUpdateAckSeqRoundTripProperty(t *testing.T) {
+func TestStateAckSeqRoundTripProperty(t *testing.T) {
 	prop := func(tick, ackSeq uint64) bool {
-		got, err := Registry.Decode(Registry.EncodeToBytes(&StateUpdate{Tick: tick, AckSeq: ackSeq}))
+		got, err := Registry.Decode(Registry.EncodeToBytes(&StateKeyframe{Tick: tick, AckSeq: ackSeq}))
 		if err != nil {
 			return false
 		}
-		su := got.(*StateUpdate)
-		return su.Tick == tick && su.AckSeq == ackSeq
+		kf := got.(*StateKeyframe)
+		got, err = Registry.Decode(Registry.EncodeToBytes(&StateDelta{Tick: tick, BaseTick: tick - 1, AckSeq: ackSeq}))
+		if err != nil {
+			return false
+		}
+		d := got.(*StateDelta)
+		return kf.Tick == tick && kf.AckSeq == ackSeq && d.Tick == tick && d.BaseTick == tick-1 && d.AckSeq == ackSeq
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestStateUpdateTruncatedEveryPrefix decodes every strict prefix of an
-// encoded StateUpdate; all must fail cleanly (the v3 AckSeq field sits in
-// the fixed prefix, so a v2 frame is 8 bytes short and must be rejected,
-// not misparsed).
-func TestStateUpdateTruncatedEveryPrefix(t *testing.T) {
-	payload := Registry.EncodeToBytes(&StateUpdate{
-		Tick:    9,
-		AckSeq:  1234,
-		Self:    entity.Entity{ID: 1},
-		Visible: []entity.Entity{{ID: 2}},
-		Gone:    []entity.ID{3},
-		Events:  []byte("e"),
-	})
-	for cut := 0; cut < len(payload); cut++ {
-		if _, err := Registry.Decode(payload[:cut]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(payload))
+// TestStateTruncatedEveryPrefix decodes every strict prefix of an encoded
+// StateDelta and StateKeyframe; all must fail cleanly, never misparse.
+func TestStateTruncatedEveryPrefix(t *testing.T) {
+	for _, msg := range []wire.Message{
+		sampleDelta(),
+		&StateKeyframe{
+			Tick:    9,
+			AckSeq:  1234,
+			Self:    entity.Entity{ID: 1},
+			Visible: []entity.Entity{{ID: 2}, {ID: 3}},
+			Events:  []byte("e"),
+		},
+	} {
+		payload := Registry.EncodeToBytes(msg)
+		for cut := 0; cut < len(payload); cut++ {
+			if _, err := Registry.Decode(payload[:cut]); err == nil {
+				t.Fatalf("%T: prefix of %d/%d bytes decoded without error", msg, cut, len(payload))
+			}
 		}
-	}
-	if _, err := Registry.Decode(payload); err != nil {
-		t.Fatalf("full payload rejected: %v", err)
+		if _, err := Registry.Decode(payload); err != nil {
+			t.Fatalf("%T: full payload rejected: %v", msg, err)
+		}
 	}
 }
 
-func TestDecodeRejectsCorruptStateUpdate(t *testing.T) {
-	payload := Registry.EncodeToBytes(&StateUpdate{
-		Tick:    1,
-		Self:    entity.Entity{ID: 1},
-		Visible: []entity.Entity{{ID: 2}, {ID: 3}},
-	})
-	// Truncate mid-entity.
-	if _, err := Registry.Decode(payload[:len(payload)-10]); err == nil {
-		t.Fatal("truncated state update decoded")
+// TestRetiredStateUpdateKindRejected pins the v6 retirement: kind 5 keeps
+// its number but decodes as an unknown kind.
+func TestRetiredStateUpdateKindRejected(t *testing.T) {
+	if KindStateUpdate != 5 || KindShadowUpdate != 6 || KindStateKeyframe != 13 {
+		t.Fatal("wire kind numbers moved")
+	}
+	w := wire.NewWriter(0)
+	w.Uint16(uint16(KindStateUpdate))
+	w.Uint64(1)
+	if _, err := Registry.Decode(w.Bytes()); err == nil {
+		t.Fatal("retired StateUpdate kind still decodes")
 	}
 }
 

@@ -13,9 +13,10 @@ import (
 	"roia/internal/rtf/zone"
 )
 
-// deltaCluster builds a single-server cluster in the requested update mode
-// with n clients standing in mutual view.
-func deltaCluster(t *testing.T, delta bool, n int) (*server.Server, []*client.Client, func()) {
+// deltaCluster builds a single-server cluster with the given keyframe
+// cadence (0 = server default, 1 = every update a full keyframe) and n
+// clients standing in mutual view.
+func deltaCluster(t *testing.T, keyframeTicks, n int) (*server.Server, []*client.Client, func()) {
 	t.Helper()
 	net := transport.NewLoopback()
 	t.Cleanup(func() { net.Close() })
@@ -24,13 +25,13 @@ func deltaCluster(t *testing.T, delta bool, n int) (*server.Server, []*client.Cl
 		t.Fatal(err)
 	}
 	srv, err := server.New(server.Config{
-		Node:         node,
-		Zone:         1,
-		Assignment:   zone.NewAssignment(),
-		App:          game.New(game.DefaultConfig()),
-		IDPrefix:     1,
-		Seed:         1,
-		DeltaUpdates: delta,
+		Node:          node,
+		Zone:          1,
+		Assignment:    zone.NewAssignment(),
+		App:           game.New(game.DefaultConfig()),
+		IDPrefix:      1,
+		Seed:          1,
+		KeyframeTicks: keyframeTicks,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,10 +66,12 @@ func worldIDs(cl *client.Client) []entity.ID {
 	return ids
 }
 
-func TestDeltaUpdatesMatchFullUpdatesView(t *testing.T) {
+// TestDeltaStreamMatchesKeyframeOnlyView holds the delta stream to its
+// reference: a server that sends every update as a full keyframe.
+func TestDeltaStreamMatchesKeyframeOnlyView(t *testing.T) {
 	const n = 5
-	_, fullClients, fullStep := deltaCluster(t, false, n)
-	_, deltaClients, deltaStep := deltaCluster(t, true, n)
+	_, fullClients, fullStep := deltaCluster(t, 1, n)
+	_, deltaClients, deltaStep := deltaCluster(t, 0, n)
 	for i := 0; i < 6; i++ {
 		fullStep()
 		deltaStep()
@@ -97,10 +100,12 @@ func TestDeltaUpdatesMatchFullUpdatesView(t *testing.T) {
 	}
 }
 
-func TestDeltaUpdatesSaveBandwidthWhenIdle(t *testing.T) {
+// TestIdleDeltaSmallerThanKeyframe: when nothing changes, a keyframe still
+// resends every visible entity while a delta carries only its header.
+func TestIdleDeltaSmallerThanKeyframe(t *testing.T) {
 	const n, warm, idle = 8, 4, 10
-	run := func(delta bool) int {
-		srv, _, step := deltaCluster(t, delta, n)
+	run := func(keyframeTicks int) int {
+		srv, _, step := deltaCluster(t, keyframeTicks, n)
 		for i := 0; i < warm; i++ {
 			step()
 		}
@@ -112,21 +117,16 @@ func TestDeltaUpdatesSaveBandwidthWhenIdle(t *testing.T) {
 		}
 		return bytes
 	}
-	full := run(false)
-	withDelta := run(true)
-	if withDelta >= full {
-		t.Fatalf("delta mode not cheaper when idle: %d >= %d bytes", withDelta, full)
-	}
-	// The saving must be substantial — idle full updates resend every
-	// entity every tick, idle delta updates send only the self state.
-	if withDelta > full/3 {
-		t.Fatalf("delta saving too small: %d vs %d bytes", withDelta, full)
+	keyframes := run(1)
+	deltas := run(0)
+	if deltas > keyframes/3 {
+		t.Fatalf("idle deltas not substantially smaller than keyframes: %d vs %d bytes", deltas, keyframes)
 	}
 }
 
 func TestDeltaGoneListPrunesClientWorld(t *testing.T) {
 	// Two clients in view; one walks out of the other's AoI (radius 50).
-	srv, clients, step := deltaCluster(t, true, 2)
+	srv, clients, step := deltaCluster(t, 0, 2)
 	for i := 0; i < 3; i++ {
 		step()
 	}
@@ -170,7 +170,6 @@ func TestDeltaKeyframeResyncAfterLoss(t *testing.T) {
 		App:           game.New(game.DefaultConfig()),
 		IDPrefix:      1,
 		Seed:          1,
-		DeltaUpdates:  true,
 		KeyframeTicks: keyframeTicks,
 	})
 	if err != nil {
@@ -236,7 +235,7 @@ func TestDeltaKeyframeResyncAfterLoss(t *testing.T) {
 }
 
 func TestDeltaReappearsAfterReturn(t *testing.T) {
-	_, clients, step := deltaCluster(t, true, 2)
+	_, clients, step := deltaCluster(t, 0, 2)
 	for i := 0; i < 3; i++ {
 		step()
 	}

@@ -31,7 +31,6 @@ type workerCtx struct {
 	// every field before each encode.
 	delta    proto.StateDelta
 	keyframe proto.StateKeyframe
-	update   proto.StateUpdate
 }
 
 // executor fans the embarrassingly-parallel tick stages (frame decode,

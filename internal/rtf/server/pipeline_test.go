@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"roia/internal/game"
+	"roia/internal/rtf/aoi"
 	"roia/internal/rtf/entity"
 	"roia/internal/rtf/proto"
 	"roia/internal/rtf/server"
@@ -68,16 +69,11 @@ func (c *scriptedClient) poll() {
 
 // runPipelineScenario plays a fixed multi-server session — joins, scripted
 // movement and attacks, NPCs, a mid-run migration wave — and returns one
-// hex digest per client of everything that client received.
-func runPipelineScenario(t *testing.T, parallelism int, app func(i int) server.Application) []string {
-	t.Helper()
-	return runPipelineScenarioDelta(t, parallelism, app, false)
-}
-
-// runPipelineScenarioDelta is runPipelineScenario with the proto v5
-// delta+keyframe stream switched on (KeyframeTicks 8 so the scenario spans
-// several keyframe boundaries and the mid-run migration forces resyncs).
-func runPipelineScenarioDelta(t *testing.T, parallelism int, app func(i int) server.Application, delta bool) []string {
+// hex digest per client of everything that client received. KeyframeTicks
+// is 8 so the scenario spans several keyframe boundaries besides the
+// keyframes the migration forces. newAOI, when not nil, replaces the
+// servers' default interest manager.
+func runPipelineScenario(t *testing.T, parallelism int, app func(i int) server.Application, newAOI func() aoi.Manager) []string {
 	t.Helper()
 	const (
 		nServers = 2
@@ -93,7 +89,7 @@ func runPipelineScenarioDelta(t *testing.T, parallelism int, app func(i int) ser
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := server.New(server.Config{
+		cfg := server.Config{
 			Node:          node,
 			Zone:          1,
 			Assignment:    assignment,
@@ -101,9 +97,12 @@ func runPipelineScenarioDelta(t *testing.T, parallelism int, app func(i int) ser
 			IDPrefix:      uint16(i + 1),
 			Seed:          int64(7000 + i),
 			Parallelism:   parallelism,
-			DeltaUpdates:  delta,
 			KeyframeTicks: 8,
-		})
+		}
+		if newAOI != nil {
+			cfg.AOI = newAOI()
+		}
+		srv, err := server.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,32 +162,27 @@ func runPipelineScenarioDelta(t *testing.T, parallelism int, app func(i int) ser
 
 func gameApp(i int) server.Application { return game.New(game.DefaultConfig()) }
 
+// TestPipelineDeterministicAcrossParallelism pins the wire stream — masked
+// field deltas, gap-encoded IDs, keyframe cadence, migration-forced
+// keyframes — as a function of the simulation state alone: never of worker
+// scheduling, and never of which interest manager answered the queries (the
+// Euclid oracle and the incremental index must agree to the byte).
 func TestPipelineDeterministicAcrossParallelism(t *testing.T) {
-	base := runPipelineScenario(t, 1, gameApp)
-	for _, w := range []int{2, 4, 8} {
-		got := runPipelineScenario(t, w, gameApp)
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("client %d wire stream diverged at Parallelism=%d:\n seq: %s\n par: %s",
-					i+1, w, base[i], got[i])
-			}
-		}
-	}
-}
-
-// TestPipelineDeterministicDeltaAcrossParallelism pins the proto v5
-// delta+keyframe encoding to the same byte-identical-across-parallelism
-// contract as the full-update stream: masked field deltas, gap-encoded IDs,
-// keyframe cadence and migration-forced keyframes must all be functions of
-// the simulation state alone, never of worker scheduling.
-func TestPipelineDeterministicDeltaAcrossParallelism(t *testing.T) {
-	base := runPipelineScenarioDelta(t, 1, gameApp, true)
-	for _, w := range []int{2, 4, 8} {
-		got := runPipelineScenarioDelta(t, w, gameApp, true)
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("client %d delta wire stream diverged at Parallelism=%d:\n seq: %s\n par: %s",
-					i+1, w, base[i], got[i])
+	base := runPipelineScenario(t, 1, gameApp, nil)
+	for _, idx := range []struct {
+		name   string
+		newAOI func() aoi.Manager
+	}{
+		{"incremental", nil},
+		{"euclid", func() aoi.Manager { return aoi.NewEuclid(server.DefaultAOIRadius) }},
+	} {
+		for _, w := range []int{1, 2, 4, 8} {
+			got := runPipelineScenario(t, w, gameApp, idx.newAOI)
+			for i := range base {
+				if got[i] != base[i] {
+					t.Fatalf("client %d wire stream diverged at Parallelism=%d aoi=%s:\n seq: %s\n par: %s",
+						i+1, w, idx.name, base[i], got[i])
+				}
 			}
 		}
 	}
@@ -198,10 +192,10 @@ func TestPipelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	orig := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(orig)
 	runtime.GOMAXPROCS(1)
-	base := runPipelineScenario(t, 4, gameApp)
+	base := runPipelineScenario(t, 4, gameApp, nil)
 	for _, procs := range []int{2, 8} {
 		runtime.GOMAXPROCS(procs)
-		got := runPipelineScenario(t, 4, gameApp)
+		got := runPipelineScenario(t, 4, gameApp, nil)
 		for i := range base {
 			if got[i] != base[i] {
 				t.Fatalf("client %d wire stream diverged at GOMAXPROCS=%d", i+1, procs)
@@ -255,9 +249,9 @@ func (a *parApp) ApplyUserState(env *server.Env, avatar entity.ID, data []byte) 
 
 func TestPipelineDeterministicConcurrentSimulator(t *testing.T) {
 	app := func(i int) server.Application { return &parApp{} }
-	base := runPipelineScenario(t, 1, app)
+	base := runPipelineScenario(t, 1, app, nil)
 	for _, w := range []int{2, 4} {
-		got := runPipelineScenario(t, w, app)
+		got := runPipelineScenario(t, w, app, nil)
 		for i := range base {
 			if got[i] != base[i] {
 				t.Fatalf("client %d wire stream diverged at Parallelism=%d with concurrent NPC updates", i+1, w)

@@ -46,8 +46,9 @@ type Config struct {
 	World *zone.World
 	// App is the application logic.
 	App Application
-	// AOI computes areas of interest; nil defaults to the Euclidean
-	// Distance Algorithm with radius 50 (RTFDemo's interest management).
+	// AOI computes areas of interest; nil defaults to the incremental
+	// spatial hash with radius DefaultAOIRadius. Tests inject aoi.Euclid
+	// (RTFDemo's Euclidean Distance Algorithm) as the oracle.
 	AOI aoi.Manager
 	// IDPrefix makes entity IDs allocated by this server globally unique;
 	// give every server in a session a distinct prefix.
@@ -57,20 +58,11 @@ type Config struct {
 	// TickInterval is the tick period for Run (default 40 ms — 25 Hz, the
 	// first-person-shooter rate of Section V).
 	TickInterval time.Duration
-	// DeltaUpdates enables RTF's bandwidth optimization for client state
-	// updates: protocol v5 StateDelta frames carrying only the field groups
-	// that changed since the client's previous update (plus enter records
-	// and a removal list for area-of-interest churn), with periodic
-	// StateKeyframe full refreshes. Keyframes are forced whenever a client
-	// has no valid delta base — join, migration, resync after loss. The
-	// client maintains a world cache (client.World). Server-to-server
-	// shadow updates remain full refreshes so replicas stay loss-tolerant.
-	DeltaUpdates bool
-	// KeyframeTicks is the cadence of periodic StateKeyframe refreshes
-	// under DeltaUpdates: a client receives a keyframe at least every
+	// KeyframeTicks is the cadence of periodic StateKeyframe refreshes in
+	// the client state stream: a client receives a keyframe at least every
 	// KeyframeTicks ticks, which bounds how long a desynchronized client
 	// (dropped or reordered delta) stays stale. 0 defaults to 32 ticks
-	// (~1.3 s at 25 Hz). Ignored without DeltaUpdates.
+	// (~1.3 s at 25 Hz); 1 sends every update as a full keyframe.
 	KeyframeTicks int
 	// Parallelism is the worker count for the embarrassingly-parallel
 	// stages of the tick pipeline (frame decode, per-user AoI queries and
@@ -137,8 +129,8 @@ type user struct {
 	lastInput uint64
 	// prevVis is the ascending-ID visible set of the user's last published
 	// update; the publish stage diffs the new set against it to produce
-	// enter/leave events (AoI churn) and, under delta updates, the
-	// StateDelta's Updates/Enters/Gone columns. Owned by the publish
+	// enter/leave events (AoI churn) and the StateDelta's
+	// Updates/Enters/Gone columns. Owned by the publish
 	// worker handling this user (slot discipline), reused across ticks.
 	prevVis []entity.ID
 	// lastPub is the tick of the user's last published update; a delta is
@@ -233,7 +225,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("server: config needs a zone assignment")
 	}
 	if cfg.AOI == nil {
-		cfg.AOI = aoi.NewEuclid(DefaultAOIRadius)
+		cfg.AOI = aoi.NewIncremental(DefaultAOIRadius)
 	}
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 40 * time.Millisecond
@@ -507,8 +499,6 @@ func egressTypeName(k wire.Kind) string {
 		return "leave"
 	case proto.KindInput:
 		return "input"
-	case proto.KindStateUpdate:
-		return "state_update"
 	case proto.KindShadowUpdate:
 		return "shadow_update"
 	case proto.KindForwarded:

@@ -571,10 +571,10 @@ func (s *Server) npcItem(i int, _ *workerCtx) {
 // the one user's publish bookkeeping (prevVis/lastPub/nextKey), so the
 // stage may fan out across workers.
 //
-// Under DeltaUpdates the user gets a StateDelta when its delta chain is
-// intact (published last tick, no periodic keyframe due) and a
-// StateKeyframe otherwise; without DeltaUpdates, the classic full
-// StateUpdate. All three encodings consume only reused scratch.
+// The user gets a StateDelta when its delta chain is intact (published
+// last tick, no periodic keyframe due) and a StateKeyframe otherwise — on
+// join, migration, a skipped tick, or the KeyframeTicks cadence. Both
+// encodings consume only reused scratch.
 func (s *Server) publishItem(i int, ctx *workerCtx) {
 	it := &s.pubItems[i]
 	if !it.ok {
@@ -583,24 +583,18 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 	snap := s.pubSnap
 	t0 := s.exec.now()
 	ctx.vis = s.cfg.AOI.Visible(ctx.vis[:0], it.av.ID, it.av.Pos, s.pubWorld)
-	// The visible-set diff below merge-walks sorted sets. Euclid emits in
-	// ID order already; grid managers emit in cell order, so sort. (For
-	// full updates this also fixes the wire order, keeping output
-	// byte-identical across AoI managers' bucketing choices.)
+	// The visible-set diff below merge-walks sorted sets, and the wire
+	// order must not depend on the index's bucketing: sort (the spatial
+	// hash emits in cell order).
 	slices.Sort(ctx.vis)
 	it.aoiMS = s.exec.since(t0)
 
 	t1 := s.exec.now()
 	u := it.u
-	deltaOK := s.cfg.DeltaUpdates && u.lastPub == s.tick-1 && u.lastPub != 0 && s.tick < u.nextKey
-	wantDiff := s.cfg.DeltaUpdates || s.cfg.Cost != nil
-	if wantDiff {
-		ctx.enters, ctx.gone = ctx.enters[:0], ctx.gone[:0]
-		ctx.enters, ctx.gone = aoi.Diff(u.prevVis, ctx.vis, ctx.enters, ctx.gone)
-		it.entered, it.left = len(ctx.enters), len(ctx.gone)
-	}
-	switch {
-	case deltaOK:
+	ctx.enters, ctx.gone = aoi.Diff(u.prevVis, ctx.vis, ctx.enters[:0], ctx.gone[:0])
+	it.entered, it.left = len(ctx.enters), len(ctx.gone)
+	ctx.ents = ctx.ents[:0]
+	if u.lastPub == s.tick-1 && u.lastPub != 0 && s.tick < u.nextKey {
 		// StateDelta: masked field changes for entities that stayed
 		// visible, full records for entrants, IDs for leavers. The
 		// entity-level change masks come from the snapshot diff; an
@@ -610,7 +604,6 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 		upd.SelfMask, upd.Self = it.avMask, *it.av
 		upd.Gone, upd.Events = ctx.gone, it.events
 		ctx.updates = ctx.updates[:0]
-		ctx.ents = ctx.ents[:0]
 		e := 0 // walks ctx.enters (ascending, a subset of ctx.vis)
 		for _, id := range ctx.vis {
 			if e < len(ctx.enters) && ctx.enters[e] == id {
@@ -629,12 +622,13 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 		upd.Updates = ctx.updates
 		upd.Enters = ctx.ents
 		it.payload = append(it.payload, proto.Registry.Encode(ctx.w, upd)...)
-	case s.cfg.DeltaUpdates:
+	} else {
 		// StateKeyframe: full refresh; the client replaces its world
-		// wholesale, re-anchoring the delta chain.
+		// wholesale, re-anchoring the delta chain. u.seq is the last input
+		// sequence applied for this user; echoing it (here and in deltas)
+		// lets the client close the input→update response-time loop.
 		upd := &ctx.keyframe
 		upd.Tick, upd.AckSeq, upd.Self, upd.Events = s.tick, u.seq, *it.av, it.events
-		ctx.ents = ctx.ents[:0]
 		for _, id := range ctx.vis {
 			if ent, ok := snap.Get(id); ok {
 				ctx.ents = append(ctx.ents, *ent)
@@ -643,19 +637,6 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 		upd.Visible = ctx.ents
 		it.payload = append(it.payload, proto.Registry.Encode(ctx.w, upd)...)
 		u.nextKey = s.tick + s.keyframeTicks
-	default:
-		// u.seq is the last input sequence applied for this user; echoing
-		// it lets the client close the input→update response-time loop.
-		upd := &ctx.update
-		upd.Tick, upd.AckSeq, upd.Self, upd.Events = s.tick, u.seq, *it.av, it.events
-		ctx.ents = ctx.ents[:0]
-		for _, id := range ctx.vis {
-			if ent, ok := snap.Get(id); ok {
-				ctx.ents = append(ctx.ents, *ent)
-			}
-		}
-		upd.Visible = ctx.ents
-		it.payload = append(it.payload, proto.Registry.Encode(ctx.w, upd)...)
 	}
 	u.prevVis = append(u.prevVis[:0], ctx.vis...)
 	u.lastPub = s.tick
