@@ -17,24 +17,33 @@ import "roia/internal/rtf/entity"
 // Manager computes the set of entities visible to a subject.
 //
 // Concurrency contract: Build is called once per tick by the tick
-// goroutine, before any Visible call for that tick. Between one Build and
-// the next, Visible must be safe to call from multiple goroutines
-// concurrently — the parallel publish stage fans per-user queries over a
-// worker pool — so Visible must not mutate manager state. Each caller
-// passes its own dst slice; world is the same immutable snapshot slice
-// Build received and must not be written through. Both implementations in
-// this package satisfy the contract.
+// goroutine, before any query for that tick. Between one Build and the
+// next, Visible and VisiblePositions must be safe to call from multiple
+// goroutines concurrently — the parallel publish stage fans per-user
+// queries over a worker pool — so they must not mutate manager state. Each
+// caller passes its own dst and marks; world is the same immutable snapshot
+// slice Build received and must not be written through. Both
+// implementations in this package satisfy the contract.
 type Manager interface {
-	// Build prepares the manager for a tick's worth of Visible queries
-	// over the given world (e.g. re-indexing a spatial hash). Managers
-	// without per-tick state treat it as a no-op.
+	// Build prepares the manager for a tick's worth of queries over the
+	// given world (e.g. re-indexing a spatial hash). Managers without
+	// per-tick state treat it as a no-op. world is in ascending ID order.
 	Build(world []*entity.Entity)
 	// Visible appends to dst the IDs of all entities in world (excluding
 	// the subject itself) within the manager's visibility radius of pos,
-	// and returns the extended slice. world is in deterministic ID order.
-	// Visible is read-only on the manager and on world: see the
-	// concurrency contract above.
+	// and returns the extended slice. The order is the manager's own.
 	Visible(dst []entity.ID, subject entity.ID, pos entity.Vec2, world []*entity.Entity) []entity.ID
+	// VisiblePositions answers the same query in position space: it
+	// appends, in strictly ascending order, the index p of every visible
+	// world[p]. world is ID-sorted, so the IDs ascend too — the publish
+	// stage merge-walks the result without sorting it and reads each
+	// entity by its position in the tick's snapshot. Positions index the
+	// slice given to the last Build, which must be the world passed here.
+	//
+	// marks is scratch the caller owns, one per querying goroutine: at
+	// least ⌈len(world)/64⌉ words, all zero on entry and left all zero on
+	// return, so one buffer serves any number of queries.
+	VisiblePositions(dst []int32, marks []uint64, subject entity.ID, pos entity.Vec2, world []*entity.Entity) []int32
 }
 
 // Euclid is the paper's O(n²)-flavoured Euclidean Distance Algorithm.
@@ -73,6 +82,18 @@ func (e *Euclid) Visible(dst []entity.ID, subject entity.ID, pos entity.Vec2, wo
 		}
 		if !dup {
 			dst = append(dst, cand.ID)
+		}
+	}
+	return dst
+}
+
+// VisiblePositions implements Manager. The scan runs in world order, so
+// the positions ascend as found; marks goes unused.
+func (e *Euclid) VisiblePositions(dst []int32, _ []uint64, subject entity.ID, pos entity.Vec2, world []*entity.Entity) []int32 {
+	r2 := e.Radius * e.Radius
+	for p, cand := range world {
+		if cand.ID != subject && pos.Dist2(cand.Pos) <= r2 {
+			dst = append(dst, int32(p))
 		}
 	}
 	return dst

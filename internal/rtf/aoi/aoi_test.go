@@ -60,10 +60,11 @@ func TestEuclidNoDuplicates(t *testing.T) {
 }
 
 // TestVisibleConcurrent exercises the Manager concurrency contract: after
-// one Build, Visible must be callable from many goroutines at once. Run
-// under -race this proves both implementations are read-only per query —
-// the index's pre-Build fallback scan included — and every answer is held
-// to the Euclid oracle's.
+// one Build, Visible and VisiblePositions must be callable from many
+// goroutines at once, each with its own dst and marks. Run under -race this
+// proves both implementations are read-only per query — the index's
+// pre-Build fallback scan included — and every answer is held to the
+// Euclid oracle's.
 func TestVisibleConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	positions := make([]entity.Vec2, 200)
@@ -94,7 +95,14 @@ func TestVisibleConcurrent(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					var dst []entity.ID
+					var at []int32
+					marks := make([]uint64, (len(world)+63)/64)
 					for i, subj := range world {
+						at = tc.mgr.VisiblePositions(at[:0], marks, subj.ID, subj.Pos, world)
+						if !slices.EqualFunc(at, want[i], func(p int32, id entity.ID) bool { return world[p].ID == id }) {
+							t.Errorf("subj %d: concurrent VisiblePositions diverged", subj.ID)
+							return
+						}
 						dst = tc.mgr.Visible(dst[:0], subj.ID, subj.Pos, world)
 						slices.Sort(dst)
 						if len(dst) != len(want[i]) {

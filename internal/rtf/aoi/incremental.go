@@ -2,6 +2,7 @@ package aoi
 
 import (
 	"math"
+	"math/bits"
 
 	"roia/internal/rtf/entity"
 )
@@ -15,14 +16,14 @@ import (
 // by merge-walking the ID-sorted world against the previous tick's roster),
 // its place in the index is an array read, and every cell carries direct
 // links to its neighbours. An entity that stayed in its cell costs Build
-// one position store; a Visible query costs one map lookup. In the steady
-// state Build allocates nothing, which is what lets the publish stage hit
-// 0 allocs/op.
+// two stores (its coordinates and its index in world); a query costs one
+// map lookup. In the steady state Build allocates nothing, which is what
+// lets the publish stage hit 0 allocs/op.
 //
-// Visible output is deterministic (cell scan order and within-cell
-// insertion order are fully determined by the Build history) but NOT
-// ID-sorted, unlike Euclid's; callers that need sorted visible sets — the
-// publish path's merge diff does — must sort the result.
+// Both queries run the same cell scan. VisiblePositions orders what the
+// scan finds through the caller's bitset and so ascends; Visible maps it to
+// IDs as found — deterministic (cell scan order and within-cell insertion
+// order are fully determined by the Build history) but not sorted.
 type Incremental struct {
 	// Radius is the visibility radius.
 	Radius float64
@@ -56,10 +57,13 @@ type cell struct {
 	near neighbourhood
 }
 
+// resident is an entity as its cell holds it. at is the entity's index in
+// the world of the last Build, which touches every resident once.
 type resident struct {
 	id     entity.ID
 	pos    entity.Vec2
 	handle int32
+	at     int32
 }
 
 // place locates a resident: residents[idx] of cells[cell]. cell is -1
@@ -82,16 +86,17 @@ func (g *Incremental) key(pos entity.Vec2) cellKey {
 
 // Build implements Manager: it folds the tick's world (ascending ID order)
 // into the live index. New entities are bucketed, entities that crossed a
-// cell boundary are re-bucketed, entities that moved within their cell get
-// their stored position refreshed, and entities absent from world are
-// evicted — all found by one merge walk of the previous roster and world.
+// cell boundary are re-bucketed, entities that stayed in their cell get
+// their stored coordinates and world index refreshed, and entities absent
+// from world are evicted — all found by one merge walk of the previous
+// roster and world.
 func (g *Incremental) Build(world []*entity.Entity) {
 	if g.index == nil {
 		g.index = make(map[cellKey]int32)
 	}
 	g.nextIDs, g.nextHandles = g.nextIDs[:0], g.nextHandles[:0]
 	i := 0
-	for _, e := range world {
+	for at, e := range world {
 		for ; i < len(g.ids) && g.ids[i] < e.ID; i++ {
 			g.evict(g.handles[i])
 		}
@@ -113,7 +118,8 @@ func (g *Incremental) Build(world []*entity.Entity) {
 		k := g.key(e.Pos)
 		if p := g.where[h]; p.cell >= 0 {
 			if c := &g.cells[p.cell]; c.key == k {
-				c.residents[p.idx].pos = e.Pos
+				r := &c.residents[p.idx]
+				r.pos, r.at = e.Pos, int32(at)
 				continue
 			}
 			g.remove(p)
@@ -121,7 +127,7 @@ func (g *Incremental) Build(world []*entity.Entity) {
 		ci := g.cellAt(k)
 		c := &g.cells[ci]
 		g.where[h] = place{cell: ci, idx: int32(len(c.residents))}
-		c.residents = append(c.residents, resident{id: e.ID, pos: e.Pos, handle: h})
+		c.residents = append(c.residents, resident{id: e.ID, pos: e.Pos, handle: h, at: int32(at)})
 	}
 	for ; i < len(g.ids); i++ {
 		g.evict(g.handles[i])
@@ -186,15 +192,16 @@ func (g *Incremental) around(k cellKey) neighbourhood {
 	return near
 }
 
-// Visible implements Manager over the state folded in by Build. It never
-// mutates the index (the Manager concurrency contract); if Build has not
-// run yet it falls back to a read-only linear scan of world.
-func (g *Incremental) Visible(dst []entity.ID, subject entity.ID, pos entity.Vec2, world []*entity.Entity) []entity.ID {
+// scan appends the world index of every entity within Radius of pos, the
+// subject excepted, in cell order. It never mutates the index (the Manager
+// concurrency contract); if Build has not run yet it falls back to a
+// read-only linear scan of world.
+func (g *Incremental) scan(dst []int32, subject entity.ID, pos entity.Vec2, world []*entity.Entity) []int32 {
 	r2 := g.Radius * g.Radius
 	if len(g.cells) == 0 {
-		for _, cand := range world {
+		for at, cand := range world {
 			if cand.ID != subject && pos.Dist2(cand.Pos) <= r2 {
-				dst = append(dst, cand.ID)
+				dst = append(dst, int32(at))
 			}
 		}
 		return dst
@@ -216,40 +223,40 @@ func (g *Incremental) Visible(dst []entity.ID, subject entity.ID, pos entity.Vec
 		}
 		for _, cand := range g.cells[n].residents {
 			if cand.id != subject && pos.Dist2(cand.pos) <= r2 {
-				dst = append(dst, cand.id)
+				dst = append(dst, cand.at)
 			}
 		}
 	}
 	return dst
 }
 
-// Diff merge-walks two ascending entity-ID sets, appending the IDs present
-// only in cur to enters and the IDs present only in prev to gone, and
-// returns both extended slices. It is the visible-set differ of the publish
-// path: prev is the client's last published visible set, cur the tick's new
-// one, and the outputs become the StateDelta Enters/Gone columns (and the
-// AoI-churn metric counts). Passing recycled [:0] slices keeps it
-// allocation-free.
-func Diff(prev, cur, enters, gone []entity.ID) (e, g []entity.ID) {
-	i, j := 0, 0
-	for i < len(prev) && j < len(cur) {
-		switch {
-		case prev[i] == cur[j]:
-			i++
-			j++
-		case prev[i] < cur[j]:
-			gone = append(gone, prev[i])
-			i++
-		default:
-			enters = append(enters, cur[j])
-			j++
+// Visible implements Manager: the scan's hits mapped to IDs, in cell order.
+func (g *Incremental) Visible(dst []entity.ID, subject entity.ID, pos entity.Vec2, world []*entity.Entity) []entity.ID {
+	var hits [256]int32 // on the stack; only a larger visible set reaches the heap
+	for _, at := range g.scan(hits[:0], subject, pos, world) {
+		dst = append(dst, world[at].ID)
+	}
+	return dst
+}
+
+// VisiblePositions implements Manager. The scan's hits are distinct small
+// integers, so they are ordered without comparing them: each sets its bit
+// in marks, and reading the set bits back word by word, lowest first,
+// overwrites the hits in ascending order and leaves marks zeroed.
+func (g *Incremental) VisiblePositions(dst []int32, marks []uint64, subject entity.ID, pos entity.Vec2, world []*entity.Entity) []int32 {
+	start := len(dst)
+	dst = g.scan(dst, subject, pos, world)
+	hits := dst[start:]
+	for _, at := range hits {
+		marks[at>>6] |= 1 << (at & 63)
+	}
+	n := 0
+	for w := 0; n < len(hits); w++ {
+		for m := marks[w]; m != 0; m &= m - 1 {
+			hits[n] = int32(w<<6 | bits.TrailingZeros64(m))
+			n++
 		}
+		marks[w] = 0
 	}
-	for ; i < len(prev); i++ {
-		gone = append(gone, prev[i])
-	}
-	for ; j < len(cur); j++ {
-		enters = append(enters, cur[j])
-	}
-	return enters, gone
+	return dst
 }

@@ -15,7 +15,8 @@ import (
 // after every rebuild that its answers match the brute-force Euclid
 // reference for every subject. The incremental index only re-buckets moved
 // entities, so the property specifically exercises the stale-slot paths a
-// single-build comparison cannot reach.
+// single-build comparison cannot reach — for the position query, a world
+// index that went stale when a spawn or despawn shifted the world.
 func TestIncrementalMatchesEuclidProperty(t *testing.T) {
 	prop := func(seed int64, n8 uint8, radiusRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -66,6 +67,11 @@ func TestIncrementalMatchesEuclidProperty(t *testing.T) {
 				return 1
 			})
 			inc.Build(world)
+			unbuilt := &Incremental{Radius: radius}
+			// One bitset serves every subject of the tick: each query must
+			// hand it back zeroed, or a later answer inherits earlier hits.
+			marks := make([]uint64, (len(world)+63)/64)
+			var at []int32
 			// Every subject of the world, plus one observer standing where
 			// possibly no entity ever has (a cell the index does not hold).
 			probes := append(slices.Clone(world), &entity.Entity{
@@ -80,6 +86,28 @@ func TestIncrementalMatchesEuclidProperty(t *testing.T) {
 					t.Logf("tick %d subject %d: euclid=%v incremental=%v", tick, subj.ID, want, got)
 					return false
 				}
+				at = inc.VisiblePositions(at[:0], marks, subj.ID, subj.Pos, world)
+				ids := make([]entity.ID, len(at))
+				for i, p := range at {
+					if i > 0 && p <= at[i-1] {
+						t.Logf("tick %d subject %d: positions not strictly ascending: %v", tick, subj.ID, at)
+						return false
+					}
+					ids[i] = world[p].ID
+				}
+				if !slices.Equal(want, ids) { // want is sorted, so this checks the order too
+					t.Logf("tick %d subject %d: euclid=%v positions→%v", tick, subj.ID, want, ids)
+					return false
+				}
+				if !slices.Equal(at, unbuilt.VisiblePositions(nil, marks, subj.ID, subj.Pos, world)) ||
+					!slices.Equal(at, euclid.VisiblePositions(nil, nil, subj.ID, subj.Pos, world)) {
+					t.Logf("tick %d subject %d: unbuilt fallback or Euclid disagree with %v", tick, subj.ID, at)
+					return false
+				}
+			}
+			if slices.ContainsFunc(marks, func(w uint64) bool { return w != 0 }) {
+				t.Logf("tick %d: marks left dirty: %x", tick, marks)
+				return false
 			}
 		}
 		return true
@@ -129,26 +157,5 @@ func TestIncrementalVisibleConcurrent(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-	}
-}
-
-// TestDiff pins the enter/leave merge walk on hand-written sets.
-func TestDiff(t *testing.T) {
-	cases := []struct {
-		prev, cur, enters, gone []entity.ID
-	}{
-		{nil, nil, nil, nil},
-		{nil, []entity.ID{1, 2}, []entity.ID{1, 2}, nil},
-		{[]entity.ID{1, 2}, nil, nil, []entity.ID{1, 2}},
-		{[]entity.ID{1, 2, 4}, []entity.ID{2, 3, 4}, []entity.ID{3}, []entity.ID{1}},
-		{[]entity.ID{5}, []entity.ID{5}, nil, nil},
-		{[]entity.ID{1, 3, 5}, []entity.ID{2, 4, 6}, []entity.ID{2, 4, 6}, []entity.ID{1, 3, 5}},
-	}
-	for i, c := range cases {
-		enters, gone := Diff(c.prev, c.cur, nil, nil)
-		if !slices.Equal(enters, c.enters) || !slices.Equal(gone, c.gone) {
-			t.Errorf("case %d: got enters=%v gone=%v, want enters=%v gone=%v",
-				i, enters, gone, c.enters, c.gone)
-		}
 	}
 }

@@ -342,8 +342,9 @@ func (c *Client) Poll() int {
 		case proto.KindStateKeyframe:
 			// A keyframe is a complete visible set: decode it into the
 			// spare buffer, then replace the view wholesale and re-anchor
-			// the delta chain.
-			kf := proto.StateKeyframe{Visible: c.spare}
+			// the delta chain. Decoding over the current Self and the
+			// spare's old records keeps the Owner strings they share.
+			kf := proto.StateKeyframe{Self: c.view.Self, Visible: c.spare}
 			err := kf.UnmarshalWire(wire.NewReader(payload[2:]))
 			c.spare = kf.Visible
 			if err != nil || !ascending(kf.Visible) {

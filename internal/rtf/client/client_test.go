@@ -258,13 +258,15 @@ func TestRejectedDeltaLeavesViewUntouched(t *testing.T) {
 }
 
 // TestSteadyUpdateStreamAppliesWithoutAllocating pins the decode-and-merge
-// path: once the shell and buffers have grown, applying a delta allocates
-// nothing, and polling a keyframe allocates only what the transport does
-// (plus one string per Owner decoded, of which this keyframe has none).
+// path: once the shells and buffers have grown, applying a delta allocates
+// nothing, and polling a keyframe allocates only what the transport does.
+// Both carry full records with an Owner — a keyframe's Self and Visible, a
+// delta's Enters — which decode into shells that already hold that owner.
 func TestSteadyUpdateStreamAppliesWithoutAllocating(t *testing.T) {
 	c, srv := anchoredClient(t)
 	keyframe := proto.Registry.EncodeToBytes(&proto.StateKeyframe{
-		Tick: 10, Self: entity.Entity{ID: 1}, Visible: []entity.Entity{{ID: 2}, {ID: 4}, {ID: 6}},
+		Tick: 10, Self: entity.Entity{ID: 1, Owner: "srv"},
+		Visible: []entity.Entity{{ID: 2, Owner: "srv"}, {ID: 4, Owner: "srv"}, {ID: 6, Owner: "srv"}},
 	})
 	transportOnly := testing.AllocsPerRun(100, func() {
 		srv.send(t, "cli", []byte{0}) // too short to be a message
@@ -281,8 +283,8 @@ func TestSteadyUpdateStreamAppliesWithoutAllocating(t *testing.T) {
 	payload := proto.Registry.EncodeToBytes(&proto.StateDelta{
 		Tick: 11, BaseTick: 10,
 		SelfMask: entity.FieldPos, Self: entity.Entity{Pos: entity.Vec2{X: 1}},
-		Updates: []proto.EntityDelta{{ID: 4, Mask: entity.FieldPos | entity.FieldSeq, State: entity.Entity{Seq: 2}}},
-		Enters:  []entity.Entity{{ID: 5}},
+		Updates: []proto.EntityDelta{{ID: 4, Mask: entity.FieldPos | entity.FieldOwner | entity.FieldSeq, State: entity.Entity{Owner: "srv", Seq: 2}}},
+		Enters:  []entity.Entity{{ID: 5, Owner: "srv"}},
 		Gone:    []entity.ID{5},
 	})
 	apply := func() {

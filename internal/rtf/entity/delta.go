@@ -125,7 +125,7 @@ func (e *Entity) UnmarshalDelta(r *wire.Reader, mask FieldMask) error {
 		e.Zone = r.Uint32()
 	}
 	if mask&FieldOwner != 0 {
-		e.Owner = r.String()
+		e.Owner = r.StringOr(e.Owner)
 	}
 	if mask&FieldSeq != 0 {
 		e.Seq = r.Uvarint()

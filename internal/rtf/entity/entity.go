@@ -127,7 +127,9 @@ func (e *Entity) MarshalWire(w *wire.Writer) {
 	w.Uint64(e.Seq)
 }
 
-// UnmarshalWire parses the entity's replicated fields.
+// UnmarshalWire parses the entity's replicated fields. An Owner equal to the
+// one e already holds is kept, so decoding into a reused entity allocates
+// only when the owner changed.
 func (e *Entity) UnmarshalWire(r *wire.Reader) error {
 	e.ID = ID(r.Uint64())
 	e.Kind = Kind(r.Uint8())
@@ -135,7 +137,7 @@ func (e *Entity) UnmarshalWire(r *wire.Reader) error {
 	e.Pos.Y = r.Float64()
 	e.Health = int32(r.Varint())
 	e.Zone = r.Uint32()
-	e.Owner = r.String()
+	e.Owner = r.StringOr(e.Owner)
 	e.Seq = r.Uint64()
 	return r.Err()
 }

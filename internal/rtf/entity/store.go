@@ -167,13 +167,12 @@ func (s *Store) Snapshot() *Snapshot {
 // the entities: the slice is shared by every reader of the snapshot.
 func (sn *Snapshot) All() []*Entity { return sn.all }
 
-// Get looks up a captured entity by ID.
-func (sn *Snapshot) Get(id ID) (*Entity, bool) {
-	i, ok := sn.byID[id]
-	if !ok {
-		return nil, false
-	}
-	return &sn.ents[i], true
+// At returns the captured entity at position p of All, with its
+// changed-field mask relative to the previous snapshot. It is how the
+// publish stage reads the entities an aoi position query found: an array
+// index where Lookup is a map probe.
+func (sn *Snapshot) At(p int32) (*Entity, FieldMask) {
+	return &sn.ents[p], sn.changed[p]
 }
 
 // Lookup returns a captured entity together with its changed-field mask

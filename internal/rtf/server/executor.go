@@ -11,18 +11,23 @@ import (
 
 // workerCtx is the per-worker scratch state of the tick pipeline's
 // parallel stages, reused across ticks so the fan-out allocates nothing
-// per stage: a serialization buffer for state-update encoding, an AoI
-// result buffer, and the delta-publish scratch (masked update records,
-// visible-set diff buffers, and a full-entity buffer for keyframes and
-// enter records). A workerCtx is only ever touched by the one worker it
-// belongs to during a run, and by the tick goroutine between runs.
+// per stage: a serialization buffer for state-update encoding, the AoI
+// query's result and bitset buffers, and what the visible-set merge walk
+// fills (the new visible set, leavers, masked update records, and full
+// records for keyframes and entrants). A workerCtx is only ever touched by
+// the one worker it belongs to during a run, and by the tick goroutine
+// between runs.
 type workerCtx struct {
-	w   *wire.Writer
-	vis []entity.ID
+	w *wire.Writer
+	// vis holds the tick's visible set as ascending snapshot positions;
+	// marks is the all-zero bitset aoi.Manager.VisiblePositions orders
+	// them through, one bit per snapshot entity.
+	vis   []int32
+	marks []uint64
 
-	updates []proto.EntityDelta
-	enters  []entity.ID
+	ids     []entity.ID
 	gone    []entity.ID
+	updates []proto.EntityDelta
 	ents    []entity.Entity
 
 	// Reusable message shells: encoding passes the message by interface,
@@ -127,9 +132,10 @@ func (e *executor) parallel() bool { return e.workers > 1 }
 func (e *executor) now() time.Time { return e.clock() }
 
 // since returns the elapsed time from t0 in the model's millisecond unit.
-func (e *executor) since(t0 time.Time) float64 {
-	return float64(e.clock().Sub(t0).Nanoseconds()) / 1e6
-}
+func (e *executor) since(t0 time.Time) float64 { return ms(e.clock().Sub(t0)) }
+
+// ms converts a duration to the model's millisecond unit.
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // run invokes fn(i, ctx) for every i in [0, n), partitioned contiguously
 // over the worker pool, and returns when all items are done. fn must obey

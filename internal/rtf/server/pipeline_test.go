@@ -36,6 +36,8 @@ type scriptedClient struct {
 	server string
 	joined bool
 	seq    uint64
+	// maxVisible is the largest visible set a keyframe has delivered.
+	maxVisible int
 }
 
 func (c *scriptedClient) send(msg wire.Message) {
@@ -56,6 +58,10 @@ func (c *scriptedClient) poll() {
 		switch wire.Kind(binary.BigEndian.Uint16(f.Payload)) {
 		case proto.KindJoinAck:
 			c.joined = true
+		case proto.KindStateKeyframe:
+			if msg, err := proto.Registry.Decode(f.Payload); err == nil {
+				c.maxVisible = max(c.maxVisible, len(msg.(*proto.StateKeyframe).Visible))
+			}
 		case proto.KindMigrateNotice:
 			if msg, err := proto.Registry.Decode(f.Payload); err == nil {
 				c.server = msg.(*proto.MigrateNotice).NewServer
@@ -67,17 +73,60 @@ func (c *scriptedClient) poll() {
 	}
 }
 
+// pipelineSession shapes the user side of runPipelineScenario.
+type pipelineSession struct {
+	clients int
+	// pos is where client i asks to join; joinTick and leaveTick are the
+	// ticks before which it sends its Join and its Leave (a leaveTick
+	// beyond the session: never).
+	pos                 func(i int) entity.Vec2
+	joinTick, leaveTick func(i int) int
+	// minVisible is a visible-set size some keyframe must reach, so a
+	// session built to be dense is known to have been.
+	minVisible int
+}
+
+// sparseSession is six users strung out on a line, there from the start.
+var sparseSession = pipelineSession{
+	clients:   6,
+	pos:       func(i int) entity.Vec2 { return entity.Vec2{X: float64(100 + 10*i), Y: float64(100 + 5*i)} },
+	joinTick:  func(int) int { return 0 },
+	leaveTick: func(int) int { return 1 << 30 },
+}
+
+// denseSession packs 150 users into a 30×20 patch, well inside one AoI
+// radius: every visible set spans three words of the publish stage's
+// bitset. Every tenth user joins late (at the top of the ID order) and
+// every sixth leaves mid-session (below most of it), so snapshot positions
+// shift under the users that stay.
+var denseSession = pipelineSession{
+	clients: 150,
+	pos:     func(i int) entity.Vec2 { return entity.Vec2{X: float64(100 + 2*(i%15)), Y: float64(100 + 2*(i/15))} },
+	joinTick: func(i int) int {
+		if i%10 == 9 {
+			return 12
+		}
+		return 0
+	},
+	leaveTick: func(i int) int {
+		if i%6 == 2 {
+			return 20 + i%5
+		}
+		return 1 << 30
+	},
+	minVisible: 130,
+}
+
 // runPipelineScenario plays a fixed multi-server session — joins, scripted
 // movement and attacks, NPCs, a mid-run migration wave — and returns one
 // hex digest per client of everything that client received. KeyframeTicks
 // is 8 so the scenario spans several keyframe boundaries besides the
 // keyframes the migration forces. newAOI, when not nil, replaces the
 // servers' default interest manager.
-func runPipelineScenario(t *testing.T, parallelism int, app func(i int) server.Application, newAOI func() aoi.Manager) []string {
+func runPipelineScenario(t *testing.T, sess pipelineSession, parallelism int, app func(i int) server.Application, newAOI func() aoi.Manager) []string {
 	t.Helper()
 	const (
 		nServers = 2
-		nClients = 6
 		nTicks   = 40
 	)
 	net := transport.NewLoopback()
@@ -113,7 +162,7 @@ func runPipelineScenario(t *testing.T, parallelism int, app func(i int) server.A
 		servers[0].SpawnNPC(entity.Vec2{X: float64(100 + 50*k), Y: 120})
 	}
 
-	clients := make([]*scriptedClient, nClients)
+	clients := make([]*scriptedClient, sess.clients)
 	for i := range clients {
 		node, err := net.Attach(fmt.Sprintf("c%d", i+1), 1<<16)
 		if err != nil {
@@ -127,16 +176,24 @@ func runPipelineScenario(t *testing.T, parallelism int, app func(i int) server.A
 			join: &proto.Join{
 				UserName: fmt.Sprintf("c%d", i+1),
 				Zone:     1,
-				Pos:      entity.Vec2{X: float64(100 + 10*i), Y: float64(100 + 5*i)},
+				Pos:      sess.pos(i),
 			},
 		}
-		c.send(c.join)
 		clients[i] = c
 	}
 
 	for tick := 0; tick < nTicks; tick++ {
 		if tick == 15 {
 			servers[0].MigrateUsers(servers[1].ID(), 2)
+		}
+		for i, c := range clients {
+			switch tick {
+			case sess.joinTick(i):
+				c.send(c.join)
+			case sess.leaveTick(i):
+				c.send(&proto.Leave{})
+				c.joined = false
+			}
 		}
 		for _, s := range servers {
 			s.Tick()
@@ -152,10 +209,15 @@ func runPipelineScenario(t *testing.T, parallelism int, app func(i int) server.A
 		}
 	}
 
-	out := make([]string, nClients)
+	out := make([]string, len(clients))
+	maxVisible := 0
 	for i, c := range clients {
 		out[i] = hex.EncodeToString(c.h.Sum(nil))
+		maxVisible = max(maxVisible, c.maxVisible)
 		_ = c.node.Close()
+	}
+	if maxVisible < sess.minVisible {
+		t.Fatalf("largest visible set %d, the session wants %d", maxVisible, sess.minVisible)
 	}
 	return out
 }
@@ -168,20 +230,28 @@ func gameApp(i int) server.Application { return game.New(game.DefaultConfig()) }
 // scheduling, and never of which interest manager answered the queries (the
 // Euclid oracle and the incremental index must agree to the byte).
 func TestPipelineDeterministicAcrossParallelism(t *testing.T) {
-	base := runPipelineScenario(t, 1, gameApp, nil)
-	for _, idx := range []struct {
-		name   string
-		newAOI func() aoi.Manager
+	for _, sc := range []struct {
+		name string
+		sess pipelineSession
 	}{
-		{"incremental", nil},
-		{"euclid", func() aoi.Manager { return aoi.NewEuclid(server.DefaultAOIRadius) }},
+		{"sparse", sparseSession},
+		{"dense", denseSession},
 	} {
-		for _, w := range []int{1, 2, 4, 8} {
-			got := runPipelineScenario(t, w, gameApp, idx.newAOI)
-			for i := range base {
-				if got[i] != base[i] {
-					t.Fatalf("client %d wire stream diverged at Parallelism=%d aoi=%s:\n seq: %s\n par: %s",
-						i+1, w, idx.name, base[i], got[i])
+		base := runPipelineScenario(t, sc.sess, 1, gameApp, nil)
+		for _, idx := range []struct {
+			name   string
+			newAOI func() aoi.Manager
+		}{
+			{"incremental", nil},
+			{"euclid", func() aoi.Manager { return aoi.NewEuclid(server.DefaultAOIRadius) }},
+		} {
+			for _, w := range []int{1, 2, 4, 8} {
+				got := runPipelineScenario(t, sc.sess, w, gameApp, idx.newAOI)
+				for i := range base {
+					if got[i] != base[i] {
+						t.Fatalf("%s: client %d wire stream diverged at Parallelism=%d aoi=%s:\n seq: %s\n par: %s",
+							sc.name, i+1, w, idx.name, base[i], got[i])
+					}
 				}
 			}
 		}
@@ -192,10 +262,10 @@ func TestPipelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	orig := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(orig)
 	runtime.GOMAXPROCS(1)
-	base := runPipelineScenario(t, 4, gameApp, nil)
+	base := runPipelineScenario(t, sparseSession, 4, gameApp, nil)
 	for _, procs := range []int{2, 8} {
 		runtime.GOMAXPROCS(procs)
-		got := runPipelineScenario(t, 4, gameApp, nil)
+		got := runPipelineScenario(t, sparseSession, 4, gameApp, nil)
 		for i := range base {
 			if got[i] != base[i] {
 				t.Fatalf("client %d wire stream diverged at GOMAXPROCS=%d", i+1, procs)
@@ -249,9 +319,9 @@ func (a *parApp) ApplyUserState(env *server.Env, avatar entity.ID, data []byte) 
 
 func TestPipelineDeterministicConcurrentSimulator(t *testing.T) {
 	app := func(i int) server.Application { return &parApp{} }
-	base := runPipelineScenario(t, 1, app, nil)
+	base := runPipelineScenario(t, sparseSession, 1, app, nil)
 	for _, w := range []int{2, 4} {
-		got := runPipelineScenario(t, w, app, nil)
+		got := runPipelineScenario(t, sparseSession, w, app, nil)
 		for i := range base {
 			if got[i] != base[i] {
 				t.Fatalf("client %d wire stream diverged at Parallelism=%d with concurrent NPC updates", i+1, w)

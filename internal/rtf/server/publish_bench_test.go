@@ -92,9 +92,9 @@ func (benchApp) EncodeUserState(env *server.Env, avatar entity.ID) []byte { retu
 func (benchApp) ApplyUserState(env *server.Env, avatar entity.ID, data []byte) {
 }
 
-// benchServer builds a server on a sink node with n joined users spread
-// over a grid sized so AoI neighbourhoods stay populated, plus n/10 NPCs.
-func benchServer(b *testing.B, n int, parallelism int) (*server.Server, *sinkNode) {
+// benchServer builds a server on a sink node with n joined users, user i
+// standing at place(i), plus n/10 NPCs.
+func benchServer(b *testing.B, n int, parallelism int, place func(i int) entity.Vec2) (*server.Server, *sinkNode) {
 	b.Helper()
 	node := newSinkNode("s1", n+16)
 	srv, err := server.New(server.Config{
@@ -117,7 +117,7 @@ func benchServer(b *testing.B, n int, parallelism int) (*server.Server, *sinkNod
 		join := &proto.Join{
 			UserName: fmt.Sprintf("u%d", i),
 			Zone:     1,
-			Pos:      entity.Vec2{X: float64(20 * (i % 32)), Y: float64(20 * (i / 32))},
+			Pos:      place(i),
 		}
 		payload := proto.Registry.Encode(w, join)
 		cp := make([]byte, len(payload))
@@ -131,27 +131,44 @@ func benchServer(b *testing.B, n int, parallelism int) (*server.Server, *sinkNod
 	return srv, node
 }
 
-// BenchmarkPublish measures a full tick — incremental AoI rebuild, visible
-// -set diff, delta encoding and vectored staging for every user — at
-// n=500 with a dirty world. The publish stage dominates; the whole tick
-// must be allocation-free in steady state.
+// BenchmarkPublish measures a full tick — incremental AoI rebuild, position
+// query, visible-set merge walk, delta encoding and vectored staging for
+// every user — with a dirty world. The publish stage dominates; the whole
+// tick must be allocation-free in steady state.
 func BenchmarkPublish(b *testing.B) {
-	// The sub-benchmark name is the key BENCH_5.json gates on.
-	b.Run("delta", func(b *testing.B) {
-		srv, node := benchServer(b, 500, 1)
-		// Warm up past two keyframe cycles so every reusable buffer
-		// has reached steady-state capacity.
-		for i := 0; i < 80; i++ {
-			srv.Tick()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			srv.Tick()
-		}
-		b.StopTimer()
-		if node.frames == 0 {
-			b.Fatal("sink received no frames")
-		}
-	})
+	// "delta" is the key BENCH_5.json holds.
+	for _, bc := range []struct {
+		name  string
+		n     int
+		place func(i int) entity.Vec2
+	}{
+		// A grid sized so AoI neighbourhoods stay populated: visible sets
+		// of a few dozen.
+		{"delta", 500, func(i int) entity.Vec2 { return entity.Vec2{X: float64(20 * (i % 32)), Y: float64(20 * (i / 32))} }},
+		// A crowd on a 150×150 patch: visible sets of a hundred and more,
+		// spanning several words of the position query's bitset.
+		{"crowd", 400, func(i int) entity.Vec2 { return entity.Vec2{X: 7.5 * float64(i%20), Y: 7.5 * float64(i/20)} }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			srv, node := benchServer(b, bc.n, 1, bc.place)
+			// Warm up past two keyframe cycles so every reusable buffer
+			// has reached steady-state capacity.
+			for i := 0; i < 80; i++ {
+				srv.Tick()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv.Tick()
+			}
+			b.StopTimer()
+			if node.frames == 0 {
+				b.Fatal("sink received no frames")
+			}
+			// Hold the bar on every run, CI's one-iteration smoke included.
+			if n := testing.AllocsPerRun(10, srv.Tick); n != 0 {
+				b.Fatalf("a steady-state tick allocates %v times, want 0", n)
+			}
+		})
+	}
 }

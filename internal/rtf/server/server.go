@@ -164,6 +164,11 @@ type Server struct {
 	stopped  bool
 	draining bool // true while shutting down: reject joins
 
+	// uids is the sorted key set of users, rebuilt by sortedUserIDs when
+	// uidsStale says users changed since.
+	uids      []string
+	uidsStale bool
+
 	w *wire.Writer // reusable serialization buffer (tick goroutine only)
 	// exec runs the tick pipeline's parallel stages; with Parallelism <= 1
 	// it degenerates to inline loops on the tick goroutine.
@@ -197,7 +202,7 @@ type Server struct {
 	// Reusable per-tick stage buffers (tick goroutine only): decoded-frame
 	// slots, applied inputs, forwarded inputs, removed entities, the NPC
 	// active set and result slots, the publish items and their snapshot,
-	// sorted user IDs, peer replicas, and the shadow-update entity scratch.
+	// peer replicas, and the shadow-update entity scratch.
 	decBuf     []decodedFrame
 	inputsBuf  []decodedInput
 	fwdBuf     []*proto.Forwarded
@@ -207,7 +212,6 @@ type Server struct {
 	pubItems   []pubItem
 	pubSnap    *entity.Snapshot
 	pubWorld   []*entity.Entity
-	uidBuf     []string
 	peersBuf   []string
 	suEnts     []entity.Entity
 }

@@ -234,6 +234,10 @@ func TestUserMigration(t *testing.T) {
 	if e.Pos.X != 15 {
 		t.Fatalf("post-migration move ignored: %v", e.Pos)
 	}
+	// And the new server publishes to it.
+	if v := cl.LastUpdate(); !cl.Synced() || v.Self.Pos.X != 15 {
+		t.Fatalf("migrated client's view = %+v synced=%v, want the move from s2", v.Self, cl.Synced())
+	}
 }
 
 func TestMigrationPreservesAppState(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"roia/internal/rtf/aoi"
 	"roia/internal/rtf/entity"
 	"roia/internal/rtf/monitor"
 	"roia/internal/rtf/proto"
@@ -368,22 +367,24 @@ func (s *Server) Tick() {
 	}
 	//roialint:ignore lockhold the pool's wake channels are buffered and drained by the previous run's wg.Wait, so the send never blocks; workers never take s.mu
 	s.exec.run(len(items), s.publishFn)
+	tStage := s.exec.now()
 	for i := range items {
 		it := &items[i]
 		if !it.ok {
 			continue
 		}
 		br.Add(monitor.AOI, it.aoiMS, 1)
-		// Staging copies the payload into the outbox arena — per-byte work
-		// that is part of serializing the user's state update, so it counts
-		// toward t_su alongside the encoding measured in publishItem.
-		t0 := s.exec.now()
 		s.sendRaw(it.uid, it.payload)
-		br.Add(monitor.SU, it.suMS+s.exec.since(t0), 1)
+		br.Add(monitor.SU, it.suMS, 1)
 		if cost != nil {
 			cost.ObserveChurn(it.entered, it.left)
 		}
 	}
+	// Staging copies each payload into the outbox arena — per-byte work
+	// that is part of serializing the state updates, so the loop's time
+	// counts toward t_su alongside the encoding measured in publishItem
+	// (time only: the per-user items were counted inside it).
+	br.Add(monitor.SU, s.exec.since(tStage), 0)
 
 	// --- Step 3b: shadow updates to peer replicas ---
 	peers := s.cfg.Assignment.PeersInto(s.peersBuf[:0], s.cfg.Zone, s.ID())
@@ -424,13 +425,16 @@ func (s *Server) Tick() {
 	}
 
 	// --- Bookkeeping ---
-	br.Users = s.zoneUsersLocked()
-	br.ActiveUsers = len(s.users)
-	for _, e := range s.store.All() {
-		if e.Kind == entity.NPC {
+	// The store has not changed since the publish snapshot was taken.
+	for _, e := range world {
+		switch e.Kind {
+		case entity.Avatar:
+			br.Users++
+		case entity.NPC:
 			br.NPCs++
 		}
 	}
+	br.ActiveUsers = len(s.users)
 	br.Replicas = s.cfg.Assignment.ReplicaCount(s.cfg.Zone)
 	br.BytesOut = s.tickBytesOut
 	// TimeMS sums CPU time across workers; WallMS is the elapsed tick time.
@@ -564,12 +568,12 @@ func (s *Server) npcItem(i int, _ *workerCtx) {
 	s.npcBuf[i].ms = s.exec.since(t0)
 }
 
-// publishItem is the publish-stage body for user slot i: AoI query, diff
-// against the user's previously published visible set, and wire encoding
-// into the slot's payload buffer. It reads the tick's immutable snapshot
-// (never the live store) and writes only slot i, the passed workerCtx and
-// the one user's publish bookkeeping (prevVis/lastPub/nextKey), so the
-// stage may fan out across workers.
+// publishItem is the publish-stage body for user slot i: AoI query in
+// snapshot-position space, one merge walk against the user's previously
+// published visible set, and wire encoding into the slot's payload buffer.
+// It reads the tick's immutable snapshot (never the live store) and writes
+// only slot i, the passed workerCtx and the one user's publish bookkeeping
+// (prevVis/lastPub/nextKey), so the stage may fan out across workers.
 //
 // The user gets a StateDelta when its delta chain is intact (published
 // last tick, no periodic keyframe due) and a StateKeyframe otherwise — on
@@ -581,20 +585,19 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 		return
 	}
 	snap := s.pubSnap
+	if words := (snap.Len() + 63) / 64; len(ctx.marks) < words {
+		ctx.marks = make([]uint64, words)
+	}
 	t0 := s.exec.now()
-	ctx.vis = s.cfg.AOI.Visible(ctx.vis[:0], it.av.ID, it.av.Pos, s.pubWorld)
-	// The visible-set diff below merge-walks sorted sets, and the wire
-	// order must not depend on the index's bucketing: sort (the spatial
-	// hash emits in cell order).
-	slices.Sort(ctx.vis)
-	it.aoiMS = s.exec.since(t0)
+	ctx.vis = s.cfg.AOI.VisiblePositions(ctx.vis[:0], ctx.marks, it.av.ID, it.av.Pos, s.pubWorld)
+	t1 := s.exec.now() // closes the t_aoi window and opens the t_su one
+	it.aoiMS = ms(t1.Sub(t0))
 
-	t1 := s.exec.now()
 	u := it.u
-	ctx.enters, ctx.gone = aoi.Diff(u.prevVis, ctx.vis, ctx.enters[:0], ctx.gone[:0])
-	it.entered, it.left = len(ctx.enters), len(ctx.gone)
-	ctx.ents = ctx.ents[:0]
-	if u.lastPub == s.tick-1 && u.lastPub != 0 && s.tick < u.nextKey {
+	delta := u.lastPub == s.tick-1 && u.lastPub != 0 && s.tick < u.nextKey
+	it.entered = ctx.mergeVisible(snap, u.prevVis, !delta)
+	it.left = len(ctx.gone)
+	if delta {
 		// StateDelta: masked field changes for entities that stayed
 		// visible, full records for entrants, IDs for leavers. The
 		// entity-level change masks come from the snapshot diff; an
@@ -602,25 +605,8 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 		upd := &ctx.delta
 		upd.Tick, upd.BaseTick, upd.AckSeq = s.tick, u.lastPub, u.seq
 		upd.SelfMask, upd.Self = it.avMask, *it.av
-		upd.Gone, upd.Events = ctx.gone, it.events
-		ctx.updates = ctx.updates[:0]
-		e := 0 // walks ctx.enters (ascending, a subset of ctx.vis)
-		for _, id := range ctx.vis {
-			if e < len(ctx.enters) && ctx.enters[e] == id {
-				e++
-				if ent, ok := snap.Get(id); ok {
-					ctx.ents = append(ctx.ents, *ent)
-				}
-				continue
-			}
-			ent, mask, ok := snap.Lookup(id)
-			if !ok || mask == 0 {
-				continue
-			}
-			ctx.updates = append(ctx.updates, proto.EntityDelta{ID: id, Mask: mask, State: *ent})
-		}
-		upd.Updates = ctx.updates
-		upd.Enters = ctx.ents
+		upd.Updates, upd.Enters, upd.Gone = ctx.updates, ctx.ents, ctx.gone
+		upd.Events = it.events
 		it.payload = append(it.payload, proto.Registry.Encode(ctx.w, upd)...)
 	} else {
 		// StateKeyframe: full refresh; the client replaces its world
@@ -629,31 +615,65 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 		// lets the client close the input→update response-time loop.
 		upd := &ctx.keyframe
 		upd.Tick, upd.AckSeq, upd.Self, upd.Events = s.tick, u.seq, *it.av, it.events
-		for _, id := range ctx.vis {
-			if ent, ok := snap.Get(id); ok {
-				ctx.ents = append(ctx.ents, *ent)
-			}
-		}
 		upd.Visible = ctx.ents
 		it.payload = append(it.payload, proto.Registry.Encode(ctx.w, upd)...)
 		u.nextKey = s.tick + s.keyframeTicks
 	}
-	u.prevVis = append(u.prevVis[:0], ctx.vis...)
+	u.prevVis = append(u.prevVis[:0], ctx.ids...)
 	u.lastPub = s.tick
 	it.suMS = s.exec.since(t1)
 }
 
-// sortedUserIDs returns connected user IDs in deterministic order. The
-// backing buffer is reused across calls (tick goroutine only); callers
-// must finish iterating before the next call.
-func (s *Server) sortedUserIDs() []string {
-	ids := s.uidBuf[:0]
-	for id := range s.users {
-		ids = append(ids, id)
+// mergeVisible is the publish stage's one walk over a user's visible set:
+// prev, the IDs published to the user last (ascending), against ctx.vis,
+// the tick's visible set as ascending positions of snap — which is
+// ID-sorted, so those IDs ascend too and neither side needs sorting or
+// looking up. It leaves in ctx the new visible set (ids), the leavers
+// (gone), full records (ents) of the entrants — of every visible entity
+// when full is set, the keyframe case — and, unless full, a masked record
+// (updates) of every entity that stayed and changed since the previous
+// snapshot. It returns the number of entrants.
+func (ctx *workerCtx) mergeVisible(snap *entity.Snapshot, prev []entity.ID, full bool) (entered int) {
+	ctx.ids, ctx.gone = ctx.ids[:0], ctx.gone[:0]
+	ctx.updates, ctx.ents = ctx.updates[:0], ctx.ents[:0]
+	i := 0
+	for _, p := range ctx.vis {
+		ent, mask := snap.At(p)
+		for ; i < len(prev) && prev[i] < ent.ID; i++ {
+			ctx.gone = append(ctx.gone, prev[i])
+		}
+		stayed := i < len(prev) && prev[i] == ent.ID
+		if stayed {
+			i++
+		} else {
+			entered++
+		}
+		switch {
+		case full || !stayed:
+			ctx.ents = append(ctx.ents, *ent)
+		case mask != 0:
+			ctx.updates = append(ctx.updates, proto.EntityDelta{ID: ent.ID, Mask: mask, State: *ent})
+		}
+		ctx.ids = append(ctx.ids, ent.ID)
 	}
-	slices.Sort(ids)
-	s.uidBuf = ids
-	return ids
+	ctx.gone = append(ctx.gone, prev[i:]...)
+	return entered
+}
+
+// sortedUserIDs returns connected user IDs in deterministic order. The
+// slice is kept across ticks and rebuilt only after s.users changed (tick
+// goroutine only); callers may mutate s.users while iterating it, but must
+// finish before the next call.
+func (s *Server) sortedUserIDs() []string {
+	if s.uidsStale {
+		s.uids = s.uids[:0]
+		for id := range s.users {
+			s.uids = append(s.uids, id)
+		}
+		slices.Sort(s.uids)
+		s.uidsStale = false
+	}
+	return s.uids
 }
 
 // applyNPCForwards routes the forwards produced by one NPC update: local
@@ -707,6 +727,7 @@ func (s *Server) handleJoin(from string, j *proto.Join) {
 	}
 	s.store.Put(av)
 	s.users[from] = &user{id: from, avatar: id, lastInput: s.tick}
+	s.uidsStale = true
 	s.send(from, &proto.JoinAck{Entity: id, Tick: s.tick})
 }
 
@@ -729,6 +750,7 @@ func (s *Server) removeUser(uid string) (entity.ID, bool) {
 // the live connection count.
 func (s *Server) forgetUser(uid string) {
 	delete(s.users, uid)
+	s.uidsStale = true
 	if s.cfg.Cost != nil {
 		s.cfg.Cost.EvictClient(uid)
 	}
@@ -745,6 +767,7 @@ func (s *Server) receiveMigration(mi *proto.MigrateInit) {
 		s.store.Put(av.Clone())
 	}
 	s.users[mi.User] = &user{id: mi.User, avatar: av.ID, lastInput: s.tick}
+	s.uidsStale = true
 	s.cfg.App.ApplyUserState(s.env, av.ID, mi.AppState)
 	s.send(mi.Avatar.Owner, &proto.MigrateAck{MigID: mi.MigID, User: mi.User, Avatar: av.ID})
 }

@@ -204,7 +204,13 @@ func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 func (r *Reader) Float32() float32 { return math.Float32frombits(r.Uint32()) }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string {
+func (r *Reader) String() string { return r.StringOr("") }
+
+// StringOr reads a length-prefixed string and returns cur in its place when
+// the two are equal, which allocates nothing: decoding into a reused value
+// that already holds the string — an entity's Owner, nearly always — keeps
+// the copy it has.
+func (r *Reader) StringOr(cur string) string {
 	n := r.Uvarint()
 	if r.err != nil {
 		return ""
@@ -213,7 +219,11 @@ func (r *Reader) String() string {
 		r.fail(ErrStringTooLong)
 		return ""
 	}
-	return string(r.take(int(n)))
+	b := r.take(int(n))
+	if string(b) == cur {
+		return cur
+	}
+	return string(b)
 }
 
 // Blob reads a length-prefixed byte slice. The returned slice is a copy.

@@ -96,6 +96,29 @@ func TestReaderRejectsOversizedDeclaredLength(t *testing.T) {
 	}
 }
 
+// TestStringOrKeepsEqualString pins what decoding into a reused value
+// relies on: the string the caller already holds comes back without a
+// copy, any other is read as String reads it.
+func TestStringOrKeepsEqualString(t *testing.T) {
+	w := NewWriter(16)
+	w.String("server-1")
+	held := "server-1"
+	if n := testing.AllocsPerRun(100, func() {
+		if got := NewReader(w.Bytes()).StringOr(held); got != held {
+			t.Fatalf("StringOr = %q, want %q", got, held)
+		}
+	}); n != 0 {
+		t.Fatalf("StringOr of an equal string allocates %v times, want 0", n)
+	}
+	if got := NewReader(w.Bytes()).StringOr("server-2"); got != "server-1" {
+		t.Fatalf("StringOr of a different string = %q, want the wire's", got)
+	}
+	r := NewReader([]byte{0x7f, 'a'})
+	if got := r.StringOr("a"); got != "" || !errors.Is(r.Err(), ErrStringTooLong) {
+		t.Fatalf("got %q err=%v, want ErrStringTooLong", got, r.Err())
+	}
+}
+
 func TestWriterReset(t *testing.T) {
 	w := NewWriter(8)
 	w.Uint64(42)
