@@ -91,7 +91,7 @@ func run() error {
 		srv, _ := fl.Server(id)
 		samples = append(samples, srv.Monitor().Samples()...)
 	}
-	res, err := calibrate.FromSamples("calibrated-shooter", samples, nil)
+	res, err := calibrate.FromSamples("calibrated-shooter", samples, calibrate.GameDegrees())
 	if err != nil {
 		return err
 	}

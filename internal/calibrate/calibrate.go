@@ -36,6 +36,19 @@ func DefaultDegrees() map[monitor.Task]int {
 	}
 }
 
+// GameDegrees returns the degrees for this repository's shooter
+// (internal/game) on the RTF server, whose hit scans read the tick's spatial
+// index instead of walking all users: what an input costs then follows the
+// number of users near the shooter — on a world of fixed size, a linear
+// function of n — so t_ua is linear where RTFDemo's is quadratic. The other
+// tasks keep their DefaultDegrees. That the model takes whichever shape the
+// application has is the paper's point about approximation functions.
+func GameDegrees() map[monitor.Task]int {
+	d := DefaultDegrees()
+	d[monitor.UA] = 1
+	return d
+}
+
 // FitTask fits one task's samples with a polynomial of the given degree.
 // The direct least-squares solution seeds a Levenberg–Marquardt refinement
 // (the paper's fitting algorithm); both agree on polynomial models, so the
@@ -127,9 +140,10 @@ func FromSamples(name string, samples []monitor.Sample, degrees map[monitor.Task
 	return res, nil
 }
 
-// FromMonitor calibrates from a live server's collected samples.
+// FromMonitor calibrates from a live server's collected samples, with the
+// live game's degrees.
 func FromMonitor(name string, m *monitor.Monitor) (*Result, error) {
-	return FromSamples(name, m.Samples(), nil)
+	return FromSamples(name, m.Samples(), GameDegrees())
 }
 
 // Synthesize generates noisy calibration samples from a known ground-truth

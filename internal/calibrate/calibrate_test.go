@@ -106,8 +106,11 @@ func TestFromSamplesOptionalTasksReportedMissing(t *testing.T) {
 }
 
 func TestFromMonitorEndToEnd(t *testing.T) {
-	// Feed a monitor synthetic per-tick breakdowns and calibrate from it.
+	// Feed a monitor synthetic per-tick breakdowns and calibrate from it. A
+	// live server runs this repository's game, whose t_ua is linear
+	// (GameDegrees); t_aoi keeps RTFDemo's quadratic.
 	truth := params.RTFDemo()
+	truth.UA = params.Linear(8e-4, 3e-7)
 	m := monitor.New()
 	m.SetCollecting(true)
 	for n := 20; n <= 300; n += 20 {
@@ -128,6 +131,12 @@ func TestFromMonitorEndToEnd(t *testing.T) {
 	}
 	if got := res.Set.UAAt(200, 0); math.Abs(got-truth.UAAt(200, 0)) > 1e-6 {
 		t.Fatalf("t_ua(200) = %g, truth %g", got, truth.UAAt(200, 0))
+	}
+	if res.Set.UA.Degree() != 1 {
+		t.Fatalf("t_ua fitted with degree %d, want 1", res.Set.UA.Degree())
+	}
+	if got := res.Set.AOIAt(200, 0); math.Abs(got-truth.AOIAt(200, 0)) > 1e-6 {
+		t.Fatalf("t_aoi(200) = %g, truth %g", got, truth.AOIAt(200, 0))
 	}
 }
 

@@ -152,7 +152,7 @@ func RecalibratePublish(seed int64) (*RecalibrateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fitted, err := calibrate.FromSamples("publish", samples, nil)
+	fitted, err := calibrate.FromSamples("publish", samples, calibrate.GameDegrees())
 	if err != nil {
 		return nil, fmt.Errorf("fit: %w", err)
 	}

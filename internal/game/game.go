@@ -5,16 +5,18 @@
 // The game reproduces the cost structure Section V-A measures:
 //
 //   - Each tick a user may issue a move command, an attack command or both.
-//   - Attack processing iterates over all users to determine who is hit, so
-//     input-application time (t_ua) grows superlinearly with the user count.
-//   - Interest management uses the Euclidean Distance Algorithm (package
-//     aoi), giving quadratic t_aoi.
+//   - Attack processing tests every entity near the shooter (env.Near, the
+//     server's spatial index) for a hit, so input-application time (t_ua)
+//     grows with the local density instead of RTFDemo's scan over all
+//     users; on a bare Env the same code is that scan.
+//   - Interest management is the server's (package aoi).
 //   - Attacks on entities active on other replicas become forwarded inputs.
 package game
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"roia/internal/rtf/entity"
@@ -60,7 +62,7 @@ func (m *Move) UnmarshalWire(r *wire.Reader) error {
 }
 
 // Attack fires a shot in direction (DirX, DirY) from the avatar's
-// position. Hit determination scans every user.
+// position. Hit determination scans the entities within reach.
 type Attack struct {
 	DirX, DirY float64
 }
@@ -147,6 +149,16 @@ type userState struct {
 // a mutex guards the externally-readable score state.
 type Game struct {
 	cfg Config
+	// reach is the radius of the disc around the middle of the attack beam
+	// that holds the whole beam, with a margin for rounding: everything an
+	// attack can hit is within it.
+	reach float64
+	// hit and bite are the encoded Damage of an avatar's and an NPC's
+	// attack, shared by every forward that carries one.
+	hit, bite []byte
+	// fwds backs the forwards ApplyInput and UpdateNPC return; the server
+	// is done with them before its next call (server.Application).
+	fwds []server.Forward
 
 	mu     sync.Mutex
 	states map[entity.ID]*userState
@@ -160,6 +172,9 @@ func New(cfg Config) *Game {
 	}
 	return &Game{
 		cfg:    cfg,
+		reach:  math.Hypot(cfg.AttackRange/2, cfg.AttackWidth) + 1e-6,
+		hit:    Commands.EncodeToBytes(&Damage{Amount: cfg.AttackDamage}),
+		bite:   Commands.EncodeToBytes(&Damage{Amount: cfg.NPCDamage}),
 		states: make(map[entity.ID]*userState),
 		events: make(map[entity.ID][]byte),
 	}
@@ -211,53 +226,42 @@ func (g *Game) applyMove(actor *entity.Entity, mv *Move) error {
 	return nil
 }
 
-// applyAttack performs the hit scan. Following the paper, it iterates over
-// ALL users (active and shadow — "users cannot differentiate between
-// active and shadow entities, both are attacked with equal frequency") to
-// determine the victims, which is what makes t_ua superlinear.
+// applyAttack performs the hit scan over the entities around the beam. Like
+// the paper's it makes no difference between active and shadow avatars
+// ("users cannot differentiate between active and shadow entities, both are
+// attacked with equal frequency"), and it reports the victims in ascending
+// ID order.
 func (g *Game) applyAttack(env *server.Env, actor *entity.Entity, atk *Attack) []server.Forward {
+	fwds := g.fwds[:0]
+	if dirLen := (entity.Vec2{X: atk.DirX, Y: atk.DirY}).Dist(entity.Vec2{}); dirLen > 0 {
+		nx, ny := atk.DirX/dirLen, atk.DirY/dirLen
+		mid := actor.Pos.Add(entity.Vec2{X: nx, Y: ny}.Scale(g.cfg.AttackRange / 2))
+		for _, cand := range env.Near(mid, g.reach) {
+			if cand.ID == actor.ID || cand.Kind != entity.Avatar {
+				continue
+			}
+			rel := cand.Pos.Sub(actor.Pos)
+			along := rel.X*nx + rel.Y*ny
+			if along < 0 || along > g.cfg.AttackRange {
+				continue
+			}
+			if across := math.Abs(rel.X*ny - rel.Y*nx); across > g.cfg.AttackWidth {
+				continue
+			}
+			fwds = append(fwds, server.Forward{Target: cand.ID, Payload: g.hit})
+		}
+	}
+	g.fwds = fwds
+
 	g.mu.Lock()
 	if st := g.states[actor.ID]; st != nil {
 		if st.Ammo <= 0 {
 			st.Ammo = 100 // auto-reload keeps bots firing
 		}
 		st.Ammo--
+		st.Kills += uint32(len(fwds)) // simplistic: every hit scores
 	}
 	g.mu.Unlock()
-
-	dirLen := (entity.Vec2{X: atk.DirX, Y: atk.DirY}).Dist(entity.Vec2{})
-	if dirLen == 0 {
-		return nil
-	}
-	nx, ny := atk.DirX/dirLen, atk.DirY/dirLen
-
-	var fwds []server.Forward
-	payload := Commands.EncodeToBytes(&Damage{Amount: g.cfg.AttackDamage})
-	for _, cand := range env.Store.All() {
-		if cand.ID == actor.ID || cand.Kind != entity.Avatar {
-			continue
-		}
-		rel := cand.Pos.Sub(actor.Pos)
-		along := rel.X*nx + rel.Y*ny
-		if along < 0 || along > g.cfg.AttackRange {
-			continue
-		}
-		across := rel.X*ny - rel.Y*nx
-		if across < 0 {
-			across = -across
-		}
-		if across > g.cfg.AttackWidth {
-			continue
-		}
-		fwds = append(fwds, server.Forward{Target: cand.ID, Payload: payload})
-	}
-	if len(fwds) > 0 {
-		g.mu.Lock()
-		if st := g.states[actor.ID]; st != nil {
-			st.Kills += uint32(len(fwds)) // simplistic: every hit scores
-		}
-		g.mu.Unlock()
-	}
 	return fwds
 }
 
@@ -292,9 +296,10 @@ func (g *Game) ApplyForwarded(env *server.Env, actor entity.ID, target *entity.E
 }
 
 // UpdateNPC implements server.Application: NPCs wander deterministically
-// and attack avatars that stray into their aggro range. The target scan
-// iterates over all entities, so NPC update time grows with the user
-// count — the t_npc(n, m) dependence the model carries.
+// and attack the nearest avatar within their aggro range, the later ID on a
+// tie. The target scan covers the entities near the NPC, so NPC update time
+// grows with the density of users around it — the t_npc(n, m) dependence
+// the model carries.
 func (g *Game) UpdateNPC(env *server.Env, npc *entity.Entity) []server.Forward {
 	npc.Pos = npc.Pos.Add(entity.Vec2{
 		X: (env.Rand.Float64()*2 - 1) * g.cfg.NPCSpeed,
@@ -304,10 +309,9 @@ func (g *Game) UpdateNPC(env *server.Env, npc *entity.Entity) []server.Forward {
 	if g.cfg.NPCAggroRange <= 0 || env.Rand.Float64() >= g.cfg.NPCAttackProb {
 		return nil
 	}
-	r2 := g.cfg.NPCAggroRange * g.cfg.NPCAggroRange
 	var victim *entity.Entity
-	best := r2
-	for _, cand := range env.Store.All() {
+	best := g.cfg.NPCAggroRange * g.cfg.NPCAggroRange
+	for _, cand := range env.Near(npc.Pos, g.cfg.NPCAggroRange) {
 		if cand.Kind != entity.Avatar {
 			continue
 		}
@@ -318,10 +322,8 @@ func (g *Game) UpdateNPC(env *server.Env, npc *entity.Entity) []server.Forward {
 	if victim == nil {
 		return nil
 	}
-	return []server.Forward{{
-		Target:  victim.ID,
-		Payload: Commands.EncodeToBytes(&Damage{Amount: g.cfg.NPCDamage}),
-	}}
+	g.fwds = append(g.fwds[:0], server.Forward{Target: victim.ID, Payload: g.bite})
+	return g.fwds
 }
 
 func (g *Game) queueEvent(id entity.ID, ev string) {

@@ -16,10 +16,12 @@ import "roia/internal/rtf/entity"
 
 // Manager computes the set of entities visible to a subject.
 //
-// Concurrency contract: Build is called once per tick by the tick
-// goroutine, before any query for that tick. Between one Build and the
-// next, Visible and VisiblePositions must be safe to call from multiple
-// goroutines concurrently — the parallel publish stage fans per-user
+// Concurrency contract: Build is called by the tick goroutine with no query
+// in flight — on the snapshot before publishing and, for the index behind
+// the server's Env.Near, on the live store before the simulate stage — and
+// so is Incremental's Move. Between one such call and the next, Visible and
+// VisiblePositions must be safe to call from multiple goroutines
+// concurrently — the parallel publish stage fans per-user
 // queries over a worker pool — so they must not mutate manager state. Each
 // caller passes its own dst and marks; world is the same immutable snapshot
 // slice Build received and must not be written through. Both

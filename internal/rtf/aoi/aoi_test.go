@@ -64,7 +64,8 @@ func TestEuclidNoDuplicates(t *testing.T) {
 // goroutines at once, each with its own dst and marks. Run under -race this
 // proves both implementations are read-only per query — the index's
 // pre-Build fallback scan included — and every answer is held to the
-// Euclid oracle's.
+// Euclid oracle's. The index's NearPositions is held to the same: its row
+// queries an index that entities were re-placed in with Move after Build.
 func TestVisibleConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	positions := make([]entity.Vec2, 200)
@@ -72,22 +73,34 @@ func TestVisibleConcurrent(t *testing.T) {
 		positions[i] = entity.Vec2{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 	}
 	world := mkWorld(positions)
+	moved := NewIncremental(25)
 	for _, tc := range []struct {
 		name string
 		mgr  Manager
+		// near, when set, is a radius for NearPositions queries.
+		near float64
 	}{
-		{"euclid", NewEuclid(25)},
-		{"incremental", NewIncremental(25)},
-		{"incremental-unbuilt", &Incremental{Radius: 25}},
+		{name: "euclid", mgr: NewEuclid(25)},
+		{name: "incremental", mgr: NewIncremental(25)},
+		{name: "incremental-unbuilt", mgr: &Incremental{Radius: 25}},
+		{name: "incremental-moved-near", mgr: moved, near: 60},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.name != "incremental-unbuilt" {
 				tc.mgr.Build(world)
 			}
+			if tc.mgr == moved {
+				for i := 0; i < len(world); i += 3 {
+					world[i].Pos = entity.Vec2{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+					moved.Move(world[i].ID, world[i].Pos)
+				}
+			}
 			oracle := NewEuclid(25)
 			want := make([][]entity.ID, len(world))
+			wantNear := make([][]entity.ID, len(world))
 			for i, subj := range world {
 				want[i] = oracle.Visible(nil, subj.ID, subj.Pos, world)
+				wantNear[i] = NewEuclid(tc.near).Visible(nil, 0, subj.Pos, world)
 			}
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
@@ -98,10 +111,18 @@ func TestVisibleConcurrent(t *testing.T) {
 					var at []int32
 					marks := make([]uint64, (len(world)+63)/64)
 					for i, subj := range world {
+						sameIDs := func(p int32, id entity.ID) bool { return world[p].ID == id }
 						at = tc.mgr.VisiblePositions(at[:0], marks, subj.ID, subj.Pos, world)
-						if !slices.EqualFunc(at, want[i], func(p int32, id entity.ID) bool { return world[p].ID == id }) {
+						if !slices.EqualFunc(at, want[i], sameIDs) {
 							t.Errorf("subj %d: concurrent VisiblePositions diverged", subj.ID)
 							return
+						}
+						if tc.near > 0 {
+							at = moved.NearPositions(at[:0], marks, subj.Pos, tc.near)
+							if !slices.EqualFunc(at, wantNear[i], sameIDs) {
+								t.Errorf("subj %d: concurrent NearPositions diverged", subj.ID)
+								return
+							}
 						}
 						dst = tc.mgr.Visible(dst[:0], subj.ID, subj.Pos, world)
 						slices.Sort(dst)

@@ -3,27 +3,32 @@ package aoi
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"roia/internal/rtf/entity"
 )
 
-// Incremental is a uniform spatial hash (cell edge = Radius, so candidates
-// lie in the 3×3 neighbourhood) that is maintained, not rebuilt: Build
-// re-buckets only the entities that moved across a cell boundary since the
-// previous tick and evicts the ones that despawned. The hash map is only
-// consulted when a cell is entered for the first time or an entity changes
-// cell: every entity keeps a small integer handle across ticks (found again
-// by merge-walking the ID-sorted world against the previous tick's roster),
+// Incremental is a uniform spatial hash (cell edge = Radius, so visibility
+// candidates lie in the 3×3 neighbourhood) that is maintained, not rebuilt:
+// Build re-buckets only the entities that moved across a cell boundary since
+// the previous tick and evicts the ones that despawned, and Move re-places
+// one entity between Builds. The hash map is only consulted when a cell is
+// entered for the first time or an entity changes cell: every entity keeps
+// a small integer handle across ticks (found again by merge-walking the
+// ID-sorted world against the previous tick's roster),
 // its place in the index is an array read, and every cell carries direct
 // links to its neighbours. An entity that stayed in its cell costs Build
-// two stores (its coordinates and its index in world); a query costs one
-// map lookup. In the steady state Build allocates nothing, which is what
-// lets the publish stage hit 0 allocs/op.
+// two stores (its coordinates and its index in world); a visibility query
+// costs one map lookup. In the steady state Build allocates nothing, which is
+// what lets the publish stage hit 0 allocs/op.
 //
-// Both queries run the same cell scan. VisiblePositions orders what the
-// scan finds through the caller's bitset and so ascends; Visible maps it to
-// IDs as found — deterministic (cell scan order and within-cell insertion
-// order are fully determined by the Build history) but not sorted.
+// Both visibility queries run the same cell scan. VisiblePositions orders
+// what the scan finds through the caller's bitset and so ascends; Visible
+// maps it to IDs as found — deterministic (cell scan order and within-cell
+// insertion order are fully determined by the Build and Move history) but
+// not sorted. NearPositions answers any radius from the same cells, ordered
+// the same way; it is what the server's simulate stage offers applications
+// as Env.Near.
 type Incremental struct {
 	// Radius is the visibility radius.
 	Radius float64
@@ -76,11 +81,16 @@ func NewIncremental(radius float64) *Incremental {
 	return &Incremental{Radius: radius}
 }
 
-func (g *Incremental) key(pos entity.Vec2) cellKey {
-	cs := g.Radius
-	if cs <= 0 {
-		cs = 1
+// cellSize is the cell edge: the visibility radius.
+func (g *Incremental) cellSize() float64 {
+	if g.Radius <= 0 {
+		return 1
 	}
+	return g.Radius
+}
+
+func (g *Incremental) key(pos entity.Vec2) cellKey {
+	cs := g.cellSize()
 	return cellKey{int32(math.Floor(pos.X / cs)), int32(math.Floor(pos.Y / cs))}
 }
 
@@ -124,16 +134,44 @@ func (g *Incremental) Build(world []*entity.Entity) {
 			}
 			g.remove(p)
 		}
-		ci := g.cellAt(k)
-		c := &g.cells[ci]
-		g.where[h] = place{cell: ci, idx: int32(len(c.residents))}
-		c.residents = append(c.residents, resident{id: e.ID, pos: e.Pos, handle: h, at: int32(at)})
+		g.insert(k, resident{id: e.ID, pos: e.Pos, handle: h, at: int32(at)})
 	}
 	for ; i < len(g.ids); i++ {
 		g.evict(g.handles[i])
 	}
 	g.ids, g.nextIDs = g.nextIDs, g.ids
 	g.handles, g.nextHandles = g.nextHandles, g.handles
+}
+
+// Move re-places one entity of the last Build's world that has since moved
+// to pos, so queries before the next Build see it there: a binary search of
+// the roster for its handle, then a coordinate store — or, across a cell
+// boundary, a swap-delete and an append. It reports whether id is in the
+// world. Like Build it belongs to the tick goroutine, with no query running.
+func (g *Incremental) Move(id entity.ID, pos entity.Vec2) bool {
+	i, ok := slices.BinarySearch(g.ids, id)
+	if !ok {
+		return false
+	}
+	p := g.where[g.handles[i]]
+	c := &g.cells[p.cell]
+	if k := g.key(pos); c.key == k {
+		c.residents[p.idx].pos = pos
+	} else {
+		r := c.residents[p.idx]
+		r.pos = pos
+		g.remove(p)
+		g.insert(k, r)
+	}
+	return true
+}
+
+// insert appends r to the cell with coordinates k and records its place.
+func (g *Incremental) insert(k cellKey, r resident) {
+	ci := g.cellAt(k)
+	c := &g.cells[ci]
+	g.where[r.handle] = place{cell: ci, idx: int32(len(c.residents))}
+	c.residents = append(c.residents, r)
 }
 
 // evict drops a despawned entity from its cell and recycles its handle.
@@ -239,14 +277,59 @@ func (g *Incremental) Visible(dst []entity.ID, subject entity.ID, pos entity.Vec
 	return dst
 }
 
-// VisiblePositions implements Manager. The scan's hits are distinct small
-// integers, so they are ordered without comparing them: each sets its bit
-// in marks, and reading the set bits back word by word, lowest first,
-// overwrites the hits in ascending order and leaves marks zeroed.
+// VisiblePositions implements Manager, ordering the scan's hits through
+// marks.
 func (g *Incremental) VisiblePositions(dst []int32, marks []uint64, subject entity.ID, pos entity.Vec2, world []*entity.Entity) []int32 {
 	start := len(dst)
 	dst = g.scan(dst, subject, pos, world)
-	hits := dst[start:]
+	ascend(dst[start:], marks)
+	return dst
+}
+
+// NearPositions appends, in strictly ascending order, the index in the last
+// Build's world of every entity within r of pos — whichever cells the disc's
+// bounding square reaches, so r may exceed the cell edge. Nobody is excepted:
+// an entity standing at pos is its own neighbour. dst and marks are as in
+// VisiblePositions, and like it the query only reads the index.
+func (g *Incremental) NearPositions(dst []int32, marks []uint64, pos entity.Vec2, r float64) []int32 {
+	start := len(dst)
+	r2 := r * r
+	cs := g.cellSize()
+	x0, x1 := math.Floor((pos.X-r)/cs), math.Floor((pos.X+r)/cs)
+	y0, y1 := math.Floor((pos.Y-r)/cs), math.Floor((pos.Y+r)/cs)
+	if (x1-x0+1)*(y1-y0+1) >= float64(len(g.cells)) {
+		// The square holds more cells than exist: visit those.
+		for ci := range g.cells {
+			dst = g.cells[ci].within(dst, pos, r2)
+		}
+	} else {
+		for cy := int32(y0); cy <= int32(y1); cy++ {
+			for cx := int32(x0); cx <= int32(x1); cx++ {
+				if ci, ok := g.index[cellKey{cx, cy}]; ok {
+					dst = g.cells[ci].within(dst, pos, r2)
+				}
+			}
+		}
+	}
+	ascend(dst[start:], marks)
+	return dst
+}
+
+// within appends the world index of every resident within √r2 of pos.
+func (c *cell) within(dst []int32, pos entity.Vec2, r2 float64) []int32 {
+	for _, cand := range c.residents {
+		if pos.Dist2(cand.pos) <= r2 {
+			dst = append(dst, cand.at)
+		}
+	}
+	return dst
+}
+
+// ascend sorts hits — distinct indices below 64·len(marks) — without
+// comparing them: each sets its bit in marks, and reading the set bits back
+// word by word, lowest first, overwrites hits in ascending order and leaves
+// marks zeroed.
+func ascend(hits []int32, marks []uint64) {
 	for _, at := range hits {
 		marks[at>>6] |= 1 << (at & 63)
 	}
@@ -258,5 +341,4 @@ func (g *Incremental) VisiblePositions(dst []int32, marks []uint64, subject enti
 		}
 		marks[w] = 0
 	}
-	return dst
 }

@@ -117,6 +117,97 @@ func TestIncrementalMatchesEuclidProperty(t *testing.T) {
 	}
 }
 
+// TestNearPositionsAndMoveProperty is the simulate stage in small: Build
+// over a world that gains and loses entities, then displacements told to the
+// index one at a time with Move. After every batch of moves, NearPositions
+// must equal a brute-force scan for radii below, at and above the cell edge
+// (50) — ascending, the shared bitset left zero — and the re-placed index
+// must answer every query, visibility included, exactly like an index built
+// from scratch over the same world.
+func TestNearPositionsAndMoveProperty(t *testing.T) {
+	prop := func(seed int64, n8 uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		somewhere := func() entity.Vec2 {
+			return entity.Vec2{X: rng.Float64()*500 - 100, Y: rng.Float64()*500 - 100}
+		}
+		inc := NewIncremental(50)
+		var world []*entity.Entity
+		nextID := entity.ID(1)
+		for n := int(n8%60) + 4; len(world) < n; nextID++ {
+			world = append(world, &entity.Entity{ID: nextID, Pos: somewhere()})
+		}
+		for tick := 0; tick < 10; tick++ {
+			if len(world) > 4 && rng.Intn(2) == 0 {
+				i := rng.Intn(len(world))
+				world = append(world[:i], world[i+1:]...)
+			}
+			if rng.Intn(2) == 0 {
+				world = append(world, &entity.Entity{ID: nextID, Pos: somewhere()})
+				nextID++
+			}
+			inc.Build(world)
+			for _, e := range world {
+				switch rng.Intn(4) {
+				case 0: // teleport, as a respawn does
+					e.Pos = somewhere()
+				case 1: // step, now and then across a cell edge
+					e.Pos.X += rng.Float64()*10 - 5
+					e.Pos.Y += rng.Float64()*10 - 5
+				default:
+					continue
+				}
+				if !inc.Move(e.ID, e.Pos) {
+					t.Logf("tick %d: Move does not know entity %d", tick, e.ID)
+					return false
+				}
+			}
+			if inc.Move(nextID, somewhere()) {
+				t.Logf("tick %d: Move knows entity %d, which is not in the world", tick, nextID)
+				return false
+			}
+			fresh := NewIncremental(50)
+			fresh.Build(world)
+
+			marks := make([]uint64, (len(world)+63)/64)
+			var got, want []int32
+			probes := []entity.Vec2{somewhere(), {X: 100, Y: 100}, {X: -1e4, Y: 50}}
+			for _, e := range world {
+				probes = append(probes, e.Pos)
+			}
+			for _, pos := range probes {
+				for _, r := range []float64{10, 50, 60, 175} {
+					want = want[:0]
+					for p, e := range world {
+						if pos.Dist2(e.Pos) <= r*r {
+							want = append(want, int32(p))
+						}
+					}
+					got = inc.NearPositions(got[:0], marks, pos, r)
+					if !slices.Equal(got, want) || !slices.Equal(fresh.NearPositions(nil, marks, pos, r), want) {
+						t.Logf("tick %d pos %v r %g: got %v, want %v", tick, pos, r, got, want)
+						return false
+					}
+				}
+			}
+			for _, subj := range world {
+				got = inc.VisiblePositions(got[:0], marks, subj.ID, subj.Pos, world)
+				if !slices.Equal(got, fresh.VisiblePositions(nil, marks, subj.ID, subj.Pos, world)) {
+					t.Logf("tick %d subject %d: re-placed and rebuilt index see different entities", tick, subj.ID)
+					return false
+				}
+			}
+			if slices.ContainsFunc(marks, func(w uint64) bool { return w != 0 }) {
+				t.Logf("tick %d: marks left dirty: %x", tick, marks)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestIncrementalVisibleConcurrent hammers Visible from 8 goroutines
 // between builds — the Manager contract says Visible is a concurrent
 // read-only query, and the race detector holds the incremental index to

@@ -7,9 +7,9 @@ import "roia/internal/rtf/transport"
 // Staging copies the payload into a per-destination arena (senders reuse
 // their serialization buffers immediately), so in the steady state the
 // whole send path allocates nothing; the flush hands the frames to the
-// transport's BatchSender when available — one vectored write per client
-// per tick instead of a syscall per frame — and falls back to per-frame
-// Send otherwise.
+// transport's BatchSender when available — one write per client per tick
+// instead of a syscall per frame — and falls back to per-frame Send
+// otherwise.
 //
 // Ordering: destinations flush in first-staged order and frames within a
 // destination in staged order, both fully determined by the tick's

@@ -22,7 +22,7 @@ import (
 // sinkNode is a transport.Node that counts and discards everything sent
 // through it. Its inbox is fed directly by the benchmark setup (joins) and
 // is empty in steady state. It implements transport.BatchSender so the
-// server's outbox takes the vectored-write path.
+// server's outbox takes the batched-write path.
 type sinkNode struct {
 	id     string
 	in     chan transport.Frame
@@ -132,7 +132,7 @@ func benchServer(b *testing.B, n int, parallelism int, place func(i int) entity.
 }
 
 // BenchmarkPublish measures a full tick — incremental AoI rebuild, position
-// query, visible-set merge walk, delta encoding and vectored staging for
+// query, visible-set merge walk, delta encoding and outbox staging for
 // every user — with a dirty world. The publish stage dominates; the whole
 // tick must be allocation-free in steady state.
 func BenchmarkPublish(b *testing.B) {

@@ -15,7 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -190,8 +190,8 @@ type Server struct {
 	// keyframeTicks is Config.KeyframeTicks with the default applied.
 	keyframeTicks uint64
 	// ob stages every frame the tick produces and flushes them in
-	// per-destination batches at the end of the tick (vectored writes on
-	// transports that support them).
+	// per-destination batches at the end of the tick (one write each on
+	// transports that support it).
 	ob outbox
 	// decodeFn/npcFn/publishFn are the executor stage bodies, bound once at
 	// construction: handing run a stored func field instead of a fresh
@@ -257,6 +257,9 @@ func New(cfg Config) (*Server, error) {
 		Store:    s.store,
 		Rand:     rand.New(rand.NewSource(cfg.Seed)),
 	}
+	// The index the publish stage queries also answers the application's
+	// Env.Near; under any other manager (the Euclid oracle) Near scans.
+	s.env.index, _ = cfg.AOI.(*aoi.Incremental)
 	return s, nil
 }
 
@@ -337,12 +340,7 @@ func (s *Server) zoneUsersLocked() int {
 func (s *Server) Users() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.users))
-	for id := range s.users {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(s.sortedUserIDs())
 }
 
 // Entity returns a copy of an entity's current state.

@@ -33,10 +33,12 @@ type decodedFrame struct {
 
 // npcResult is one slot of the NPC compute phase under the
 // ConcurrentSimulator capability: the forwards returned by UpdateNPC and
-// the compute time, applied sequentially in slice order.
+// the compute time, applied sequentially in slice order, and where the NPC
+// stood before.
 type npcResult struct {
 	fwds []Forward
 	ms   float64
+	was  entity.Vec2
 }
 
 // pubItem is one slot of the publish stage: everything worker i needs to
@@ -203,6 +205,16 @@ func (s *Server) Tick() {
 	}
 
 	// --- Step 2a: apply user inputs ---
+	//
+	// The entity set is fixed from here to the end of the simulate stage,
+	// so the spatial index is brought up to it once and then kept current
+	// entity by entity: whatever a callback displaced — the actor of an
+	// input, the target of a hit (a kill respawns it elsewhere), an NPC — is
+	// re-placed before the next callback can ask env.Near about it. The
+	// time is input application's: its hit scans are what the index serves.
+	tIndex := s.exec.now()
+	s.env.beginSimulate()
+	br.Add(monitor.UA, s.exec.since(tIndex), 0)
 	for _, in := range inputs {
 		u, ok := s.users[in.from]
 		if !ok {
@@ -218,7 +230,9 @@ func (s *Server) Tick() {
 			continue
 		}
 		t0 := s.exec.now()
+		was := actor.Pos
 		fwds, err := s.cfg.App.ApplyInput(s.env, actor, in.msg.Payload)
+		s.env.moved(actor, was)
 		br.Add(monitor.UA, s.exec.since(t0), 1)
 		if err != nil {
 			continue
@@ -235,9 +249,7 @@ func (s *Server) Tick() {
 				// inputs — no items are added so the per-item cost of
 				// t_ua absorbs it.
 				t1 := s.exec.now()
-				if s.cfg.App.ApplyForwarded(s.env, actor.ID, target, fw.Payload) == nil {
-					target.Seq++
-				}
+				s.applyForwarded(actor.ID, target, fw.Payload)
 				br.Add(monitor.UA, s.exec.since(t1), 0)
 			} else {
 				s.send(target.Owner, &proto.Forwarded{Actor: actor.ID, Target: fw.Target, Payload: fw.Payload})
@@ -258,9 +270,7 @@ func (s *Server) Tick() {
 			continue
 		}
 		t0 := s.exec.now()
-		if s.cfg.App.ApplyForwarded(s.env, fw.Actor, target, fw.Payload) == nil {
-			target.Seq++
-		}
+		s.applyForwarded(fw.Actor, target, fw.Payload)
 		br.Add(monitor.FA, s.exec.since(t0), 1)
 	}
 	s.inputsBuf, s.fwdBuf = inputs[:0], forwards[:0]
@@ -284,6 +294,9 @@ func (s *Server) Tick() {
 		//roialint:ignore lockhold the pool's wake channels are buffered and drained by the previous run's wg.Wait, so the send never blocks; workers never take s.mu
 		s.exec.run(len(npcs), s.npcFn)
 		for i, npc := range npcs {
+			s.env.moved(npc, results[i].was)
+		}
+		for i, npc := range npcs {
 			t0 := s.exec.now()
 			s.applyNPCForwards(npc, results[i].fwds)
 			br.Add(monitor.NPC, results[i].ms+s.exec.since(t0), 1)
@@ -296,12 +309,15 @@ func (s *Server) Tick() {
 		// the tick goroutine regardless of Parallelism.
 		for _, npc := range npcs {
 			t0 := s.exec.now()
+			was := npc.Pos
 			fwds := s.cfg.App.UpdateNPC(s.env, npc)
+			s.env.moved(npc, was)
 			s.applyNPCForwards(npc, fwds)
 			br.Add(monitor.NPC, s.exec.since(t0), 1)
 			npc.Seq++
 		}
 	}
+	s.env.endSimulate()
 	if cost != nil {
 		cost.EndStage(telemetry.CostStageSimulate)
 	}
@@ -411,9 +427,9 @@ func (s *Server) Tick() {
 	}
 	s.handoffs = s.handoffs[:0]
 	s.removedBuf = removed[:0]
-	// Flush the tick's staged frames — one batched (vectored, on capable
-	// transports) write per destination — inside the publish stage window
-	// so its resource cost stays attributed to publishing. The wall time is
+	// Flush the tick's staged frames — one batched write per destination on
+	// capable transports — inside the publish stage window so its resource
+	// cost stays attributed to publishing. The wall time is
 	// egress work proportional to the staged bytes; it folds into the t_su
 	// bucket (time only — the per-user items were counted above), keeping
 	// the fitted per-user t_su sensitive to how much each update weighs.
@@ -564,6 +580,7 @@ func (s *Server) decodeItem(i int, _ *workerCtx) {
 // are applied sequentially afterwards.
 func (s *Server) npcItem(i int, _ *workerCtx) {
 	t0 := s.exec.now()
+	s.npcBuf[i].was = s.npcActive[i].Pos
 	s.npcBuf[i].fwds = s.cfg.App.UpdateNPC(s.env, s.npcActive[i])
 	s.npcBuf[i].ms = s.exec.since(t0)
 }
@@ -676,6 +693,16 @@ func (s *Server) sortedUserIDs() []string {
 	return s.uids
 }
 
+// applyForwarded applies one interaction to a locally-active target and
+// keeps the spatial index current if it displaced the target.
+func (s *Server) applyForwarded(actor entity.ID, target *entity.Entity, payload []byte) {
+	was := target.Pos
+	if s.cfg.App.ApplyForwarded(s.env, actor, target, payload) == nil {
+		target.Seq++
+	}
+	s.env.moved(target, was)
+}
+
 // applyNPCForwards routes the forwards produced by one NPC update: local
 // targets are applied directly (their cost stays inside the NPC's t_npc
 // window), remote targets are forwarded to their owning replica.
@@ -686,9 +713,7 @@ func (s *Server) applyNPCForwards(npc *entity.Entity, fwds []Forward) {
 			continue
 		}
 		if target.Owner == s.ID() {
-			if s.cfg.App.ApplyForwarded(s.env, npc.ID, target, fw.Payload) == nil {
-				target.Seq++
-			}
+			s.applyForwarded(npc.ID, target, fw.Payload)
 		} else {
 			s.send(target.Owner, &proto.Forwarded{Actor: npc.ID, Target: fw.Target, Payload: fw.Payload})
 		}

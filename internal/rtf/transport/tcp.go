@@ -97,10 +97,6 @@ type tcpConn struct {
 	mu   sync.Mutex // serializes writes
 	conn net.Conn
 	w    *wire.Writer
-	// ends/bufs are SendBatch scratch (header end offsets into w's buffer
-	// and the vectored-write slice), reused across batches under mu.
-	ends []int
-	bufs net.Buffers
 }
 
 func (n *tcpNode) ID() string          { return n.id }
@@ -222,10 +218,10 @@ func (n *tcpNode) Send(to string, payload []byte) error {
 	return nil
 }
 
-// SendBatch implements BatchSender: all frame headers are serialized into
-// the connection's writer first (sizes are known up front), then headers
-// and caller payloads are interleaved into one net.Buffers vectored write —
-// a single writev(2) for the whole batch, with zero copies of the payloads.
+// SendBatch implements BatchSender: every frame of the batch is serialized
+// back to back into the connection's writer, which then goes out in one
+// Write. A destination's batch is one tick's few frames: copying them costs
+// less than handing the kernel a vector of header and payload pieces.
 func (n *tcpNode) SendBatch(to string, payloads [][]byte) error {
 	select {
 	case <-n.closed:
@@ -242,26 +238,16 @@ func (n *tcpNode) SendBatch(to string, payloads [][]byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.w.Reset()
-	c.ends = c.ends[:0]
 	for _, p := range payloads {
+		start := c.w.Len()
 		c.w.Uint32(0) // length placeholder
 		c.w.String(n.id)
 		c.w.String(to)
-		c.w.Uvarint(uint64(len(p))) // Blob prefix; the body rides in the vector
-		c.ends = append(c.ends, c.w.Len())
+		c.w.Blob(p)
+		binary.BigEndian.PutUint32(c.w.Bytes()[start:], uint32(c.w.Len()-start-4))
 	}
-	hdr := c.w.Bytes()
-	c.bufs = c.bufs[:0]
-	start := 0
-	for i, p := range payloads {
-		h := hdr[start:c.ends[i]]
-		start = c.ends[i]
-		binary.BigEndian.PutUint32(h[:4], uint32(len(h)-4+len(p)))
-		c.bufs = append(c.bufs, h, p)
-	}
-	nb := c.bufs // WriteTo consumes its receiver; keep c.bufs for reuse
 	//roialint:ignore lockhold the per-connection mutex exists to serialize writes on this socket
-	if _, err := nb.WriteTo(c.conn); err != nil {
+	if _, err := c.conn.Write(c.w.Bytes()); err != nil {
 		n.mu.Lock()
 		if n.conns[to] == c {
 			delete(n.conns, to)

@@ -48,9 +48,9 @@ type Network interface {
 }
 
 // BatchSender is an optional Node capability: deliver several payloads to
-// one destination in a single operation. The TCP transport turns a batch
-// into one vectored write (net.Buffers) instead of len(payloads) syscalls,
-// which is how the server flushes a whole tick's frames per client. Frames
+// one destination in a single operation. The TCP transport frames a batch
+// into one buffer and one write instead of len(payloads) syscalls, which is
+// how the server flushes a whole tick's frames per client. Frames
 // are delivered in slice order; on error, a prefix of the batch may have
 // been delivered. Callers fall back to per-payload Send when the node does
 // not implement BatchSender.

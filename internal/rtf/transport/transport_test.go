@@ -371,7 +371,7 @@ func TestDrainIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestTCPSendBatchRoundTrip pins the vectored batch framing: every frame
+// TestTCPSendBatchRoundTrip pins the batch framing: every frame
 // of a batch must decode on the receiver byte-identical to the payloads
 // handed to SendBatch, in order, interleaved correctly with single Sends
 // on the same connection.
