@@ -1,9 +1,8 @@
-// Package roia holds the repository-level benchmark harness: one
-// benchmark per evaluation artifact of the paper (Figures 4–8, the
-// Section V-A anchors, the baseline-strategy comparison) plus ablation
-// benchmarks for the design choices called out in DESIGN.md (interest-
-// management algorithm, wire serialization, model evaluation, migration
-// planning, and real measured ticks vs the model's prediction).
+// Package roia holds the repository-level micro-benchmarks: one per
+// evaluation artifact of the paper (Figures 4–8, the Section V-A anchors,
+// the baseline-strategy comparison), the model, AoI and fitting kernels, and
+// the price of the per-tick observers. The live middleware's end-to-end and
+// per-layer figures come from the bench/ module (`bash bench/run.sh`).
 //
 // Run with: go test -bench=. -benchmem .
 package roia
@@ -22,8 +21,6 @@ import (
 	"roia/internal/rtf/aoi"
 	"roia/internal/rtf/client"
 	"roia/internal/rtf/entity"
-	"roia/internal/rtf/fleet"
-	"roia/internal/rtf/proto"
 	"roia/internal/rtf/server"
 	"roia/internal/rtf/transport"
 	"roia/internal/rtf/zone"
@@ -234,109 +231,6 @@ func BenchmarkAoIIncremental(b *testing.B) {
 	}
 }
 
-// --- wire serialization ablation --------------------------------------------
-
-func sampleUpdate(visible int) *proto.StateKeyframe {
-	upd := &proto.StateKeyframe{
-		Tick: 42,
-		Self: entity.Entity{ID: 1, Pos: entity.Vec2{X: 10, Y: 20}, Health: 90, Owner: "s1", Seq: 7},
-	}
-	for i := 0; i < visible; i++ {
-		upd.Visible = append(upd.Visible, entity.Entity{
-			ID: entity.ID(i + 2), Pos: entity.Vec2{X: float64(i), Y: float64(i)},
-			Health: 100, Owner: "s1", Seq: uint64(i),
-		})
-	}
-	return upd
-}
-
-func BenchmarkWireStateUpdateEncode(b *testing.B) {
-	upd := sampleUpdate(32)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if payload := proto.Registry.EncodeToBytes(upd); len(payload) == 0 {
-			b.Fatal("empty payload")
-		}
-	}
-}
-
-func BenchmarkWireStateUpdateDecode(b *testing.B) {
-	payload := proto.Registry.EncodeToBytes(sampleUpdate(32))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := proto.Registry.Decode(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTickPipeline measures the staged real-time loop at n = 500
-// users, sequential (workers=1) versus fanned out over 4 workers. The
-// ns/op ratio of the two sub-benchmarks is the
-// measured intra-replica speedup S(4) of the model's USL term; the wire
-// output is byte-identical in both modes (see the pipeline determinism
-// tests), so the comparison is pure execution cost. On a single-core host
-// (GOMAXPROCS=1) the two modes necessarily converge — the speedup figure is
-// only meaningful on multi-core hardware.
-func BenchmarkTickPipeline(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"workers=1", 1}, {"workers=4", 4}} {
-		b.Run(mode.name, func(b *testing.B) {
-			net := transport.NewLoopback()
-			defer net.Close()
-			asg := zone.NewAssignment()
-			node, err := net.Attach("s1", 1<<18)
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv, err := server.New(server.Config{
-				Node: node, Zone: 1, Assignment: asg,
-				App: game.New(game.DefaultConfig()), IDPrefix: 1, Seed: 1,
-				Parallelism: mode.workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv.Start()
-			const nUsers = 500
-			clients := make([]*client.Client, nUsers)
-			for i := range clients {
-				cn, err := net.Attach(fmt.Sprintf("c%d", i+1), 1<<14)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cl := client.New(cn, "s1")
-				if err := cl.Join(1, entity.Vec2{X: float64((i * 17) % 1000), Y: float64((i * 29) % 1000)}, cn.ID()); err != nil {
-					b.Fatal(err)
-				}
-				clients[i] = cl
-			}
-			for i := 0; i < 5; i++ {
-				srv.Tick()
-				for _, cl := range clients {
-					cl.Poll()
-				}
-			}
-			move := game.Commands.EncodeToBytes(&game.Move{DX: 1, DY: 1})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, cl := range clients {
-					cl.Poll()
-					_ = cl.SendInput(move)
-				}
-				srv.Tick()
-			}
-			b.StopTimer()
-			b.ReportMetric(srv.Monitor().MeanTick(), "wall-ms/tick")
-			b.ReportMetric(srv.Monitor().MeanTickCPU(), "cpu-ms/tick")
-		})
-	}
-}
-
 // --- observability overhead ablation -----------------------------------------
 
 // BenchmarkInstrumentedTick measures the full tick loop bare and with every
@@ -405,56 +299,6 @@ func BenchmarkInstrumentedTick(b *testing.B) {
 	}
 }
 
-// --- tick tail latency ---------------------------------------------------------
-
-// BenchmarkTickTail runs the live single-replica loop and reports the
-// distribution of per-tick wall times — p50/p99/p99.9 in milliseconds via
-// a telemetry.LogHistogram — alongside the usual mean ns/op. The p99-ms
-// metric is what `benchjson -compare` gates on: a change that speeds the
-// average tick while fattening its tail is a regression for a real-time
-// loop, whose QoS deadline is paid per tick, not on average.
-func BenchmarkTickTail(b *testing.B) {
-	for _, n := range []int{60, 150} {
-		b.Run(fmt.Sprintf("users=%d", n), func(b *testing.B) {
-			net := transport.NewLoopback()
-			defer net.Close()
-			fl, err := fleet.New(fleet.Config{
-				Network:    net,
-				Zone:       1,
-				Assignment: zone.NewAssignment(),
-				NewApp:     func() server.Application { return game.New(game.DefaultConfig()) },
-				Seed:       1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := fl.AddReplica(); err != nil {
-				b.Fatal(err)
-			}
-			driver := bots.NewFleetDriver(fl, net, 1)
-			if err := driver.SetBots(n); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 10; i++ {
-				driver.Step()
-			}
-			srv, _ := fl.Server("server-1")
-			hist := telemetry.NewLogHistogram()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				driver.Step()
-				bd := srv.Monitor().LastBreakdown()
-				hist.Observe(bd.Wall())
-			}
-			b.StopTimer()
-			b.ReportMetric(hist.Quantile(0.50), "p50-ms")
-			b.ReportMetric(hist.Quantile(0.99), "p99-ms")
-			b.ReportMetric(hist.Quantile(0.999), "p999-ms")
-		})
-	}
-}
-
 // --- fitting ablation ---------------------------------------------------------
 
 func BenchmarkLevMarQuadraticFit(b *testing.B) {
@@ -470,55 +314,5 @@ func BenchmarkLevMarQuadraticFit(b *testing.B) {
 		if _, err := fit.LevMar(fit.PolyModel(), xs, ys, []float64{0, 0, 0}, fit.LMOptions{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- real RTF tick vs model prediction ---------------------------------------
-
-// BenchmarkRealServerTick measures one real-time-loop iteration of the
-// live RTF server (real deserialization, hit scans, AoI, serialization)
-// at several population sizes, and reports the calibrated model's
-// prediction for the same workload as the custom metric "model-ms" — the
-// live counterpart of Eq. (1).
-func BenchmarkRealServerTick(b *testing.B) {
-	for _, n := range []int{50, 100, 200} {
-		b.Run(fmt.Sprintf("users=%d", n), func(b *testing.B) {
-			net := transport.NewLoopback()
-			defer net.Close()
-			fl, err := fleet.New(fleet.Config{
-				Network:    net,
-				Zone:       1,
-				Assignment: zone.NewAssignment(),
-				NewApp:     func() server.Application { return game.New(game.DefaultConfig()) },
-				Seed:       1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := fl.AddReplica(); err != nil {
-				b.Fatal(err)
-			}
-			driver := bots.NewFleetDriver(fl, net, 1)
-			if err := driver.SetBots(n); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 5; i++ {
-				driver.Step()
-			}
-			srv, _ := fl.Server("server-1")
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, bot := range driver.Bots() {
-					bot.Step()
-				}
-				srv.Tick()
-			}
-			b.StopTimer()
-			mdl := rtfdemoModel(b)
-			b.ReportMetric(mdl.TickTime(1, n, 0), "model-ms")
-			b.ReportMetric(srv.Monitor().MeanTick(), "measured-ms")
-		})
 	}
 }

@@ -1,22 +1,8 @@
 // Command roiabench regenerates every evaluation artifact of the paper:
 // Figures 4–8, the in-text threshold anchors of Section V-A, the
 // baseline-strategy comparison, the FPS-vs-RPG profile comparison of
-// Section III-C, and an end-to-end client-latency probe (-fig latency)
-// reporting input→update RTT percentiles and QoS-deadline violations.
-//
-// `-fig variability` runs the run-to-run variability harness: each live
-// scenario is executed -runs times and reported as mean/p99/p99.9 per-tick
-// wall time, between-run CoV, flight-recorder hiccup counts, and the
-// model's n_max for the configuration. With -bench-out the result is also
-// written as a BENCH-schema JSON snapshot that `tools/benchjson -compare`
-// can diff (gating on the p99-ms tail) against a committed baseline.
-//
-// `-fig cost` runs the hot-path cost harness on the same scenarios: heap
-// allocations per tick by pipeline stage, in-tick GC pause tails, framed
-// egress bytes per user per tick, and AoI churn quantiles. With -bench-out
-// it writes a BENCH-schema snapshot whose allocs_per_op and bytes/user/tick
-// figures `tools/benchjson -compare` gates alongside ns_per_op; -cost-out
-// dumps the raw per-scenario rows as JSONL for forensics.
+// Section III-C, and the simulator's ablations. Measurements of the live
+// middleware over real sockets live in the separate bench/ module.
 //
 // Usage:
 //
@@ -24,7 +10,6 @@
 //	roiabench -fig 5           # one figure
 //	roiabench -fig 8 -csv out  # also write out/fig8.csv
 //	roiabench -seed 3          # change the deterministic seed
-//	roiabench -fig variability -runs 5 -bench-out BENCH_3.json
 package main
 
 import (
@@ -39,16 +24,12 @@ import (
 )
 
 var (
-	figFlag   = flag.String("fig", "all", "artifact to regenerate: 4,5,6,7,8,anchors,baselines,traffic,heavy,pacing,flash,npcs,csweep,profiles,latency,speedup,variability,cost,recalib,all")
-	csvDir    = flag.String("csv", "", "directory to write CSV datasets into (created if missing)")
-	seedFlag  = flag.Int64("seed", 1, "seed for the deterministic runs")
-	recFlag   = flag.String("record", "", "write the Fig. 8 session time series to this CSV (replayable via cmd/roiareplay)")
-	width     = flag.Int("width", 72, "ASCII chart width")
-	height    = flag.Int("height", 16, "ASCII chart height")
-	runsFlag  = flag.Int("runs", 5, "repetitions per scenario for -fig variability")
-	benchOut  = flag.String("bench-out", "", "variability/cost: also write the result as a BENCH-schema JSON snapshot (diffable via tools/benchjson -compare)")
-	flightOut = flag.String("flightrec-out", "", "variability: write flight-recorder captures (one JSON object per line) to this path")
-	costOut   = flag.String("cost-out", "", "cost: write the per-scenario cost rows (one JSON object per line) to this path")
+	figFlag  = flag.String("fig", "all", "artifact to regenerate: 4,5,6,7,8,anchors,baselines,traffic,heavy,pacing,flash,npcs,csweep,profiles,speedup,all")
+	csvDir   = flag.String("csv", "", "directory to write CSV datasets into (created if missing)")
+	seedFlag = flag.Int64("seed", 1, "seed for the deterministic runs")
+	recFlag  = flag.String("record", "", "write the Fig. 8 session time series to this CSV (replayable via cmd/roiareplay)")
+	width    = flag.Int("width", 72, "ASCII chart width")
+	height   = flag.Int("height", 16, "ASCII chart height")
 )
 
 func main() {
@@ -249,76 +230,6 @@ func run() error {
 		}
 		fmt.Printf("calibration round-trip: fitted σ=%.3f κ=%.4f (RMSE %.4f)\n\n",
 			res.Fitted.Sigma, res.Fitted.Kappa, res.FitRMSE)
-	}
-	if want("latency") {
-		any = true
-		res, err := experiments.LatencyProbe(*seedFlag)
-		if err != nil {
-			return err
-		}
-		c := res.Client
-		fmt.Printf("End-to-end latency probe (%d bots, %d unpaced ticks, %.0f ticks/s throughput):\n",
-			res.Users, res.Ticks, res.TicksPerSec)
-		fmt.Printf("client input→update RTT (%d samples): p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms\n",
-			c.Count, c.P50, c.P95, c.P99, c.MaxMS)
-		fmt.Printf("deadline %.0fms: %d violations (%.2f%%)\n\n",
-			res.DeadlineMS, c.Violations, c.ViolationRate()*100)
-	}
-	if want("variability") {
-		any = true
-		res, err := experiments.Variability(*seedFlag, *runsFlag)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Run-to-run variability (%d runs per scenario, %d measured ticks each):\n",
-			res.Runs, res.Rows[0].Ticks)
-		fmt.Print(experiments.FormatVariability(res))
-		fmt.Println()
-		if *benchOut != "" {
-			if err := writeVariabilitySnapshot(*benchOut, res); err != nil {
-				return err
-			}
-			fmt.Printf("variability snapshot written to %s\n\n", *benchOut)
-		}
-		if *flightOut != "" {
-			n, err := writeVariabilityCaptures(*flightOut, res)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%d flight-recorder capture(s) written to %s\n\n", n, *flightOut)
-		}
-	}
-	if want("cost") {
-		any = true
-		res, err := experiments.Cost(*seedFlag, *runsFlag)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Hot-path cost (%d runs per scenario, %d measured ticks each):\n",
-			res.Runs, res.Rows[0].Ticks)
-		fmt.Print(experiments.FormatCost(res))
-		fmt.Println()
-		if *benchOut != "" {
-			if err := writeCostSnapshot(*benchOut, res); err != nil {
-				return err
-			}
-			fmt.Printf("cost snapshot written to %s\n\n", *benchOut)
-		}
-		if *costOut != "" {
-			if err := writeCostRows(*costOut, res); err != nil {
-				return err
-			}
-			fmt.Printf("cost rows written to %s\n\n", *costOut)
-		}
-	}
-	if want("recalib") {
-		any = true
-		res, err := experiments.RecalibratePublish(*seedFlag)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatRecalibrate(res))
-		fmt.Println()
 	}
 	if !any {
 		return fmt.Errorf("unknown -fig value %q", *figFlag)

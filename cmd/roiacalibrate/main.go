@@ -8,8 +8,9 @@
 // loaded into the scalability model.
 //
 // Absolute coefficients depend on the machine this runs on — exactly as
-// the paper's depend on its Core Duo testbed. The curve shapes (quadratic
-// t_ua/t_aoi, linear rest) are machine-independent.
+// the paper's depend on its Core Duo testbed. The curve shapes
+// (calibrate.GameDegrees: quadratic t_aoi, linear rest) are
+// machine-independent.
 package main
 
 import (
@@ -68,9 +69,11 @@ func run() error {
 			return err
 		}
 	}
+	var monitors []*monitor.Monitor
 	for _, id := range fl.IDs() {
 		srv, _ := fl.Server(id)
 		srv.Monitor().SetCollecting(true)
+		monitors = append(monitors, srv.Monitor())
 	}
 
 	driver := bots.NewFleetDriver(fl, net, *seedFlag)
@@ -79,25 +82,17 @@ func run() error {
 		if err := driver.SetBots(target); err != nil {
 			return err
 		}
-		for tick := 0; tick < *ticksPer; tick++ {
-			driver.Step()
-		}
 		fmt.Fprintf(os.Stderr, "level %2d/%d: %3d bots, mean tick %.3f ms\n",
-			level, *levels, target, meanTick(fl))
+			level, *levels, target, stepMeanTick(driver, monitors))
 	}
 
-	var samples []monitor.Sample
-	for _, id := range fl.IDs() {
-		srv, _ := fl.Server(id)
-		samples = append(samples, srv.Monitor().Samples()...)
-	}
-	res, err := calibrate.FromSamples("calibrated-shooter", samples, calibrate.GameDegrees())
+	res, err := calibrate.FromMonitor("calibrated-shooter", monitors...)
 	if err != nil {
 		return err
 	}
 	report(res)
 	if *validate {
-		if err := validateModel(res, fl, driver); err != nil {
+		if err := validateModel(res, driver, monitors); err != nil {
 			return err
 		}
 	}
@@ -117,7 +112,7 @@ func run() error {
 // levels) and compares the live mean tick against the fitted model's
 // Eq. (4) prediction — the accuracy check a provider runs before trusting
 // the thresholds.
-func validateModel(res *calibrate.Result, fl *fleet.Fleet, driver *bots.FleetDriver) error {
+func validateModel(res *calibrate.Result, driver *bots.FleetDriver, monitors []*monitor.Monitor) error {
 	mdl, err := model.New(res.Set, *uFlag, 0.15)
 	if err != nil {
 		return err
@@ -132,14 +127,7 @@ func validateModel(res *calibrate.Result, fl *fleet.Fleet, driver *bots.FleetDri
 		if err := driver.SetBots(n); err != nil {
 			return err
 		}
-		for _, id := range fl.IDs() {
-			srv, _ := fl.Server(id)
-			srv.Monitor().Reset()
-		}
-		for tick := 0; tick < *ticksPer; tick++ {
-			driver.Step()
-		}
-		measured := meanTick(fl)
+		measured := stepMeanTick(driver, monitors)
 		// Two replicas with an even split: a = n/2.
 		predicted := mdl.TickTimeUneven(2, n, 0, n/2)
 		errPct := 0.0
@@ -151,12 +139,18 @@ func validateModel(res *calibrate.Result, fl *fleet.Fleet, driver *bots.FleetDri
 	return nil
 }
 
-func meanTick(fl *fleet.Fleet) float64 {
+// stepMeanTick runs -ticks ticks and returns their mean wall time (ms) over
+// every replica: the ticks of this load level only, where the monitors'
+// MeanTick would average a history window spanning several levels.
+func stepMeanTick(driver *bots.FleetDriver, monitors []*monitor.Monitor) float64 {
 	sum, n := 0.0, 0
-	for _, id := range fl.IDs() {
-		srv, _ := fl.Server(id)
-		sum += srv.Monitor().MeanTick()
-		n++
+	for tick := 0; tick < *ticksPer; tick++ {
+		driver.Step()
+		for _, m := range monitors {
+			bd := m.LastBreakdown()
+			sum += bd.Wall()
+			n++
+		}
 	}
 	if n == 0 {
 		return 0

@@ -140,10 +140,15 @@ func FromSamples(name string, samples []monitor.Sample, degrees map[monitor.Task
 	return res, nil
 }
 
-// FromMonitor calibrates from a live server's collected samples, with the
-// live game's degrees.
-func FromMonitor(name string, m *monitor.Monitor) (*Result, error) {
-	return FromSamples(name, m.Samples(), GameDegrees())
+// FromMonitor calibrates from the collected samples of one or more live
+// servers — pooled, as the paper pools both replicas of its testbed — with
+// the live game's degrees.
+func FromMonitor(name string, ms ...*monitor.Monitor) (*Result, error) {
+	var samples []monitor.Sample
+	for _, m := range ms {
+		samples = append(samples, m.Samples()...)
+	}
+	return FromSamples(name, samples, GameDegrees())
 }
 
 // Synthesize generates noisy calibration samples from a known ground-truth

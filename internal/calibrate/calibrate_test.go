@@ -2,6 +2,7 @@ package calibrate
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"roia/internal/model"
@@ -106,25 +107,29 @@ func TestFromSamplesOptionalTasksReportedMissing(t *testing.T) {
 }
 
 func TestFromMonitorEndToEnd(t *testing.T) {
-	// Feed a monitor synthetic per-tick breakdowns and calibrate from it. A
+	// Feed monitors synthetic per-tick breakdowns and calibrate from them. A
 	// live server runs this repository's game, whose t_ua is linear
 	// (GameDegrees); t_aoi keeps RTFDemo's quadratic.
 	truth := params.RTFDemo()
 	truth.UA = params.Linear(8e-4, 3e-7)
-	m := monitor.New()
-	m.SetCollecting(true)
-	for n := 20; n <= 300; n += 20 {
-		for rep := 0; rep < 3; rep++ {
-			var b monitor.Breakdown
-			b.Users = n
-			items := n
-			b.Add(monitor.UADeser, truth.UADeserAt(n, 0)*float64(items), items)
-			b.Add(monitor.UA, truth.UAAt(n, 0)*float64(items), items)
-			b.Add(monitor.AOI, truth.AOIAt(n, 0)*float64(items), items)
-			b.Add(monitor.SU, truth.SUAt(n, 0)*float64(items), items)
-			m.RecordTick(b)
+	feed := func(from, to, step int) *monitor.Monitor {
+		m := monitor.New()
+		m.SetCollecting(true)
+		for n := from; n <= to; n += step {
+			for rep := 0; rep < 3; rep++ {
+				var b monitor.Breakdown
+				b.Users = n
+				items := n
+				b.Add(monitor.UADeser, truth.UADeserAt(n, 0)*float64(items), items)
+				b.Add(monitor.UA, truth.UAAt(n, 0)*float64(items), items)
+				b.Add(monitor.AOI, truth.AOIAt(n, 0)*float64(items), items)
+				b.Add(monitor.SU, truth.SUAt(n, 0)*float64(items), items)
+				m.RecordTick(b)
+			}
 		}
+		return m
 	}
+	m := feed(20, 300, 20)
 	res, err := FromMonitor("live", m)
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +142,30 @@ func TestFromMonitorEndToEnd(t *testing.T) {
 	}
 	if got := res.Set.AOIAt(200, 0); math.Abs(got-truth.AOIAt(200, 0)) > 1e-6 {
 		t.Fatalf("t_aoi(200) = %g, truth %g", got, truth.AOIAt(200, 0))
+	}
+	// One monitor: exactly the fit of its own sample log.
+	want, err := FromSamples("live", m.Samples(), GameDegrees())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("FromMonitor(m) = %+v, want FromSamples(m.Samples()) = %+v", res, want)
+	}
+	// Two monitors (two replicas of one zone): the fit of the pooled logs.
+	m2 := feed(30, 270, 40)
+	pooled, err := FromMonitor("live", m, m2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = FromSamples("live", append(m.Samples(), m2.Samples()...), GameDegrees())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pooled, want) {
+		t.Fatalf("FromMonitor(m, m2) = %+v, want FromSamples over both logs = %+v", pooled, want)
+	}
+	if reflect.DeepEqual(pooled.Fits, res.Fits) {
+		t.Fatal("second monitor's samples left the fit untouched")
 	}
 }
 

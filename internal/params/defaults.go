@@ -17,7 +17,8 @@ const (
 // RTFDemo returns the calibrated parameter profile of the RTFDemo
 // first-person shooter, the paper's case-study application.
 //
-// The coefficients were produced by tools/paramtune so that, at
+// The coefficients come from a one-off search over the curve coefficients,
+// deleted since (`git show fc8f5f2:tools/` lists it), chosen so that, at
 // U = 40 ms, c = 0.15 and m = 0, the profile reproduces the paper's anchor
 // numbers exactly:
 //
@@ -34,8 +35,7 @@ const (
 // over all users), linear t_ua_dser, t_su, t_fa, t_fa_dser, t_mig_ini and
 // t_mig_rcv, and t_mig_ini > t_mig_rcv. Absolute magnitudes are anchored to
 // the thresholds above rather than to the authors' Core Duo testbed.
-// The anchor values are locked in by tests; regenerate with
-// `go run ./tools/paramtune` if the anchors or shapes ever change.
+// The anchor tests in this package pin the search's result.
 func RTFDemo() *Set {
 	return &Set{
 		Name:    "rtfdemo-fps",

@@ -61,9 +61,13 @@ func TestFleetCostMetricsExposition(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		h.step()
 	}
-	ct, ok := h.fl.CostTracker("server-1")
-	if !ok || ct == nil {
-		t.Fatalf("CostTracker(server-1) = %v, %v; want a tracker with CostTrackers on", ct, ok)
+	srv, ok := h.fl.Server("server-1")
+	if !ok {
+		t.Fatal("server-1 not running")
+	}
+	ct := srv.CostTracker()
+	if ct == nil {
+		t.Fatal("no cost tracker with CostTrackers on")
 	}
 	if ct.Ticks() == 0 {
 		t.Fatal("cost tracker recorded no ticks")
@@ -146,8 +150,7 @@ func TestQoSGCPauseRule(t *testing.T) {
 		}
 	}
 	if !found {
-		ct, _ := h.fl.CostTracker("server-1")
-		t.Fatalf("qos_gc_pause not active after forced in-tick GCs (snapshot %+v)", ct.Snapshot())
+		t.Fatalf("qos_gc_pause not active after forced in-tick GCs (snapshot %+v)", srv.CostTracker().Snapshot())
 	}
 }
 
@@ -177,8 +180,8 @@ func TestEgressPerUserCeilingRule(t *testing.T) {
 		}
 	}
 	if !found {
-		ct, _ := h.fl.CostTracker("server-1")
-		t.Fatalf("egress_per_user_ceiling not active under live traffic (snapshot %+v)", ct.Snapshot())
+		srv, _ := h.fl.Server("server-1")
+		t.Fatalf("egress_per_user_ceiling not active under live traffic (snapshot %+v)", srv.CostTracker().Snapshot())
 	}
 }
 

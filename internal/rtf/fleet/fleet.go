@@ -181,30 +181,6 @@ func (f *Fleet) Profiler(id string) (*telemetry.TaskProfiler, bool) {
 	return s.Profiler(), true
 }
 
-// FlightRecorder returns a running server's tick flight recorder (nil
-// unless FlightRecorders is on).
-func (f *Fleet) FlightRecorder(id string) (*telemetry.FlightRecorder, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.servers[id]
-	if !ok {
-		return nil, false
-	}
-	return s.FlightRecorder(), true
-}
-
-// CostTracker returns a running server's resource cost tracker (nil unless
-// CostTrackers is on).
-func (f *Fleet) CostTracker(id string) (*telemetry.CostTracker, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.servers[id]
-	if !ok {
-		return nil, false
-	}
-	return s.CostTracker(), true
-}
-
 // ObserveTaskDrift feeds every running server's measured per-phase costs
 // against the cost model's fitted curves into td (see
 // monitor.ObserveTaskDrift). Call it periodically, then export td via the

@@ -47,9 +47,12 @@ func TestFleetTailMetricsExposition(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		h.step()
 	}
-	rec, ok := h.fl.FlightRecorder("server-1")
-	if !ok || rec == nil {
-		t.Fatalf("FlightRecorder(server-1) = %v, %v; want a recorder with FlightRecorders on", rec, ok)
+	srv, ok := h.fl.Server("server-1")
+	if !ok {
+		t.Fatal("server-1 not running")
+	}
+	if srv.FlightRecorder() == nil {
+		t.Fatal("no flight recorder with FlightRecorders on")
 	}
 
 	c := fleet.NewCollector(h.fl)
@@ -83,7 +86,7 @@ func synthTicks(t *testing.T, h *harness, id string, n int, wallMS float64) {
 	if !ok {
 		t.Fatalf("server %s not running", id)
 	}
-	rec, _ := h.fl.FlightRecorder(id)
+	rec := srv.FlightRecorder()
 	for i := 0; i < n; i++ {
 		srv.Monitor().RecordTick(monitor.Breakdown{WallMS: wallMS, Users: 1})
 		if rec != nil {
@@ -120,8 +123,8 @@ func TestQoSTickHiccupRule(t *testing.T) {
 		}
 	}
 	if !found {
-		rec, _ := h.fl.FlightRecorder("server-1")
-		t.Fatalf("hiccup alert not active after stall burst (recorder hiccups=%d)", rec.Hiccups())
+		srv, _ := h.fl.Server("server-1")
+		t.Fatalf("hiccup alert not active after stall burst (recorder hiccups=%d)", srv.FlightRecorder().Hiccups())
 	}
 }
 

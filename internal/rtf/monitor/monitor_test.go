@@ -224,8 +224,8 @@ func TestCPUWallSplit(t *testing.T) {
 	if got := m.MeanTick(); got != 6 {
 		t.Fatalf("MeanTick = %v, want wall 6", got)
 	}
-	if got := m.MeanTickCPU(); got != 16 {
-		t.Fatalf("MeanTickCPU = %v, want CPU sum 16", got)
+	if got := m.TickCPUSummary().Mean; got != 16 {
+		t.Fatalf("TickCPUSummary().Mean = %v, want CPU sum 16", got)
 	}
 	if got := m.DeadlineViolations(); got != 0 {
 		t.Fatalf("violations = %d; a 6 ms wall tick must not violate a 10 ms deadline even at 16 ms CPU", got)

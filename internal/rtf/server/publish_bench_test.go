@@ -136,7 +136,6 @@ func benchServer(b *testing.B, n int, parallelism int, place func(i int) entity.
 // every user — with a dirty world. The publish stage dominates; the whole
 // tick must be allocation-free in steady state.
 func BenchmarkPublish(b *testing.B) {
-	// "delta" is the key BENCH_5.json holds.
 	for _, bc := range []struct {
 		name  string
 		n     int

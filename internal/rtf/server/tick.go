@@ -455,7 +455,7 @@ func (s *Server) Tick() {
 	br.BytesOut = s.tickBytesOut
 	// TimeMS sums CPU time across workers; WallMS is the elapsed tick time.
 	// With Parallelism > 1 the two diverge, and their ratio is the live
-	// speedup reported by Monitor.MeanTickCPU / mean wall.
+	// speedup reported by Monitor.TickCPUSummary / MeanTick.
 	br.WallMS = s.exec.since(tickStart)
 	s.mon.RecordTick(br)
 	var tickCost telemetry.TickCost

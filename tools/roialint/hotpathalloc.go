@@ -12,7 +12,7 @@ import (
 // functions — everything the call graph reaches synchronously from
 // Server.Tick or an executor worker closure. Allocation on that path is
 // deferred latency: it surfaces as GC pauses in exactly the tick tails the
-// variability harness measures (ROADMAP item 2, zero-allocation hot path).
+// flight recorder captures and bench/ reports.
 //
 // Five allocation kinds are tracked: fmt formatting calls, non-constant
 // string concatenation, interface boxing at call boundaries, appends onto
