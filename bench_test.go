@@ -233,10 +233,10 @@ func BenchmarkAoIIncremental(b *testing.B) {
 
 // --- observability overhead ablation -----------------------------------------
 
-// BenchmarkInstrumentedTick measures the full tick loop bare and with every
-// per-tick observability hook attached (tick tracer, per-phase task
-// profiler, QoS deadline accounting, and bots measuring input→update RTT
-// from the echoed acks). Diffing the two sub-benchmarks bounds the cost of
+// BenchmarkInstrumentedTick measures the full tick loop bare and with the
+// per-tick observers cmd/roiaserver attaches (the flight recorder, whose
+// TickRecord ring also serves the tick trace, and the cost tracker), plus
+// bots measuring input→update RTT from the echoed acks. Diffing the two sub-benchmarks bounds the cost of
 // the instrumentation itself; the design target is under 5% on the hot
 // path, since the point of the telemetry is to watch production ticks, not
 // to perturb them.
@@ -258,8 +258,8 @@ func BenchmarkInstrumentedTick(b *testing.B) {
 				App: game.New(game.DefaultConfig()), IDPrefix: 1, Seed: 1,
 			}
 			if mode.instrumented {
-				cfg.Tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
-				cfg.Profiler = telemetry.NewTaskProfiler()
+				cfg.FlightRec = telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
+				cfg.Cost = telemetry.NewCostTracker()
 			}
 			srv, err := server.New(cfg)
 			if err != nil {

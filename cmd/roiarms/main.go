@@ -79,14 +79,13 @@ func run() error {
 	}
 	tickInterval := time.Second / time.Duration(*tpsFlag)
 	fl, err := fleet.New(fleet.Config{
-		Network:       net,
-		Zone:          1,
-		Assignment:    zone.NewAssignment(),
-		NewApp:        func() server.Application { return game.New(game.DefaultConfig()) },
-		Seed:          *seedFlag,
-		Events:        eventSinkOrNil(events),
-		TickInterval:  tickInterval,
-		ProfilePhases: *fleetMetFlag != "",
+		Network:      net,
+		Zone:         1,
+		Assignment:   zone.NewAssignment(),
+		NewApp:       func() server.Application { return game.New(game.DefaultConfig()) },
+		Seed:         *seedFlag,
+		Events:       eventSinkOrNil(events),
+		TickInterval: tickInterval,
 		// Flight recorders are bounded rings, so they stay on: the hiccup
 		// alert rule and the collector's tail counters need them, and a
 		// stalled replica leaves a capture to inspect after the session.

@@ -13,26 +13,23 @@
 // zone users, mean tick duration, and the per-task model parameters
 // measured by the RTF hooks.
 //
-// With -metrics the server also exposes an observability endpoint:
-// Prometheus metrics (tick histogram, QoS deadline violations, windowed
-// tail quantiles, hiccup counters, per-phase task profile, model-drift
-// gauges — aggregate and per-task — cost attribution when -cost is on
-// (per-stage allocation counters, GC pause totals and quantiles,
-// per-type egress bytes, payload-size and AoI-churn quantiles), and Go
-// runtime stats) on /metrics,
-// the tick trace ring on /debug/ticktrace, flight-recorder captures as
-// JSONL on /debug/flightrec, and pprof on /debug/pprof/. With -trace-out
-// the trace ring is written as Chrome trace-event JSON at shutdown,
-// loadable in Perfetto; with -flightrec-out the flight-recorder captures
-// (pre/post windows around deadline-violating or hiccup ticks) are
-// written as JSONL at shutdown.
+// Every tick's TickRecord lands in the flight recorder's ring. With
+// -metrics the server also exposes an observability endpoint: Prometheus
+// metrics (QoS deadline violations, windowed tail quantiles, hiccup
+// counters, model-drift gauges — aggregate and per-task — cost
+// attribution when -cost is on, and Go runtime stats) on /metrics, the
+// ring's recent ticks as a trace on /debug/ticktrace, flight-recorder
+// captures as JSONL on /debug/flightrec, and pprof on /debug/pprof/. With
+// -trace-out the ring is written as Chrome trace-event JSON at shutdown,
+// loadable in Perfetto; with -flightrec-out the captures (pre/post
+// windows around deadline-violating or hiccup ticks) are written as JSONL
+// at shutdown.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -64,7 +61,6 @@ var (
 	quietFlag   = flag.Bool("quiet", false, "suppress the per-second monitoring line")
 	metricsFlag = flag.String("metrics", "", "serve metrics/pprof/ticktrace on this address (e.g. 127.0.0.1:9100)")
 	traceFlag   = flag.String("trace-out", "", "write the tick trace as Chrome trace JSON to this file at shutdown")
-	traceCap    = flag.Int("trace-cap", telemetry.DefaultTraceCapacity, "tick traces kept in the ring buffer")
 	flightOut   = flag.String("flightrec-out", "", "write flight-recorder captures as JSONL to this file at shutdown")
 	hiccupK     = flag.Float64("hiccup-k", telemetry.DefaultHiccupK, "flag a tick as a hiccup when its wall time exceeds k x the rolling median")
 	costFlag    = flag.Bool("cost", true, "track per-stage allocation, GC attribution, per-client egress, and AoI churn")
@@ -101,8 +97,6 @@ func run() error {
 		}
 	}
 
-	tracer := telemetry.NewTracer(*traceCap)
-	profiler := telemetry.NewTaskProfiler()
 	flightRec := telemetry.NewFlightRecorder(telemetry.FlightRecConfig{K: *hiccupK})
 	var cost *telemetry.CostTracker
 	if *costFlag {
@@ -116,8 +110,6 @@ func run() error {
 		IDPrefix:     uint16(*prefixFlag),
 		Seed:         *seedFlag,
 		TickInterval: *tickFlag,
-		Tracer:       tracer,
-		Profiler:     profiler,
 		FlightRec:    flightRec,
 		Cost:         cost,
 		Parallelism:  *parFlag,
@@ -145,7 +137,7 @@ func run() error {
 	go trackDrift(ctx, srv.Monitor(), drift, taskDrift, *tickFlag)
 
 	if *metricsFlag != "" {
-		if err := serveMetrics(ctx, srv.Monitor(), drift, taskDrift, profiler, tracer, flightRec, cost); err != nil {
+		if err := serveMetrics(ctx, srv.Monitor(), drift, taskDrift, flightRec, cost); err != nil {
 			return err
 		}
 	}
@@ -159,10 +151,11 @@ func run() error {
 		return err
 	}
 	if *traceFlag != "" {
-		if err := dumpTrace(tracer, *traceFlag); err != nil {
+		n, err := dumpTrace(flightRec, *traceFlag)
+		if err != nil {
 			return fmt.Errorf("trace-out: %w", err)
 		}
-		fmt.Printf("wrote %d tick traces to %s\n", tracer.Len(), *traceFlag)
+		fmt.Printf("wrote %d tick traces to %s\n", n, *traceFlag)
 	}
 	if *flightOut != "" {
 		if err := dumpFlightRec(flightRec, *flightOut); err != nil {
@@ -175,14 +168,14 @@ func run() error {
 }
 
 // serveMetrics starts the observability HTTP server: Prometheus metrics,
-// the tick trace ring, and pprof. It shuts down gracefully when ctx ends.
-func serveMetrics(ctx context.Context, mon *monitor.Monitor, drift *telemetry.Drift, taskDrift *telemetry.TaskDrift, profiler *telemetry.TaskProfiler, tracer *telemetry.Tracer, flightRec *telemetry.FlightRecorder, cost *telemetry.CostTracker) error {
+// the flight recorder's tick trace and captures, and pprof. It shuts down
+// gracefully when ctx ends.
+func serveMetrics(ctx context.Context, mon *monitor.Monitor, drift *telemetry.Drift, taskDrift *telemetry.TaskDrift, flightRec *telemetry.FlightRecorder, cost *telemetry.CostTracker) error {
 	labels := fmt.Sprintf("server=%q,zone=\"%d\"", *idFlag, *zoneFlag)
 	writers := []telemetry.MetricsWriter{
 		mon.WriteMetrics,
 		drift.WriteMetrics,
 		taskDrift.WriteMetrics,
-		profiler.WriteMetrics,
 		flightRec.WriteMetrics,
 		telemetry.WriteRuntimeMetrics,
 	}
@@ -192,7 +185,7 @@ func serveMetrics(ctx context.Context, mon *monitor.Monitor, drift *telemetry.Dr
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", telemetry.MetricsHandler(labels, writers...))
 	mux.Handle("/healthz", telemetry.ReadyHandler(func() bool { return mon.Ticks() > 0 }))
-	mux.Handle("/debug/ticktrace", telemetry.TraceHandler(tracer))
+	mux.Handle("/debug/ticktrace", telemetry.TraceHandler(flightRec))
 	mux.Handle("/debug/flightrec", telemetry.FlightRecHandler(flightRec))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -271,17 +264,19 @@ func dumpFlightRec(rec *telemetry.FlightRecorder, path string) error {
 	return f.Close()
 }
 
-// dumpTrace writes the trace ring as Chrome trace-event JSON.
-func dumpTrace(tracer *telemetry.Tracer, path string) error {
+// dumpTrace writes the flight recorder's ring as Chrome trace-event JSON
+// and reports how many ticks it wrote.
+func dumpTrace(rec *telemetry.FlightRecorder, path string) (int, error) {
+	recs := rec.Last(0)
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := telemetry.WriteChromeTrace(io.Writer(f), tracer.Last(0)); err != nil {
+	if err := telemetry.WriteChromeTrace(f, recs); err != nil {
 		_ = f.Close() // the write error is the one worth reporting
-		return err
+		return 0, err
 	}
-	return f.Close()
+	return len(recs), f.Close()
 }
 
 // npcPos spreads initial NPCs deterministically over the world.

@@ -270,7 +270,7 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 				prev := tickPrev[id]
 				tickPrev[id] = cur
 				if cur.ticks <= prev.ticks {
-					continue // no new ticks (or monitor reset)
+					continue // no new ticks
 				}
 				rate := float64(cur.violations-prev.violations) / float64(cur.ticks-prev.ticks)
 				if rate <= cfg.QoSViolationRate {
@@ -317,7 +317,7 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 				prev := hicPrev[id]
 				hicPrev[id] = cur
 				if cur.ticks <= prev.ticks {
-					continue // no new ticks (or monitor reset)
+					continue // no new ticks
 				}
 				rate := float64(cur.hiccups-prev.hiccups) / float64(cur.ticks-prev.ticks)
 				if rate <= cfg.HiccupRate {

@@ -68,10 +68,6 @@ type Config struct {
 	// frozen into JSONL-exportable captures. The collector exports each
 	// replica's hiccup and capture counters with the fleet metrics.
 	FlightRecorders bool
-	// ProfilePhases gives every spawned server a telemetry.TaskProfiler
-	// attributing each tick to the model's four task phases (see
-	// server.Config.Profiler and Fleet.Profiler).
-	ProfilePhases bool
 	// CostTrackers gives every spawned server a telemetry.CostTracker
 	// attributing per-stage heap allocations, in-tick GC pauses, framed
 	// egress bytes (per message type and per client), and AoI churn (see
@@ -167,18 +163,6 @@ func (f *Fleet) MigEvents() map[string][]telemetry.MigEvent {
 		out[id] = tr.Events()
 	}
 	return out
-}
-
-// Profiler returns a running server's phase profiler (nil unless
-// ProfilePhases is on).
-func (f *Fleet) Profiler(id string) (*telemetry.TaskProfiler, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.servers[id]
-	if !ok {
-		return nil, false
-	}
-	return s.Profiler(), true
 }
 
 // ObserveTaskDrift feeds every running server's measured per-phase costs
@@ -358,10 +342,6 @@ func (f *Fleet) AddReplica() (string, error) {
 	if f.cfg.TraceMigrations {
 		migTrace = telemetry.NewMigTracer(f.cfg.MigTraceCapacity)
 	}
-	var profiler *telemetry.TaskProfiler
-	if f.cfg.ProfilePhases {
-		profiler = telemetry.NewTaskProfiler()
-	}
 	var flightRec *telemetry.FlightRecorder
 	if f.cfg.FlightRecorders {
 		flightRec = telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
@@ -381,7 +361,6 @@ func (f *Fleet) AddReplica() (string, error) {
 		TickInterval: f.cfg.TickInterval,
 		Parallelism:  f.cfg.Parallelism,
 		MigTrace:     migTrace,
-		Profiler:     profiler,
 		FlightRec:    flightRec,
 		Cost:         cost,
 		Events:       f.cfg.Events,

@@ -18,8 +18,6 @@ import (
 // Exported families:
 //
 //	roia_ticks_total                       counter, processed ticks
-//	roia_tick_duration_ms                  histogram of tick durations
-//	                                       (cumulative buckets, sum, count)
 //	roia_tick_stat_ms{stat=...}            mean/p50/p95/p99/max of recent
 //	                                       tick wall durations
 //	roia_tick_wall_q_ms{q=...}             windowed tail gauges of tick wall
@@ -48,7 +46,6 @@ func (m *Monitor) WriteMetrics(w io.Writer, labels string) error {
 	tickSummary := m.tickTotals.Summary()
 	cpuSummary := m.tickCPU.Summary()
 	tailQ := m.tail.Quantiles()
-	hist := m.tickHist.Clone()
 	last := m.lastBreak
 	type taskStat struct {
 		task Task
@@ -72,10 +69,6 @@ func (m *Monitor) WriteMetrics(w io.Writer, labels string) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# TYPE roia_ticks_total counter\n")
 	fmt.Fprintf(&b, "roia_ticks_total%s %d\n", lbl(""), ticks)
-
-	if err := hist.Write(&b, "roia_tick_duration_ms", labels); err != nil {
-		return err
-	}
 
 	fmt.Fprintf(&b, "# TYPE roia_tick_stat_ms gauge\n")
 	for _, st := range []struct {

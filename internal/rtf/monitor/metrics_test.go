@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http/httptest"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -34,9 +33,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		`roia_ticks_total{server="s1"} 1`,
 		`roia_tick_stat_ms{server="s1",stat="mean"} 9`,
-		`roia_tick_duration_ms_bucket{server="s1",le="10"} 1`,
-		`roia_tick_duration_ms_sum{server="s1"} 9`,
-		`roia_tick_duration_ms_count{server="s1"} 1`,
+		`roia_tick_wall_q_ms{server="s1",q="p50"} 9`,
 		`roia_task_ms{server="s1",task="t_ua",stat="mean"} 0.1`,
 		`roia_task_ms{server="s1",task="t_aoi",stat="mean"} 0.05`,
 		`roia_zone_users{server="s1"} 120`,
@@ -55,9 +52,6 @@ func TestWriteMetricsExposition(t *testing.T) {
 	if !strings.Contains(out, "# TYPE roia_tick_stat_ms gauge") {
 		t.Fatal("missing TYPE header")
 	}
-	if !strings.Contains(out, "# TYPE roia_tick_duration_ms histogram") {
-		t.Fatal("missing histogram TYPE header")
-	}
 }
 
 var (
@@ -68,9 +62,7 @@ var (
 
 // TestWriteMetricsExpositionGrammar parses the exposition line by line:
 // every sample must follow the text-format grammar, carry well-formed
-// quoted labels, belong to a declared # TYPE family, and the histogram's
-// cumulative buckets must be monotonically non-decreasing and end at the
-// series count.
+// quoted labels, and belong to a declared # TYPE family.
 func TestWriteMetricsExpositionGrammar(t *testing.T) {
 	m := seededMonitor()
 	var sb strings.Builder
@@ -78,9 +70,6 @@ func TestWriteMetricsExpositionGrammar(t *testing.T) {
 		t.Fatal(err)
 	}
 	declared := map[string]string{} // family -> kind
-	var bucketPrev uint64
-	var bucketLast, histCount uint64
-	sawInf := false
 	for _, line := range strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {
 			tm := typeLine.FindStringSubmatch(line)
@@ -98,16 +87,7 @@ func TestWriteMetricsExpositionGrammar(t *testing.T) {
 			t.Fatalf("malformed sample line %q", line)
 		}
 		name, labels := sm[1], sm[2]
-		// Every sample must belong to a declared family; histogram series
-		// use the family name plus _bucket/_sum/_count.
-		family := name
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			if base := strings.TrimSuffix(name, suffix); base != name && declared[base] == "histogram" {
-				family = base
-			}
-		}
-		kind, ok := declared[family]
-		if !ok {
+		if _, ok := declared[name]; !ok {
 			t.Fatalf("sample %q has no # TYPE declaration", name)
 		}
 		if labels != "" {
@@ -117,29 +97,6 @@ func TestWriteMetricsExpositionGrammar(t *testing.T) {
 				}
 			}
 		}
-		if kind == "histogram" && strings.HasSuffix(name, "_bucket") {
-			v, err := strconv.ParseUint(sm[3], 10, 64)
-			if err != nil {
-				t.Fatalf("non-integer bucket value in %q", line)
-			}
-			if v < bucketPrev {
-				t.Fatalf("bucket counts not cumulative: %d after %d", v, bucketPrev)
-			}
-			bucketPrev = v
-			bucketLast = v
-			if strings.Contains(labels, `le="+Inf"`) {
-				sawInf = true
-			}
-		}
-		if name == "roia_tick_duration_ms_count" {
-			histCount, _ = strconv.ParseUint(sm[3], 10, 64)
-		}
-	}
-	if !sawInf {
-		t.Fatal("histogram lacks an le=\"+Inf\" bucket")
-	}
-	if bucketLast != histCount {
-		t.Fatalf("last bucket %d != histogram count %d", bucketLast, histCount)
 	}
 }
 
@@ -152,8 +109,8 @@ func TestWriteMetricsNoLabels(t *testing.T) {
 	if !strings.Contains(sb.String(), "roia_ticks_total 1") {
 		t.Fatalf("unlabeled sample missing:\n%s", sb.String())
 	}
-	if !strings.Contains(sb.String(), `roia_tick_duration_ms_bucket{le="+Inf"} 1`) {
-		t.Fatalf("unlabeled histogram bucket missing:\n%s", sb.String())
+	if !strings.Contains(sb.String(), `roia_tick_wall_q_ms{q="p50"} 9`) {
+		t.Fatalf("unlabeled tail gauge missing:\n%s", sb.String())
 	}
 }
 

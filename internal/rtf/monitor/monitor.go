@@ -153,9 +153,9 @@ type Sample struct {
 }
 
 // Monitor aggregates tick breakdowns for one server. It keeps a bounded
-// recent history (for threshold decisions by the resource manager), a
-// cumulative tick-duration histogram (for tail analysis via /metrics), and
-// a calibration sample log (enabled on demand, capped at SampleLimit).
+// recent history (for threshold decisions by the resource manager),
+// windowed tick-duration tail quantiles (via /metrics), and a calibration
+// sample log (enabled on demand, capped at SampleLimit).
 // Monitor is safe for concurrent use: the real-time loop records while the
 // resource manager reads.
 type Monitor struct {
@@ -167,7 +167,6 @@ type Monitor struct {
 	tickTotals *stats.Reservoir
 	tickCPU    *stats.Reservoir
 	perTask    [numTasks]*stats.Reservoir
-	tickHist   *telemetry.Histogram
 	// tail tracks windowed wall-duration quantiles (p50…p99.9) over the
 	// recent past — the QoS deadline is a tail constraint, and a cumulative
 	// histogram buries a ten-minute incident under hours of healthy ticks.
@@ -214,7 +213,6 @@ func New() *Monitor {
 	m := &Monitor{
 		tickTotals:  stats.NewReservoir(HistorySize),
 		tickCPU:     stats.NewReservoir(HistorySize),
-		tickHist:    telemetry.NewHistogram(telemetry.DefTickBuckets()...),
 		tail:        telemetry.NewTailTracker(0),
 		sampleLimit: DefaultSampleLimit,
 	}
@@ -270,7 +268,7 @@ func (m *Monitor) DeadlineMS() float64 {
 }
 
 // DeadlineViolations reports how many recorded ticks exceeded the
-// deadline. The counter is cumulative until Reset.
+// deadline. The counter is cumulative.
 func (m *Monitor) DeadlineViolations() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -284,13 +282,12 @@ func (m *Monitor) RecordTick(b Breakdown) {
 	m.ticks++
 	m.lastUsers = b.Users
 	m.lastBreak = b
-	// The deadline, histogram, and recent-tick stats are wall-facing:
+	// The deadline, tail, and recent-tick stats are wall-facing:
 	// they must reflect what a parallel tick actually took, not the CPU
 	// it burned across workers. Per-item curves below stay CPU-facing.
 	wall := b.Wall()
 	m.tickTotals.Add(wall)
 	m.tickCPU.Add(b.Total())
-	m.tickHist.Observe(wall)
 	m.tail.Observe(wall)
 	if m.deadlineMS > 0 && wall > m.deadlineMS {
 		m.violations++
@@ -389,32 +386,6 @@ func (m *Monitor) SamplesFor(t Task) []Sample {
 		}
 	}
 	return out
-}
-
-// Reset clears all history and samples.
-func (m *Monitor) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ticks = 0
-	m.samples = nil
-	m.traffic = nil
-	m.dropped = 0
-	m.violations = 0
-	m.tickTotals = stats.NewReservoir(HistorySize)
-	m.tickCPU = stats.NewReservoir(HistorySize)
-	m.tickHist = telemetry.NewHistogram(telemetry.DefTickBuckets()...)
-	m.tail = telemetry.NewTailTracker(0)
-	for i := range m.perTask {
-		m.perTask[i] = stats.NewReservoir(HistorySize)
-	}
-}
-
-// TickHistogram returns a snapshot of the cumulative tick-duration
-// histogram (ms).
-func (m *Monitor) TickHistogram() *telemetry.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tickHist.Clone()
 }
 
 // TailQuantiles snapshots the windowed tick wall-duration quantiles

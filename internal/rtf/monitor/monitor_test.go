@@ -89,18 +89,6 @@ func TestMonitorSampleCollection(t *testing.T) {
 	}
 }
 
-func TestMonitorReset(t *testing.T) {
-	m := New()
-	m.SetCollecting(true)
-	var b Breakdown
-	b.Add(UA, 1, 1)
-	m.RecordTick(b)
-	m.Reset()
-	if m.Ticks() != 0 || len(m.Samples()) != 0 || m.MeanTick() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestMonitorConcurrentAccess(t *testing.T) {
 	m := New()
 	m.SetCollecting(true)
@@ -160,11 +148,6 @@ func TestMonitorSampleLimit(t *testing.T) {
 	if got := m.DroppedSamples(); got != 8 {
 		t.Fatalf("dropped = %d, want 8 (5 task + 3 traffic)", got)
 	}
-	// Reset clears the counter and frees the logs.
-	m.Reset()
-	if m.DroppedSamples() != 0 || len(m.Samples()) != 0 {
-		t.Fatal("Reset did not clear the sample logs")
-	}
 }
 
 func TestMonitorSampleLimitDefault(t *testing.T) {
@@ -179,29 +162,6 @@ func TestMonitorSampleLimitDefault(t *testing.T) {
 	}
 	if m.DroppedSamples() != 0 {
 		t.Fatal("default limit dropped samples")
-	}
-}
-
-func TestMonitorTickHistogram(t *testing.T) {
-	m := New()
-	for _, ms := range []float64{1, 3, 50} {
-		var b Breakdown
-		b.Add(UA, ms, 1)
-		m.RecordTick(b)
-	}
-	h := m.TickHistogram()
-	if h.Count() != 3 {
-		t.Fatalf("histogram count = %d, want 3", h.Count())
-	}
-	if h.Sum() != 54 {
-		t.Fatalf("histogram sum = %g, want 54", h.Sum())
-	}
-	// The returned histogram is a snapshot: further ticks don't mutate it.
-	var b Breakdown
-	b.Add(UA, 1, 1)
-	m.RecordTick(b)
-	if h.Count() != 3 {
-		t.Fatal("TickHistogram returned a live reference")
 	}
 }
 

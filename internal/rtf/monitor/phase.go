@@ -25,34 +25,6 @@ func PhaseOf(t Task) (telemetry.Phase, bool) {
 	}
 }
 
-// PhaseBreakdown folds the nine timed tasks of one tick into the four
-// model phases: per-phase total time (ms) and item counts. Item counts of
-// the merged tasks within a phase are not summed — the deser+apply halves
-// process the same items, so the count is the max over the phase's tasks.
-// Migration time is excluded (it is not part of the loop body the model's
-// Eq. 1 predicts).
-func (b *Breakdown) PhaseBreakdown() (durMS [telemetry.NumPhases]float64, items [telemetry.NumPhases]int) {
-	for t := Task(0); t < numTasks; t++ {
-		p, ok := PhaseOf(t)
-		if !ok {
-			continue
-		}
-		durMS[p] += b.TimeMS[t]
-		if b.Items[t] > items[p] {
-			items[p] = b.Items[t]
-		}
-	}
-	return durMS, items
-}
-
-// phaseTasks lists each phase's constituent tasks, in loop order.
-var phaseTasks = [telemetry.NumPhases][]Task{
-	telemetry.PhaseUserInput:      {UADeser, UA},
-	telemetry.PhaseForwardedInput: {FADeser, FA},
-	telemetry.PhaseNPCUpdate:      {NPC},
-	telemetry.PhaseAOISU:          {AOI, SU},
-}
-
 // phasePredicted returns the model's per-item cost of one phase at
 // workload (n, m): the sum of its constituent task curves.
 func phasePredicted(cost model.CostModel, p telemetry.Phase, n, m int) float64 {
@@ -81,29 +53,22 @@ func (m *Monitor) ObserveTaskDrift(cost model.CostModel, td *telemetry.TaskDrift
 	}
 	m.mu.Lock()
 	n, npcs := m.lastBreak.Users, m.lastBreak.NPCs
-	type obs struct {
-		phase    telemetry.Phase
-		measured float64
-		ok       bool
-	}
-	var all [telemetry.NumPhases]obs
-	for p := telemetry.Phase(0); int(p) < telemetry.NumPhases; p++ {
-		sum, any := 0.0, false
-		for _, t := range phaseTasks[p] {
-			s := m.perTask[t].Summary()
-			if s.Count == 0 {
-				continue
-			}
-			sum += s.Mean
-			any = true
-		}
-		all[p] = obs{phase: p, measured: sum, ok: any}
-	}
-	m.mu.Unlock()
-	for _, o := range all {
-		if !o.ok {
+	var measured [telemetry.NumPhases]float64
+	var seen [telemetry.NumPhases]bool
+	for t := Task(0); t < numTasks; t++ {
+		p, ok := PhaseOf(t)
+		if !ok {
 			continue
 		}
-		td.Observe(o.phase.String(), phasePredicted(cost, o.phase, n, npcs), o.measured)
+		if s := m.perTask[t].Summary(); s.Count > 0 {
+			measured[p] += s.Mean
+			seen[p] = true
+		}
+	}
+	m.mu.Unlock()
+	for p := telemetry.Phase(0); int(p) < telemetry.NumPhases; p++ {
+		if seen[p] {
+			td.Observe(p.String(), phasePredicted(cost, p, n, npcs), measured[p])
+		}
 	}
 }

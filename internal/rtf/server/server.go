@@ -78,23 +78,14 @@ type Config struct {
 	// avatars would otherwise haunt the zone forever. 0 disables eviction.
 	// At 25 Hz, 250 ticks ≈ 10 s of silence.
 	IdleTimeoutTicks uint64
-	// Tracer, when set, records a per-task span decomposition of every tick
-	// into its bounded ring buffer (exportable as Chrome trace_event JSON
-	// via telemetry.TraceHandler — see cmd/roiaserver's /debug/ticktrace).
-	// The spans are synthesized from the same Breakdown the Monitor
-	// ingests, so tracing adds no extra clock reads to the hot loop.
-	Tracer *telemetry.Tracer
-	// Profiler, when set, aggregates each tick's task timings into the
-	// four model phases (user_input, forwarded_input, npc_update, aoi_su)
-	// with per-phase latency distributions. Like the Tracer it reuses the
-	// Breakdown already timed for the Monitor — no extra clock reads.
-	Profiler *telemetry.TaskProfiler
-	// FlightRec, when set, receives one telemetry.TickRecord per tick and
-	// freezes a pre/post window around deadline-violating or hiccup ticks
-	// into immutable captures (exportable as JSONL via
-	// telemetry.FlightRecHandler — see cmd/roiaserver's /debug/flightrec).
-	// Like the Tracer it reuses the Breakdown already timed for the
-	// Monitor, so recording adds no clock reads to the hot loop.
+	// FlightRec, when set, receives one telemetry.TickRecord per tick —
+	// the per-task span decomposition plus workload gauges — into its
+	// bounded ring, read as a tick trace (telemetry.TraceHandler, see
+	// cmd/roiaserver's /debug/ticktrace), and freezes a pre/post window
+	// around deadline-violating or hiccup ticks into immutable captures
+	// (telemetry.FlightRecHandler, /debug/flightrec). The record reuses the
+	// Breakdown already timed for the Monitor, so recording adds no clock
+	// reads to the hot loop.
 	FlightRec *telemetry.FlightRecorder
 	// Cost, when set, receives the tick pipeline's resource attribution:
 	// per-stage heap-allocation deltas and in-tick GC pauses sampled from
@@ -272,18 +263,12 @@ func (s *Server) Zone() zone.ID { return s.cfg.Zone }
 // Monitor exposes the server's timing monitor.
 func (s *Server) Monitor() *monitor.Monitor { return s.mon }
 
-// Tracer exposes the server's tick tracer (nil unless configured).
-func (s *Server) Tracer() *telemetry.Tracer { return s.cfg.Tracer }
-
 // FlightRecorder exposes the server's tick flight recorder (nil unless
 // configured).
 func (s *Server) FlightRecorder() *telemetry.FlightRecorder { return s.cfg.FlightRec }
 
 // MigTrace exposes the server's migration tracer (nil unless configured).
 func (s *Server) MigTrace() *telemetry.MigTracer { return s.cfg.MigTrace }
-
-// Profiler exposes the server's phase profiler (nil unless configured).
-func (s *Server) Profiler() *telemetry.TaskProfiler { return s.cfg.Profiler }
 
 // CostTracker exposes the server's resource cost tracker (nil unless
 // configured).

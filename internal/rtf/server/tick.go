@@ -62,14 +62,19 @@ type pubItem struct {
 	entered, left int
 }
 
-// Tick executes one iteration of the real-time loop:
+// Tick executes one iteration of the real-time loop, one stage method per
+// step:
 //
-//  1. receive and deserialize inputs from connected users, forwarded
-//     inputs and shadow updates from peer replicas, and migration traffic;
-//  2. compute the new application state (apply user inputs, apply
-//     forwarded inputs, update NPCs);
-//  3. send the newly computed state to connected users (area-of-interest
-//     filtered) and to the other replicas of the zone.
+//  1. receive: drain the inbox and deserialize inputs, forwarded inputs
+//     and shadow updates;
+//  2. applyFrames: in arrival order, queue inputs and forwards and apply
+//     shadow updates, migration traffic, joins and leaves;
+//  3. simulate: apply user inputs and forwarded inputs, update NPCs;
+//  4. housekeep: idle eviction, zone handoffs, ordered migrations;
+//  5. publish: area-of-interest filtered state updates to users;
+//  6. replicate: shadow updates to peer replicas, then flush the outbox;
+//  7. record: feed the tick's Breakdown to the Monitor and its TickRecord
+//     to the flight recorder.
 //
 // Every task is timed into the paper's model parameters via the Monitor:
 // t_ua_dser/t_ua for user inputs, t_fa_dser/t_fa for forwarded inputs and
@@ -90,23 +95,43 @@ func (s *Server) Tick() {
 	s.env.Tick = s.tick
 	s.tickBytesOut = 0
 	var br monitor.Breakdown
-	cost := s.cfg.Cost
-	if cost != nil {
-		cost.BeginTick()
+	if s.cfg.Cost != nil {
+		s.cfg.Cost.BeginTick()
 	}
+	// receive, simulate and publish fan out over the executor with s.mu
+	// held: the pool's wake channels are buffered and drained by the
+	// previous run's wg.Wait, so the sends never block, and workers never
+	// take s.mu.
+	frames := s.receive(&br) //roialint:ignore lockhold executor wake sends never block (above)
+	s.endStage(telemetry.CostStageDecode)
+	s.applyFrames(&br, frames)
+	s.simulate(&br) //roialint:ignore lockhold executor wake sends never block (above)
+	s.endStage(telemetry.CostStageSimulate)
+	s.housekeep(&br)
+	s.publish(&br) //roialint:ignore lockhold executor wake sends never block (above)
+	s.replicate(&br)
+	s.endStage(telemetry.CostStagePublish)
+	s.record(tickStart, &br, len(frames))
+}
 
-	// --- Step 1: receive + decode stage ---
-	//
-	// Deserialization of input, forwarded-input and shadow-update frames is
-	// side-effect-free, so it fans out over the executor: worker k decodes a
-	// contiguous chunk of frames into indexed slots, timing each item with
-	// the executor's injected clock. The apply stage below then walks the
-	// frames in their original order, merging the slot accounting into the
-	// Breakdown and performing every state mutation sequentially — so the
-	// observable effects are identical to the seed's single loop.
-	// The frame buffer is owned by the server and reused across ticks:
-	// frames are dead once the apply stage below finishes, so last tick's
-	// capacity serves this tick without reallocating.
+// endStage closes one cost-attribution stage when cost tracking is on.
+func (s *Server) endStage(stage string) {
+	if s.cfg.Cost != nil {
+		s.cfg.Cost.EndStage(stage)
+	}
+}
+
+// receive is the receive + decode stage. Deserialization of input,
+// forwarded-input and shadow-update frames is side-effect-free, so it fans
+// out over the executor: worker k decodes a contiguous chunk of frames into
+// indexed slots, timing each item with the executor's injected clock.
+// applyFrames then walks the frames in their original order, merging the
+// slot accounting into the Breakdown and performing every state mutation
+// sequentially — so the observable effects are identical to one sequential
+// loop. The frame buffer is owned by the server and reused across ticks:
+// frames are dead once the tick finishes, so last tick's capacity serves
+// this tick without reallocating.
+func (s *Server) receive(br *monitor.Breakdown) []transport.Frame {
 	frames := transport.DrainInto(s.cfg.Node, s.frameBuf[:0], 0)
 	s.frameBuf = frames
 	for _, f := range frames {
@@ -117,15 +142,16 @@ func (s *Server) Tick() {
 	if cap(s.decBuf) < len(frames) {
 		s.decBuf = make([]decodedFrame, len(frames))
 	}
-	dec := s.decBuf[:len(frames)]
-	clear(dec)
-	//roialint:ignore lockhold the pool's wake channels are buffered and drained by the previous run's wg.Wait, so the send never blocks; workers never take s.mu
+	clear(s.decBuf[:len(frames)])
 	s.exec.run(len(frames), s.decodeFn)
-	if cost != nil {
-		cost.EndStage(telemetry.CostStageDecode)
-	}
+	return frames
+}
 
-	// --- Apply stage: frames in arrival order, all mutations sequential ---
+// applyFrames is the apply stage: frames in arrival order, all mutations
+// sequential. Decoded inputs and forwards are queued in inputsBuf/fwdBuf
+// for simulate; the avatars of leaving users are queued in removedBuf for
+// replicate.
+func (s *Server) applyFrames(br *monitor.Breakdown, frames []transport.Frame) {
 	inputs := s.inputsBuf[:0]
 	forwards := s.fwdBuf[:0]
 	removed := s.removedBuf[:0]
@@ -135,13 +161,13 @@ func (s *Server) Tick() {
 		}
 		switch wire.Kind(binary.BigEndian.Uint16(f.Payload)) {
 		case proto.KindInput:
-			d := &dec[i]
+			d := &s.decBuf[i]
 			br.Add(monitor.UADeser, d.ms, d.items)
 			if d.msg != nil {
 				inputs = append(inputs, decodedInput{from: f.From, msg: d.msg.(*proto.Input)})
 			}
 		case proto.KindForwarded:
-			d := &dec[i]
+			d := &s.decBuf[i]
 			br.Add(monitor.FADeser, d.ms, d.items)
 			if d.msg != nil {
 				forwards = append(forwards, d.msg.(*proto.Forwarded))
@@ -151,7 +177,7 @@ func (s *Server) Tick() {
 			// each of the zone's (n − n/l) shadow entities a per-tick
 			// deserialization + application cost, which is exactly this
 			// message's per-entity work.
-			d := &dec[i]
+			d := &s.decBuf[i]
 			br.Add(monitor.FADeser, d.ms, d.items)
 			if d.msg == nil {
 				continue
@@ -203,8 +229,14 @@ func (s *Server) Tick() {
 			}
 		}
 	}
+	s.inputsBuf, s.fwdBuf, s.removedBuf = inputs, forwards, removed
+}
 
-	// --- Step 2a: apply user inputs ---
+// simulate is the simulate stage: user inputs, forwarded inputs, then NPC
+// updates. The apply cost stage ends between the forwarded inputs and the
+// NPCs.
+func (s *Server) simulate(br *monitor.Breakdown) {
+	// --- User inputs ---
 	//
 	// The entity set is fixed from here to the end of the simulate stage,
 	// so the spatial index is brought up to it once and then kept current
@@ -215,7 +247,7 @@ func (s *Server) Tick() {
 	tIndex := s.exec.now()
 	s.env.beginSimulate()
 	br.Add(monitor.UA, s.exec.since(tIndex), 0)
-	for _, in := range inputs {
+	for _, in := range s.inputsBuf {
 		u, ok := s.users[in.from]
 		if !ok {
 			continue // disconnected or migrated away
@@ -257,8 +289,8 @@ func (s *Server) Tick() {
 		}
 	}
 
-	// --- Step 2b: apply forwarded inputs ---
-	for _, fw := range forwards {
+	// --- Forwarded inputs ---
+	for _, fw := range s.fwdBuf {
 		target, ok := s.store.Get(fw.Target)
 		if !ok {
 			continue
@@ -273,12 +305,9 @@ func (s *Server) Tick() {
 		s.applyForwarded(fw.Actor, target, fw.Payload)
 		br.Add(monitor.FA, s.exec.since(t0), 1)
 	}
-	s.inputsBuf, s.fwdBuf = inputs[:0], forwards[:0]
-	if cost != nil {
-		cost.EndStage(telemetry.CostStageApply)
-	}
+	s.endStage(telemetry.CostStageApply)
 
-	// --- Step 2c: update NPCs (simulate stage) ---
+	// --- NPC updates ---
 	npcs := s.store.ActiveInto(s.npcActive[:0], s.ID(), int(entity.NPC))
 	s.npcActive = npcs
 	if cs, ok := s.cfg.App.(ConcurrentSimulator); ok && cs.ConcurrentNPCUpdates() {
@@ -291,7 +320,6 @@ func (s *Server) Tick() {
 		}
 		results := s.npcBuf[:len(npcs)]
 		clear(results)
-		//roialint:ignore lockhold the pool's wake channels are buffered and drained by the previous run's wg.Wait, so the send never blocks; workers never take s.mu
 		s.exec.run(len(npcs), s.npcFn)
 		for i, npc := range npcs {
 			s.env.moved(npc, results[i].was)
@@ -318,48 +346,46 @@ func (s *Server) Tick() {
 		}
 	}
 	s.env.endSimulate()
-	if cost != nil {
-		cost.EndStage(telemetry.CostStageSimulate)
-	}
+}
 
-	// --- Idle eviction: drop users whose clients went silent ---
+// housekeep drops users whose clients went silent, hands off users whose
+// avatars left the zone, and executes the resource manager's migration
+// orders. Removed avatars join removedBuf for replicate.
+func (s *Server) housekeep(br *monitor.Breakdown) {
 	if s.cfg.IdleTimeoutTicks > 0 {
 		for _, uid := range s.sortedUserIDs() {
 			u := s.users[uid]
 			if s.tick-u.lastInput > s.cfg.IdleTimeoutTicks {
 				if id, ok := s.removeUser(uid); ok {
-					removed = append(removed, id)
+					s.removedBuf = append(s.removedBuf, id)
 				}
 			}
 		}
 	}
-
-	// --- Zone handoffs (zoning distribution) ---
 	if s.cfg.World != nil {
-		s.processZoneTransfers(&br, &removed)
+		s.processZoneTransfers(br)
 	}
+	s.processMigrationOrders(br)
+}
 
-	// --- Migrations ordered by the resource manager ---
-	s.processMigrationOrders(&br)
-
-	// --- Step 3a: state updates to connected users (publish stage) ---
-	//
-	// Publishing fans out per user: AoI query, visible-set diffing and wire
-	// serialization are independent across users once the world state is
-	// frozen. The stage runs against an immutable store snapshot so workers
-	// never touch live entities; each worker encodes into its own writer and
-	// copies the payload into the user's slot. Application callbacks
-	// (DrainEvents) stay on the tick goroutine per the Application contract,
-	// and the actual sends happen in the sequential merge in sorted-user
-	// order — so the wire output is byte-identical to the sequential loop.
-	// Every buffer in the stage (snapshot arenas, AoI index, per-user
-	// visible sets, delta scratch, payload slots, the outbox) is reused
-	// across ticks: the steady-state publish path allocates nothing.
+// publish is the publish stage: state updates to connected users.
+//
+// Publishing fans out per user: AoI query, visible-set diffing and wire
+// serialization are independent across users once the world state is
+// frozen. The stage runs against an immutable store snapshot so workers
+// never touch live entities; each worker encodes into its own writer and
+// copies the payload into the user's slot. Application callbacks
+// (DrainEvents) stay on the tick goroutine per the Application contract,
+// and the actual sends happen in the sequential merge in sorted-user
+// order — so the wire output is byte-identical to the sequential loop.
+// Every buffer in the stage (snapshot arenas, AoI index, per-user
+// visible sets, delta scratch, payload slots, the outbox) is reused
+// across ticks: the steady-state publish path allocates nothing.
+func (s *Server) publish(br *monitor.Breakdown) {
 	snap := s.store.Snapshot()
 	s.pubSnap = snap
-	world := snap.All()
-	s.pubWorld = world
-	s.cfg.AOI.Build(world)
+	s.pubWorld = snap.All()
+	s.cfg.AOI.Build(s.pubWorld)
 	uids := s.sortedUserIDs()
 	if cap(s.pubItems) < len(uids) {
 		grown := make([]pubItem, len(uids))
@@ -381,7 +407,6 @@ func (s *Server) Tick() {
 		it.payload = it.payload[:0]
 		it.entered, it.left = 0, 0
 	}
-	//roialint:ignore lockhold the pool's wake channels are buffered and drained by the previous run's wg.Wait, so the send never blocks; workers never take s.mu
 	s.exec.run(len(items), s.publishFn)
 	tStage := s.exec.now()
 	for i := range items {
@@ -392,8 +417,8 @@ func (s *Server) Tick() {
 		br.Add(monitor.AOI, it.aoiMS, 1)
 		s.sendRaw(it.uid, it.payload)
 		br.Add(monitor.SU, it.suMS, 1)
-		if cost != nil {
-			cost.ObserveChurn(it.entered, it.left)
+		if s.cfg.Cost != nil {
+			s.cfg.Cost.ObserveChurn(it.entered, it.left)
 		}
 	}
 	// Staging copies each payload into the outbox arena — per-byte work
@@ -401,14 +426,17 @@ func (s *Server) Tick() {
 	// counts toward t_su alongside the encoding measured in publishItem
 	// (time only: the per-user items were counted inside it).
 	br.Add(monitor.SU, s.exec.since(tStage), 0)
+}
 
-	// --- Step 3b: shadow updates to peer replicas ---
+// replicate sends shadow updates to peer replicas (carrying the tick's
+// removed and handed-off entities), then flushes the outbox.
+func (s *Server) replicate(br *monitor.Breakdown) {
 	peers := s.cfg.Assignment.PeersInto(s.peersBuf[:0], s.cfg.Zone, s.ID())
 	s.peersBuf = peers
 	if len(peers) > 0 {
 		actives := s.store.ActiveInto(s.npcActive[:0], s.ID(), -1)
 		s.npcActive = actives[:0]
-		su := proto.ShadowUpdate{Tick: s.tick, Removed: removed}
+		su := proto.ShadowUpdate{Tick: s.tick, Removed: s.removedBuf}
 		su.Entities = s.suEnts[:0]
 		for _, e := range actives {
 			su.Entities = append(su.Entities, *e)
@@ -426,7 +454,6 @@ func (s *Server) Tick() {
 		s.suEnts = su.Entities[:0]
 	}
 	s.handoffs = s.handoffs[:0]
-	s.removedBuf = removed[:0]
 	// Flush the tick's staged frames — one batched write per destination on
 	// capable transports — inside the publish stage window so its resource
 	// cost stays attributed to publishing. The wall time is
@@ -436,13 +463,14 @@ func (s *Server) Tick() {
 	tFlush := s.exec.now()
 	s.ob.flush(s.cfg.Node)
 	br.Add(monitor.SU, s.exec.since(tFlush), 0)
-	if cost != nil {
-		cost.EndStage(telemetry.CostStagePublish)
-	}
+}
 
-	// --- Bookkeeping ---
+// record completes the tick's Breakdown with the workload gauges and the
+// wall time, feeds it to the Monitor, and hands the tick's TickRecord to
+// the flight recorder.
+func (s *Server) record(start time.Time, br *monitor.Breakdown, queueDepth int) {
 	// The store has not changed since the publish snapshot was taken.
-	for _, e := range world {
+	for _, e := range s.pubWorld {
 		switch e.Kind {
 		case entity.Avatar:
 			br.Users++
@@ -456,29 +484,25 @@ func (s *Server) Tick() {
 	// TimeMS sums CPU time across workers; WallMS is the elapsed tick time.
 	// With Parallelism > 1 the two diverge, and their ratio is the live
 	// speedup reported by Monitor.TickCPUSummary / MeanTick.
-	br.WallMS = s.exec.since(tickStart)
-	s.mon.RecordTick(br)
+	br.WallMS = s.exec.since(start)
+	s.mon.RecordTick(*br)
 	var tickCost telemetry.TickCost
-	if cost != nil {
-		tickCost = cost.EndTick()
-	}
-	if s.cfg.Profiler != nil {
-		dur, items := br.PhaseBreakdown()
-		s.cfg.Profiler.RecordTick(dur, items)
-	}
-	if s.cfg.Tracer != nil {
-		s.recordTrace(tickStart, &br)
+	if s.cfg.Cost != nil {
+		tickCost = s.cfg.Cost.EndTick()
 	}
 	if s.cfg.FlightRec != nil {
-		s.recordFlight(tickStart, &br, len(frames), tickCost)
+		s.recordFlight(start, br, queueDepth, tickCost)
 	}
 }
 
-// recordFlight converts the tick's Breakdown into a telemetry.TickRecord
-// for the flight recorder. Like tracing, it reuses the Breakdown already
-// timed for the Monitor — recording adds no clock reads to the hot loop.
-// The tick's resource cost rides along (zero without a CostTracker), so a
-// capture can classify GC-caused spikes.
+// recordFlight builds the tick's telemetry.TickRecord — the one per-tick
+// observation every tick observer (captures, /debug/ticktrace, -trace-out)
+// reads from the flight recorder's ring. It reuses the Breakdown already
+// timed for the Monitor, so recording adds no clock reads to the hot loop:
+// one span per task that did work, laid out sequentially in loop order so
+// the spans sum exactly to the breakdown total. The tick's resource cost
+// rides along (zero without a CostTracker), so a capture can classify
+// GC-caused spikes.
 func (s *Server) recordFlight(start time.Time, br *monitor.Breakdown, queueDepth int, tc telemetry.TickCost) {
 	tasks := make([]telemetry.Span, 0, len(br.TimeMS))
 	offset := 0.0
@@ -516,34 +540,6 @@ func (s *Server) recordFlight(start time.Time, br *monitor.Breakdown, queueDepth
 		rec.SlackMS = deadline - br.WallMS
 	}
 	s.cfg.FlightRec.Record(rec)
-}
-
-// recordTrace converts the tick's Breakdown into a telemetry.TickTrace:
-// one span per task that did work, laid out sequentially in loop order so
-// the spans sum exactly to the breakdown total.
-func (s *Server) recordTrace(start time.Time, br *monitor.Breakdown) {
-	spans := make([]telemetry.Span, 0, len(br.TimeMS))
-	offset := 0.0
-	for _, t := range monitor.Tasks() {
-		dur := br.TimeMS[t]
-		items := br.Items[t]
-		if dur == 0 && items == 0 {
-			continue
-		}
-		spans = append(spans, telemetry.Span{
-			Name:    t.String(),
-			StartMS: offset,
-			DurMS:   dur,
-			Items:   items,
-		})
-		offset += dur
-	}
-	s.cfg.Tracer.Record(telemetry.TickTrace{
-		Tick:           s.tick,
-		StartUnixMicro: start.UnixMicro(),
-		WallMS:         br.WallMS,
-		Spans:          spans,
-	})
 }
 
 // decodeItem is the decode-stage body (executor slot discipline: frame i
@@ -815,7 +811,7 @@ func (s *Server) recordMigEvent(e telemetry.MigEvent, durMS float64) {
 // client is re-pointed at its new server. Zone transfers reuse the
 // user-migration machinery, so their overhead lands in t_mig_ini like any
 // other migration.
-func (s *Server) processZoneTransfers(br *monitor.Breakdown, removed *[]entity.ID) {
+func (s *Server) processZoneTransfers(br *monitor.Breakdown) {
 	for _, uid := range s.sortedUserIDs() {
 		u := s.users[uid]
 		av, ok := s.store.Get(u.avatar)
@@ -862,7 +858,7 @@ func (s *Server) processZoneTransfers(br *monitor.Breakdown, removed *[]entity.I
 		s.send(uid, &proto.MigrateNotice{NewServer: target})
 		s.forgetUser(uid)
 		s.store.Remove(av.ID)
-		*removed = append(*removed, av.ID)
+		s.removedBuf = append(s.removedBuf, av.ID)
 	}
 }
 

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"math"
 	"testing"
 
 	"roia/internal/game"
@@ -13,9 +12,9 @@ import (
 	"roia/internal/telemetry"
 )
 
-// tracedServer builds a single-replica server with tick tracing enabled
-// and one connected client driving load.
-func tracedServer(t *testing.T) (*server.Server, *client.Client, *telemetry.Tracer) {
+// tracedServer builds a single-replica server with a flight recorder (the
+// tick trace's ring) and one connected client driving load.
+func tracedServer(t *testing.T) (*server.Server, *client.Client, *telemetry.FlightRecorder) {
 	t.Helper()
 	net := transport.NewLoopback()
 	t.Cleanup(func() { net.Close() })
@@ -23,7 +22,7 @@ func tracedServer(t *testing.T) (*server.Server, *client.Client, *telemetry.Trac
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := telemetry.NewTracer(64)
+	rec := telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
 	srv, err := server.New(server.Config{
 		Node:       node,
 		Zone:       1,
@@ -31,7 +30,7 @@ func tracedServer(t *testing.T) (*server.Server, *client.Client, *telemetry.Trac
 		App:        game.New(game.DefaultConfig()),
 		IDPrefix:   1,
 		Seed:       7,
-		Tracer:     tracer,
+		FlightRec:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +44,11 @@ func tracedServer(t *testing.T) (*server.Server, *client.Client, *telemetry.Trac
 	if err := cl.Join(1, entity.Vec2{X: 10, Y: 10}, "c1"); err != nil {
 		t.Fatal(err)
 	}
-	return srv, cl, tracer
+	return srv, cl, rec
 }
 
 func TestTickTraceRecordsSpans(t *testing.T) {
-	srv, cl, tracer := tracedServer(t)
+	srv, cl, rec := tracedServer(t)
 	srv.SpawnNPC(entity.Vec2{X: 12, Y: 12})
 	for i := 0; i < 10; i++ {
 		srv.Tick()
@@ -58,51 +57,51 @@ func TestTickTraceRecordsSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tracer.Len() == 0 {
-		t.Fatal("no traces recorded")
+	recs := rec.Last(0)
+	if len(recs) != 10 {
+		t.Fatalf("ring holds %d records, want 10", len(recs))
 	}
-	traces := tracer.Last(0)
-	last := traces[len(traces)-1]
+	last := recs[len(recs)-1]
 	if last.Tick != srv.Monitor().Ticks() {
-		t.Fatalf("last trace tick = %d, monitor ticks = %d", last.Tick, srv.Monitor().Ticks())
+		t.Fatalf("last record tick = %d, monitor ticks = %d", last.Tick, srv.Monitor().Ticks())
 	}
-	if len(last.Spans) == 0 {
-		t.Fatal("last trace has no spans")
+	if len(last.Tasks) == 0 {
+		t.Fatal("last record has no task spans")
 	}
 	// The spans are synthesized from the same Breakdown the monitor
-	// ingests, so they must sum exactly to its task total.
-	br := srv.Monitor().LastBreakdown()
-	if diff := math.Abs(last.TotalMS() - br.Total()); diff > 1e-9 {
-		t.Fatalf("trace total %g ms != breakdown total %g ms", last.TotalMS(), br.Total())
-	}
-	// Wall time covers at least the task time.
-	if last.WallMS < last.TotalMS() {
-		t.Fatalf("wall %g ms < task total %g ms", last.WallMS, last.TotalMS())
-	}
-	// Spans are contiguous from 0 in loop order.
+	// ingests, laid out contiguously from 0 in loop order, so they sum
+	// exactly to its task total.
 	offset := 0.0
-	for _, sp := range last.Spans {
-		if math.Abs(sp.StartMS-offset) > 1e-9 {
+	for _, sp := range last.Tasks {
+		if sp.StartMS != offset {
 			t.Fatalf("span %s starts at %g, want %g", sp.Name, sp.StartMS, offset)
 		}
 		offset += sp.DurMS
 	}
+	br := srv.Monitor().LastBreakdown()
+	if total := br.Total(); offset != total || last.CPUMS != total {
+		t.Fatalf("spans sum to %g ms, record CPU %g ms, breakdown total %g ms", offset, last.CPUMS, total)
+	}
+	// Wall time covers at least the task time.
+	if last.WallMS < offset {
+		t.Fatalf("wall %g ms < task total %g ms", last.WallMS, offset)
+	}
 	// NPC work must show up as a named model parameter.
 	found := false
-	for _, sp := range last.Spans {
+	for _, sp := range last.Tasks {
 		if sp.Name == "t_npc" && sp.Items == 1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("t_npc span missing: %+v", last.Spans)
+		t.Fatalf("t_npc span missing: %+v", last.Tasks)
 	}
 }
 
 func TestTickTraceDisabledByDefault(t *testing.T) {
 	c := newCluster(t, 1)
-	if c.servers[0].Tracer() != nil {
-		t.Fatal("tracer set without configuration")
+	if c.servers[0].FlightRecorder() != nil {
+		t.Fatal("flight recorder set without configuration")
 	}
-	c.servers[0].Tick() // must not panic with a nil tracer
+	c.servers[0].Tick() // must not panic with a nil recorder
 }

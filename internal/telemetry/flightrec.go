@@ -10,8 +10,9 @@ import (
 	"sync"
 )
 
-// TickRecord is the complete per-tick observation the flight recorder
-// retains: the wall/CPU split, the workload gauges the scalability model is
+// TickRecord is the server's one per-tick observation, built once per tick
+// and read by every tick observer through the FlightRecorder's ring: the
+// wall/CPU split, the workload gauges the scalability model is
 // parameterized with (n, a, m, l, w), the receive-queue depth, the QoS
 // deadline and its slack, and the per-task decomposition. One record is
 // everything needed to explain a single slow tick after the fact.
@@ -24,7 +25,7 @@ type TickRecord struct {
 	// the hiccup detector judge.
 	WallMS float64 `json:"wall_ms"`
 	// CPUMS is the tick's CPU sum across workers (≥ WallMS under the
-	// parallel executor).
+	// parallel executor); the Tasks durations sum to it exactly.
 	CPUMS float64 `json:"cpu_ms"`
 	// DeadlineMS is the tick QoS deadline 1/U in force (0 = disabled).
 	DeadlineMS float64 `json:"deadline_ms,omitempty"`
@@ -54,7 +55,8 @@ type TickRecord struct {
 	AllocBytes   uint64  `json:"alloc_bytes,omitempty"`
 	AllocObjects uint64  `json:"alloc_objects,omitempty"`
 	// Tasks is the per-task (t_ua, t_npc, ...) time/item decomposition of
-	// the tick, in loop order; tasks that did no work are omitted.
+	// the tick, laid out contiguously from 0 in loop order; tasks that did
+	// no work are omitted.
 	Tasks []Span `json:"tasks,omitempty"`
 }
 
@@ -80,6 +82,10 @@ type FlightCapture struct {
 	// ticks before the trigger, the trigger itself, and Post ticks after.
 	Records []TickRecord `json:"-"`
 }
+
+// flightHistory is how many recent tick records the recorder's ring keeps
+// for Last (and so for /debug/ticktrace): ~82 s of history at 25 Hz.
+const flightHistory = 2048
 
 // Flight-recorder defaults: a 16-tick window either side of the trigger
 // (±0.64 s at 25 Hz), a hiccup at 4× the median of the last 64 ticks but
@@ -141,10 +147,11 @@ func (c FlightRecConfig) withDefaults() FlightRecConfig {
 	return c
 }
 
-// FlightRecorder is the tick loop's black box: it keeps the last Pre tick
-// records in a ring, watches each new record for a deadline violation or a
-// hiccup (wall time above K× the rolling-window median), and on a trigger
-// freezes the surrounding pre/post window into an immutable FlightCapture.
+// FlightRecorder is the tick loop's black box: it keeps the last
+// flightHistory tick records in a ring (read by Last), watches each new
+// record for a deadline violation or a hiccup (wall time above K× the
+// rolling-window median), and on a trigger freezes the surrounding
+// pre/post window into an immutable FlightCapture.
 // A p99.9 outlier then ships with its own explanation — the offending
 // tick's task breakdown plus the ticks around it — instead of a bare
 // histogram bucket increment.
@@ -157,8 +164,8 @@ type FlightRecorder struct {
 	mu  sync.Mutex
 	cfg FlightRecConfig
 
-	// ring holds the most recent records (capacity Pre+1: the pre window
-	// plus the current tick), overwritten oldest-first.
+	// ring holds the most recent records (capacity flightHistory, or Pre+1
+	// if larger), overwritten oldest-first.
 	ring []TickRecord
 	next int
 
@@ -186,7 +193,7 @@ func NewFlightRecorder(cfg FlightRecConfig) *FlightRecorder {
 	cfg = cfg.withDefaults()
 	return &FlightRecorder{
 		cfg:    cfg,
-		ring:   make([]TickRecord, 0, cfg.Pre+1),
+		ring:   make([]TickRecord, 0, max(flightHistory, cfg.Pre+1)),
 		window: make([]float64, 0, cfg.Window),
 		sorted: make([]float64, 0, cfg.Window),
 	}
@@ -213,7 +220,7 @@ func (r *FlightRecorder) Record(rec TickRecord) {
 	}
 	r.pushWindowLocked(rec.WallMS)
 
-	// Pre-window ring: append until full, then overwrite oldest.
+	// Ring: append until full, then overwrite oldest.
 	if len(r.ring) < cap(r.ring) {
 		r.ring = append(r.ring, rec)
 	} else {
@@ -236,7 +243,7 @@ func (r *FlightRecorder) Record(rec TickRecord) {
 			TriggerTick:  rec.Tick,
 			MedianMS:     median,
 			GCAttributed: rec.GCPauseMS > 0 || rec.GCCycles > 0,
-			Records:      r.ringOrderedLocked(),
+			Records:      r.lastLocked(r.cfg.Pre + 1),
 		}
 		r.open = c
 		r.postLeft = r.cfg.Post
@@ -279,17 +286,33 @@ func (r *FlightRecorder) pushWindowLocked(ms float64) {
 	r.sorted[i] = ms
 }
 
-// ringOrderedLocked copies the ring's records in chronological order (the
-// current tick last).
-func (r *FlightRecorder) ringOrderedLocked() []TickRecord {
-	out := make([]TickRecord, 0, len(r.ring))
-	if len(r.ring) == cap(r.ring) {
-		out = append(out, r.ring[r.next:]...)
-		out = append(out, r.ring[:r.next]...)
-	} else {
-		out = append(out, r.ring...)
+// Last returns copies of up to n of the most recent tick records in
+// chronological order (every retained record when n is not positive or
+// exceeds the ring). The copies share their Tasks slices with the ring,
+// which never mutates them.
+func (r *FlightRecorder) Last(n int) []TickRecord {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lastLocked(n)
+}
+
+// lastLocked copies the newest n ring records (all when n is out of
+// range), oldest first.
+func (r *FlightRecorder) lastLocked(n int) []TickRecord {
+	if n <= 0 || n > len(r.ring) {
+		n = len(r.ring)
 	}
-	return out
+	// end is one past the newest record; next stays 0 until the ring fills.
+	end := r.next
+	if len(r.ring) < cap(r.ring) {
+		end = len(r.ring)
+	}
+	out := make([]TickRecord, 0, n)
+	if end >= n {
+		return append(out, r.ring[end-n:end]...)
+	}
+	out = append(out, r.ring[len(r.ring)-(n-end):]...)
+	return append(out, r.ring[:end]...)
 }
 
 // freezeLocked finalizes the open capture into the bounded capture list,
@@ -356,10 +379,8 @@ func WriteFlightJSONL(w io.Writer, captures []*FlightCapture) error {
 		if err := enc.Encode(&header); err != nil {
 			return fmt.Errorf("telemetry: encode capture %d: %w", c.ID, err)
 		}
-		for _, rec := range c.Records {
-			if err := enc.Encode(&rec); err != nil {
-				return fmt.Errorf("telemetry: encode capture %d tick %d: %w", c.ID, rec.Tick, err)
-			}
+		if err := WriteTraceJSONL(w, c.Records); err != nil {
+			return fmt.Errorf("telemetry: capture %d: %w", c.ID, err)
 		}
 	}
 	return nil

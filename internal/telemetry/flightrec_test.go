@@ -275,6 +275,63 @@ func TestFlightRecorderRollingMedianEviction(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderLast: Last reads the ring in chronological order both
+// before it fills and after it wraps, and a capture still copies exactly
+// Pre records before its trigger out of the longer ring.
+func TestFlightRecorderLast(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ticks int // records fed: ticks 1..ticks, the last one a deadline miss
+		n     int
+		want  []uint64 // Last(n) ticks
+	}{
+		{"partial", 10, 3, []uint64{8, 9, 10}},
+		{"partial_all", 5, 0, []uint64{1, 2, 3, 4, 5}},
+		{"wrapped", flightHistory + 700, 4, []uint64{flightHistory + 697, flightHistory + 698, flightHistory + 699, flightHistory + 700}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const pre = 3
+			fr := NewFlightRecorder(FlightRecConfig{Pre: pre, Post: -1})
+			for i := 1; i <= tc.ticks; i++ {
+				rec := TickRecord{Tick: uint64(i), WallMS: 1}
+				if i == tc.ticks {
+					rec.DeadlineMS = 0.5
+				}
+				fr.Record(rec)
+			}
+			last := fr.Last(tc.n)
+			if len(last) != len(tc.want) {
+				t.Fatalf("Last(%d) returned %d records, want %d", tc.n, len(last), len(tc.want))
+			}
+			for i, want := range tc.want {
+				if last[i].Tick != want {
+					t.Fatalf("Last(%d)[%d].Tick = %d, want %d", tc.n, i, last[i].Tick, want)
+				}
+			}
+			all := fr.Last(0)
+			if want := min(tc.ticks, flightHistory); len(all) != want {
+				t.Fatalf("Last(0) returned %d records, want %d", len(all), want)
+			}
+			for i := 1; i < len(all); i++ {
+				if all[i].Tick != all[i-1].Tick+1 {
+					t.Fatalf("Last(0) not chronological at %d: %d after %d", i, all[i].Tick, all[i-1].Tick)
+				}
+			}
+			caps := fr.Captures()
+			if len(caps) != 1 {
+				t.Fatalf("captures = %d, want 1", len(caps))
+			}
+			recs := caps[0].Records
+			if want := min(pre, tc.ticks-1) + 1; len(recs) != want {
+				t.Fatalf("capture holds %d records, want %d (Pre before the trigger, then the trigger)", len(recs), want)
+			}
+			if got := recs[len(recs)-1].Tick; got != uint64(tc.ticks) {
+				t.Fatalf("capture ends at tick %d, want the trigger %d", got, tc.ticks)
+			}
+		})
+	}
+}
+
 func TestTailTrackerRotation(t *testing.T) {
 	tr := NewTailTracker(10)
 	for i := 0; i < 10; i++ {
@@ -307,6 +364,32 @@ func TestTailTrackerRotation(t *testing.T) {
 	}
 	if q.Max > 2 {
 		t.Fatalf("max = %g should be windowed too", q.Max)
+	}
+
+	// Rotation recycles the retired window's histogram instead of
+	// allocating a fresh one, so Observe stays allocation-free across
+	// window boundaries (a one-observation window rotates on every call)...
+	tr = NewTailTracker(1)
+	if allocs := testing.AllocsPerRun(50, func() { tr.Observe(3) }); allocs != 0 {
+		t.Fatalf("Observe allocates %v times per call across rotations, want 0", allocs)
+	}
+	// ...and the windowed quantiles are still those of the union of the
+	// previous full window and the current one.
+	tr = NewTailTracker(7)
+	var seen []float64
+	for i := 0; i < 60; i++ {
+		v := float64(1 + (i*37)%23)
+		tr.Observe(v)
+		seen = append(seen, v)
+		ref := NewLogHistogram()
+		for _, x := range seen[max(0, (len(seen)-1)/7*7-7):] {
+			ref.Observe(x)
+		}
+		got := tr.Quantiles()
+		if got.Count != ref.Count() || got.P50 != ref.Quantile(0.5) || got.P99 != ref.Quantile(0.99) || got.Max != ref.Max() {
+			t.Fatalf("after %d observations quantiles = %+v, want count %d p50 %g p99 %g max %g",
+				i+1, got, ref.Count(), ref.Quantile(0.5), ref.Quantile(0.99), ref.Max())
+		}
 	}
 }
 

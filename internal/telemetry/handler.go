@@ -57,36 +57,6 @@ func ReadyHandler(ready func() bool) http.Handler {
 	})
 }
 
-// TraceHandler serves a Tracer's buffered tick traces over HTTP (the
-// /debug/ticktrace endpoint). Query parameters:
-//
-//	n       number of most recent ticks to export (default 100, 0 = all)
-//	format  "chrome" (default; trace_event JSON for Perfetto) or "jsonl"
-func TraceHandler(tr *Tracer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n, err := QueryIntParam(r.URL.Query(), "n", 100)
-		if err != nil {
-			http.Error(w, "ticktrace: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		traces := tr.Last(n)
-		switch format := r.URL.Query().Get("format"); format {
-		case "", "chrome":
-			w.Header().Set("Content-Type", "application/json")
-			if err := WriteChromeTrace(w, traces); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		case "jsonl":
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			if err := WriteTraceJSONL(w, traces); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		default:
-			http.Error(w, "ticktrace: format must be chrome or jsonl", http.StatusBadRequest)
-		}
-	})
-}
-
 // MetricsWriter writes one Prometheus exposition section. The monitor's
 // WriteMetrics, Drift.WriteMetrics and WriteRuntimeMetrics all match.
 type MetricsWriter func(w io.Writer, labels string) error

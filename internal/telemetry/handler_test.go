@@ -9,16 +9,16 @@ import (
 	"testing"
 )
 
-func tracerWith(n int) *Tracer {
-	tr := NewTracer(n + 8)
+func recorderWith(n int) *FlightRecorder {
+	fr := NewFlightRecorder(FlightRecConfig{})
 	for i := 1; i <= n; i++ {
-		tr.Record(sampleTrace(uint64(i)))
+		fr.Record(sampleTick(uint64(i)))
 	}
-	return tr
+	return fr
 }
 
 func TestTraceHandlerChrome(t *testing.T) {
-	srv := httptest.NewServer(TraceHandler(tracerWith(150)))
+	srv := httptest.NewServer(TraceHandler(recorderWith(150)))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "?n=100")
 	if err != nil {
@@ -48,7 +48,7 @@ func TestTraceHandlerChrome(t *testing.T) {
 }
 
 func TestTraceHandlerJSONL(t *testing.T) {
-	srv := httptest.NewServer(TraceHandler(tracerWith(5)))
+	srv := httptest.NewServer(TraceHandler(recorderWith(5)))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "?n=3&format=jsonl")
 	if err != nil {
@@ -63,17 +63,17 @@ func TestTraceHandlerJSONL(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("got %d lines, want 3", len(lines))
 	}
-	var tt TickTrace
+	var tt TickRecord
 	if err := json.Unmarshal([]byte(lines[0]), &tt); err != nil {
 		t.Fatal(err)
 	}
-	if tt.Tick != 3 { // last 3 of 5: ticks 3,4,5
-		t.Fatalf("first exported tick = %d, want 3", tt.Tick)
+	if tt.Tick != 3 || len(tt.Tasks) != 3 { // last 3 of 5: ticks 3,4,5
+		t.Fatalf("first exported record = %+v, want tick 3 with 3 tasks", tt)
 	}
 }
 
 func TestTraceHandlerBadParams(t *testing.T) {
-	srv := httptest.NewServer(TraceHandler(tracerWith(1)))
+	srv := httptest.NewServer(TraceHandler(recorderWith(1)))
 	defer srv.Close()
 	for _, q := range []string{"?n=-1", "?n=abc", "?format=xml"} {
 		resp, err := srv.Client().Get(srv.URL + q)

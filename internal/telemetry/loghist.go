@@ -10,7 +10,7 @@ import (
 // octave with 16 linear sub-buckets per octave, so every recorded value is
 // represented with at most ~6 % relative error across the full range
 // (1 µs … minutes) — precise enough for p50…p999 latency analysis without
-// choosing bounds up front, unlike the fixed-bucket Histogram.
+// choosing bounds up front.
 //
 // Two LogHistograms always share the same bucket layout, which makes them
 // mergeable: per-replica (or per-client) recorders can be combined into a

@@ -331,44 +331,6 @@ func TestTaskDrift(t *testing.T) {
 	assertExposition(t, out)
 }
 
-func TestTaskProfiler(t *testing.T) {
-	p := NewTaskProfiler()
-	for i := 0; i < 10; i++ {
-		p.RecordTick(
-			[NumPhases]float64{1, 2, 3, 4},
-			[NumPhases]int{5, 6, 7, 8},
-		)
-	}
-	snaps, ticks := p.Snapshot()
-	if ticks != 10 {
-		t.Fatalf("ticks = %d", ticks)
-	}
-	if snaps[int(PhaseNPCUpdate)].Items != 70 {
-		t.Fatalf("npc items = %d, want 70", snaps[int(PhaseNPCUpdate)].Items)
-	}
-	if got := snaps[int(PhaseAOISU)].Share; math.Abs(got-0.4) > 1e-9 {
-		t.Fatalf("aoi_su share = %g, want 0.4", got)
-	}
-	if got := snaps[int(PhaseUserInput)].MeanMS; math.Abs(got-1) > 1e-9 {
-		t.Fatalf("user_input mean = %g, want 1", got)
-	}
-	var sb strings.Builder
-	if err := p.WriteMetrics(&sb, `replica="r1"`); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`roia_phase_tick_ms{replica="r1",phase="npc_update",stat="p95"}`,
-		`roia_phase_share{replica="r1",phase="aoi_su"} 0.4`,
-		`roia_phase_ticks_total{replica="r1"} 10`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	assertExposition(t, out)
-}
-
 func TestPhaseString(t *testing.T) {
 	if PhaseNPCUpdate.String() != "npc_update" {
 		t.Fatalf("got %q", PhaseNPCUpdate.String())

@@ -47,11 +47,12 @@ func NewTailTracker(window int) *TailTracker {
 }
 
 // Observe records one value (ms), rotating the windows when the current
-// one is full.
+// one is full. Rotation recycles the retired window's histogram in place,
+// so Observe never allocates.
 func (t *TailTracker) Observe(ms float64) {
 	if t.cur.Count() >= t.window {
-		t.prev = t.cur
-		t.cur = NewLogHistogram()
+		t.prev, t.cur = t.cur, t.prev
+		*t.cur = LogHistogram{}
 	}
 	t.cur.Observe(ms)
 }

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
+	"net/http"
 )
 
 // Span is one timed section of a tick (one of the paper's t_* tasks, or an
@@ -17,101 +17,6 @@ type Span struct {
 	// Items is the task's per-tick item count (inputs deserialized, users
 	// updated, ...), carried into the trace viewer's args pane.
 	Items int `json:"items,omitempty"`
-}
-
-// TickTrace is the span decomposition of one real-time-loop iteration.
-type TickTrace struct {
-	// Tick is the server's tick counter.
-	Tick uint64 `json:"tick"`
-	// StartUnixMicro is the tick's wall-clock start in Unix microseconds
-	// (the trace_event timebase).
-	StartUnixMicro int64 `json:"start_unix_us"`
-	// WallMS is the full wall-clock duration of the tick, which may exceed
-	// the sum of the span durations (untimed bookkeeping).
-	WallMS float64 `json:"wall_ms"`
-	// Spans are the per-task sections, in execution order.
-	Spans []Span `json:"spans"`
-}
-
-// TotalMS returns the sum of the span durations.
-func (t TickTrace) TotalMS() float64 {
-	sum := 0.0
-	for _, s := range t.Spans {
-		sum += s.DurMS
-	}
-	return sum
-}
-
-// DefaultTraceCapacity is the tracer ring size used when a non-positive
-// capacity is requested: ~82 s of history at 25 Hz.
-const DefaultTraceCapacity = 2048
-
-// Tracer records tick traces into a bounded ring buffer. It is safe for
-// concurrent use: the real-time loop records while HTTP handlers read.
-// Recording is cheap — one lock, one slice store — so it can stay enabled
-// in production.
-type Tracer struct {
-	mu    sync.Mutex
-	buf   []TickTrace
-	next  int
-	full  bool
-	total uint64
-}
-
-// NewTracer returns a tracer keeping the last capacity ticks
-// (DefaultTraceCapacity if capacity is not positive).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &Tracer{buf: make([]TickTrace, 0, capacity)}
-}
-
-// Record stores one tick trace, evicting the oldest when full. The tracer
-// takes ownership of tr.Spans.
-func (tr *Tracer) Record(t TickTrace) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.total++
-	if len(tr.buf) < cap(tr.buf) {
-		tr.buf = append(tr.buf, t)
-		return
-	}
-	tr.full = true
-	tr.buf[tr.next] = t
-	tr.next = (tr.next + 1) % cap(tr.buf)
-}
-
-// Len reports the number of buffered traces.
-func (tr *Tracer) Len() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return len(tr.buf)
-}
-
-// Total reports how many traces were ever recorded (including evicted ones).
-func (tr *Tracer) Total() uint64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.total
-}
-
-// Last returns up to n of the most recent traces in chronological order
-// (all of them when n is not positive or exceeds the buffer).
-func (tr *Tracer) Last(n int) []TickTrace {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	ordered := make([]TickTrace, 0, len(tr.buf))
-	if tr.full {
-		ordered = append(ordered, tr.buf[tr.next:]...)
-		ordered = append(ordered, tr.buf[:tr.next]...)
-	} else {
-		ordered = append(ordered, tr.buf...)
-	}
-	if n > 0 && n < len(ordered) {
-		ordered = ordered[len(ordered)-n:]
-	}
-	return ordered
 }
 
 // traceEvent is one Chrome trace_event entry (the "X" complete-event form).
@@ -132,19 +37,19 @@ type chromeTrace struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace renders the traces as Chrome trace_event JSON. Each tick
-// becomes one enclosing "tick" event on tid 0 plus one event per span on
-// tid 1, positioned on the tick's wall-clock timebase so consecutive ticks
-// lay out as a timeline.
-func WriteChromeTrace(w io.Writer, traces []TickTrace) error {
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: make([]traceEvent, 0, len(traces)*4)}
-	for _, t := range traces {
+// WriteChromeTrace renders tick records as Chrome trace_event JSON. Each
+// tick becomes one enclosing "tick" event on tid 0 plus one event per task
+// span on tid 1, positioned on the tick's wall-clock timebase so
+// consecutive ticks lay out as a timeline.
+func WriteChromeTrace(w io.Writer, recs []TickRecord) error {
+	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: make([]traceEvent, 0, len(recs)*4)}
+	for _, t := range recs {
 		base := float64(t.StartUnixMicro)
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
 			Name: "tick", Ph: "X", TS: base, Dur: t.WallMS * 1000, PID: 1, TID: 0,
-			Args: map[string]any{"tick": t.Tick, "tasks_ms": t.TotalMS()},
+			Args: map[string]any{"tick": t.Tick, "tasks_ms": t.CPUMS},
 		})
-		for _, s := range t.Spans {
+		for _, s := range t.Tasks {
 			ev := traceEvent{
 				Name: s.Name, Ph: "X",
 				TS: base + s.StartMS*1000, Dur: s.DurMS * 1000,
@@ -160,14 +65,42 @@ func WriteChromeTrace(w io.Writer, traces []TickTrace) error {
 	return enc.Encode(out)
 }
 
-// WriteTraceJSONL renders the traces as JSONL: one TickTrace object per
-// line, the grep/jq-friendly export.
-func WriteTraceJSONL(w io.Writer, traces []TickTrace) error {
+// WriteTraceJSONL renders tick records as JSONL, one TickRecord object per
+// line: the grep/jq-friendly export.
+func WriteTraceJSONL(w io.Writer, recs []TickRecord) error {
 	enc := json.NewEncoder(w)
-	for _, t := range traces {
-		if err := enc.Encode(t); err != nil {
-			return fmt.Errorf("telemetry: encode tick %d: %w", t.Tick, err)
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
+			return fmt.Errorf("telemetry: encode tick %d: %w", recs[i].Tick, err)
 		}
 	}
 	return nil
+}
+
+// TraceHandler serves the flight recorder's recent tick records over HTTP
+// (the /debug/ticktrace endpoint). Query parameters:
+//
+//	n       number of most recent ticks to export (default 100, 0 = all)
+//	format  "chrome" (default; trace_event JSON for Perfetto) or "jsonl"
+func TraceHandler(r *FlightRecorder) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		n, err := QueryIntParam(req.URL.Query(), "n", 100)
+		if err != nil {
+			http.Error(w, "ticktrace: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		write, ctype := WriteChromeTrace, "application/json"
+		switch req.URL.Query().Get("format") {
+		case "", "chrome":
+		case "jsonl":
+			write, ctype = WriteTraceJSONL, "application/x-ndjson"
+		default:
+			http.Error(w, "ticktrace: format must be chrome or jsonl", http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", ctype)
+		if err := write(w, r.Last(n)); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
 }

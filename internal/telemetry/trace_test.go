@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-func sampleTrace(tick uint64) TickTrace {
-	return TickTrace{
+func sampleTick(tick uint64) TickRecord {
+	return TickRecord{
 		Tick:           tick,
 		StartUnixMicro: int64(tick) * 40_000,
 		WallMS:         1.2,
-		Spans: []Span{
+		CPUMS:          1.0,
+		Tasks: []Span{
 			{Name: "t_ua", StartMS: 0, DurMS: 0.5, Items: 10},
 			{Name: "t_aoi", StartMS: 0.5, DurMS: 0.3, Items: 10},
 			{Name: "t_su", StartMS: 0.8, DurMS: 0.2, Items: 10},
@@ -20,46 +21,8 @@ func sampleTrace(tick uint64) TickTrace {
 	}
 }
 
-func TestTracerRingBuffer(t *testing.T) {
-	tr := NewTracer(4)
-	for i := uint64(1); i <= 10; i++ {
-		tr.Record(sampleTrace(i))
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", tr.Total())
-	}
-	last := tr.Last(0)
-	if len(last) != 4 {
-		t.Fatalf("Last(0) returned %d traces", len(last))
-	}
-	for i, want := range []uint64{7, 8, 9, 10} {
-		if last[i].Tick != want {
-			t.Fatalf("Last(0)[%d].Tick = %d, want %d (chronological order)", i, last[i].Tick, want)
-		}
-	}
-	if got := tr.Last(2); len(got) != 2 || got[0].Tick != 9 || got[1].Tick != 10 {
-		t.Fatalf("Last(2) = %v", got)
-	}
-	if got := tr.Last(100); len(got) != 4 {
-		t.Fatalf("Last(100) returned %d traces", len(got))
-	}
-}
-
-func TestTracerDefaultCapacity(t *testing.T) {
-	tr := NewTracer(0)
-	for i := 0; i < DefaultTraceCapacity+5; i++ {
-		tr.Record(TickTrace{Tick: uint64(i)})
-	}
-	if tr.Len() != DefaultTraceCapacity {
-		t.Fatalf("Len = %d, want %d", tr.Len(), DefaultTraceCapacity)
-	}
-}
-
 func TestWriteChromeTraceValidJSON(t *testing.T) {
-	traces := []TickTrace{sampleTrace(1), sampleTrace(2)}
+	traces := []TickRecord{sampleTick(1), sampleTick(2)}
 	var sb strings.Builder
 	if err := WriteChromeTrace(&sb, traces); err != nil {
 		t.Fatal(err)
@@ -103,7 +66,7 @@ func TestWriteChromeTraceValidJSON(t *testing.T) {
 		}
 		spanSum += ev.Dur
 	}
-	wantSum := 2 * sampleTrace(1).TotalMS() * 1000 // µs
+	wantSum := 2 * sampleTick(1).CPUMS * 1000 // µs
 	if math.Abs(spanSum-wantSum) > 1e-9 {
 		t.Fatalf("span durations sum to %g µs, want %g", spanSum, wantSum)
 	}
@@ -113,7 +76,7 @@ func TestWriteChromeTraceValidJSON(t *testing.T) {
 }
 
 func TestWriteTraceJSONLRoundTrip(t *testing.T) {
-	traces := []TickTrace{sampleTrace(1), sampleTrace(2), sampleTrace(3)}
+	traces := []TickRecord{sampleTick(1), sampleTick(2), sampleTick(3)}
 	var sb strings.Builder
 	if err := WriteTraceJSONL(&sb, traces); err != nil {
 		t.Fatal(err)
@@ -123,22 +86,12 @@ func TestWriteTraceJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("got %d lines, want 3", len(lines))
 	}
 	for i, line := range lines {
-		var tt TickTrace
+		var tt TickRecord
 		if err := json.Unmarshal([]byte(line), &tt); err != nil {
 			t.Fatalf("line %d invalid: %v", i, err)
 		}
-		if tt.Tick != traces[i].Tick || len(tt.Spans) != 3 {
+		if tt.Tick != traces[i].Tick || len(tt.Tasks) != 3 {
 			t.Fatalf("line %d round-trip mismatch: %+v", i, tt)
 		}
-	}
-}
-
-func TestTickTraceTotal(t *testing.T) {
-	tt := sampleTrace(1)
-	if got := tt.TotalMS(); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("TotalMS = %g, want 1.0", got)
-	}
-	if (TickTrace{}).TotalMS() != 0 {
-		t.Fatal("empty trace total != 0")
 	}
 }

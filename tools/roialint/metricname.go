@@ -18,8 +18,7 @@ import (
 //
 // Sites checked:
 //   - `# TYPE <family> <kind>` headers in string literals;
-//   - sample lines in format literals (`roia_foo%s %d\n`, `fleet_bar{...}`);
-//   - literal family names passed to Histogram/LogHistogram Write methods.
+//   - sample lines in format literals (`roia_foo%s %d\n`, `fleet_bar{...}`).
 type MetricName struct {
 	famKinds  map[string]kindDecl
 	famLabels map[string][]labelSite
@@ -65,7 +64,6 @@ func (m *MetricName) Check(pkg *Package, r *Reporter) {
 					m.checkLiteral(pkg, n, r)
 				}
 			case *ast.CallExpr:
-				m.checkHistWrite(pkg, n, r)
 				m.checkSampleLabels(pkg, n, r)
 			}
 			return true
@@ -84,7 +82,7 @@ func (m *MetricName) checkLiteral(pkg *Package, lit *ast.BasicLit, r *Reporter) 
 	for _, match := range typeLineRe.FindAllStringSubmatch(text, -1) {
 		family, kind := match[1], match[2]
 		if strings.Contains(family, "%") {
-			continue // dynamic family (e.g. Histogram.Write's own header)
+			continue // dynamic family (a %s header filled in at run time)
 		}
 		if !familyRe.MatchString(family) {
 			r.Report(lit, "metricname",
@@ -107,35 +105,6 @@ func (m *MetricName) declare(family, kind string, pos token.Position, r *Reporte
 		return
 	}
 	m.famKinds[family] = kindDecl{kind: kind, pos: pos}
-}
-
-// checkHistWrite validates literal family names handed to the telemetry
-// histogram writers (receiver type named Histogram or LogHistogram).
-func (m *MetricName) checkHistWrite(pkg *Package, call *ast.CallExpr, r *Reporter) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Write" || len(call.Args) < 2 {
-		return
-	}
-	t := namedType(pkg.Info.TypeOf(sel.X))
-	if t == nil {
-		return
-	}
-	if name := t.Obj().Name(); name != "Histogram" && name != "LogHistogram" {
-		return
-	}
-	family, ok := stringLit(pkg.Info, call.Args[1])
-	if !ok {
-		return
-	}
-	if !familyRe.MatchString(family) {
-		r.Report(call.Args[1], "metricname",
-			"metric family %q does not match the exposition grammar (roia|fleet)_[a-z0-9_]+", family)
-		return
-	}
-	m.declare(family, "histogram", r.fset.Position(call.Pos()), r)
-	// Histogram samples carry the le label internally plus the caller's
-	// dynamic label set; they do not participate in label consistency.
-	m.sample(family, r.fset.Position(call.Pos()))
 }
 
 func (m *MetricName) sample(family string, pos token.Position) {

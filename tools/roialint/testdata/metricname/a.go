@@ -8,15 +8,6 @@ import (
 	"strings"
 )
 
-// Histogram mimics the telemetry histogram writer signature.
-type Histogram struct{}
-
-// Write renders one histogram family under the given name.
-func (Histogram) Write(w io.Writer, name, labels string) error {
-	_, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	return err
-}
-
 // Bad: family casing breaks the grammar; kind "count" is not a metric type.
 func badHeaders(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE roia_BadCase_total counter\nroia_BadCase_total %d\n", 1)
@@ -40,12 +31,6 @@ func labelDrift(w io.Writer) {
 // Bad: a sample family that is never TYPE-declared anywhere.
 func undeclared(w io.Writer) {
 	fmt.Fprintf(w, "roia_undeclared_total %d\n", 3)
-}
-
-// Bad: a malformed literal family handed to the histogram writer.
-func badHistName(w io.Writer) error {
-	var h Histogram
-	return h.Write(w, "roia_Bad_Hist", "")
 }
 
 // Bad: a tail-quantile family whose label key drifts from "q" to
@@ -101,10 +86,6 @@ func clean(w io.Writer, labels string) error {
 	fmt.Fprintf(&b, "roia_tick_wall_q_ms{q=\"p999\"} %g\n", 1.4)
 	fmt.Fprintf(&b, "# TYPE roia_tick_hiccups_total counter\nroia_tick_hiccups_total %d\n", 7)
 	fmt.Fprintf(&b, "# TYPE roia_flightrec_captures_total counter\nroia_flightrec_captures_total %d\n", 1)
-	var h Histogram
-	if err := h.Write(&b, "roia_ok_ms", ""); err != nil {
-		return err
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
