@@ -114,7 +114,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures a deep copy of the store in ID order, diffed against
-// the previous capture: Changed/Lookup report which field groups of each
+// the previous capture: Changed/At report which field groups of each
 // entity differ from the prior snapshot (FieldAll for entities that appeared
 // since). Buffers are recycled from the snapshot before last, making the
 // steady-state capture allocation-free; see the Snapshot type for the
@@ -170,19 +170,15 @@ func (sn *Snapshot) All() []*Entity { return sn.all }
 // At returns the captured entity at position p of All, with its
 // changed-field mask relative to the previous snapshot. It is how the
 // publish stage reads the entities an aoi position query found: an array
-// index where Lookup is a map probe.
+// index where Index is a map probe.
 func (sn *Snapshot) At(p int32) (*Entity, FieldMask) {
 	return &sn.ents[p], sn.changed[p]
 }
 
-// Lookup returns a captured entity together with its changed-field mask
-// relative to the previous snapshot, in one map probe.
-func (sn *Snapshot) Lookup(id ID) (*Entity, FieldMask, bool) {
-	i, ok := sn.byID[id]
-	if !ok {
-		return nil, 0, false
-	}
-	return &sn.ents[i], sn.changed[i], true
+// Index returns the position in All of a captured entity, in one map probe.
+func (sn *Snapshot) Index(id ID) (int32, bool) {
+	p, ok := sn.byID[id]
+	return p, ok
 }
 
 // Changed reports the changed-field mask of a captured entity relative to

@@ -36,15 +36,14 @@ func TestSnapshotImmutableUnderMutation(t *testing.T) {
 		if e.Pos.X != float64(want) || e.Health != 100 {
 			t.Errorf("snapshot entity %d mutated: pos.X=%v health=%d", want, e.Pos.X, e.Health)
 		}
-		got, mask, ok := snap.Lookup(ID(want))
-		if !ok || got != e || mask != snap.Changed(e.ID) {
-			t.Errorf("snapshot Lookup(%d) = %v, %v, %v; want the captured copy", want, got, mask, ok)
+		if p, ok := snap.Index(ID(want)); !ok || p != int32(i) {
+			t.Errorf("snapshot Index(%d) = %d, %v; want %d", want, p, ok, i)
 		}
-		if at, atMask := snap.At(int32(i)); at != e || atMask != mask {
-			t.Errorf("snapshot At(%d) = %v, %v; want what Lookup(%d) gave", i, at, atMask, want)
+		if at, mask := snap.At(int32(i)); at != e || mask != snap.Changed(e.ID) {
+			t.Errorf("snapshot At(%d) = %v, %v; want the captured copy and its mask", i, at, mask)
 		}
 	}
-	if _, _, ok := snap.Lookup(ID(100)); ok {
+	if _, ok := snap.Index(ID(100)); ok {
 		t.Error("snapshot sees entity inserted after capture")
 	}
 	if _, ok := s.Get(ID(3)); ok {

@@ -58,28 +58,116 @@ func (m *StateDelta) MarshalWire(w *wire.Writer) {
 	w.Uvarint(m.Tick)
 	w.Uvarint(m.Tick - m.BaseTick)
 	w.Uvarint(m.AckSeq)
-	w.Uint8(uint8(m.SelfMask))
-	m.Self.MarshalDelta(w, m.SelfMask)
+	marshalBody(w, &m.Self, m.SelfMask)
 	w.Uvarint(uint64(len(m.Updates)))
-	prev := uint64(0)
+	prev := entity.ID(0)
 	for i := range m.Updates {
 		u := &m.Updates[i]
-		w.Uvarint(uint64(u.ID) - prev)
-		prev = uint64(u.ID)
-		w.Uint8(uint8(u.Mask))
-		u.State.MarshalDelta(w, u.Mask)
+		prev = marshalGap(w, prev, u.ID)
+		marshalBody(w, &u.State, u.Mask)
 	}
 	w.Uvarint(uint64(len(m.Enters)))
 	for i := range m.Enters {
 		m.Enters[i].MarshalWire(w)
 	}
-	w.Uvarint(uint64(len(m.Gone)))
-	prev = 0
-	for _, id := range m.Gone {
-		w.Uvarint(uint64(id) - prev)
-		prev = uint64(id)
-	}
+	marshalGone(w, m.Gone)
 	w.Blob(m.Events)
+}
+
+// marshalBody writes one entity's delta body: the mask byte, then the
+// masked field groups. It is the unit a StateDelta carries for the avatar
+// and for each of its Updates.
+func marshalBody(w *wire.Writer, e *entity.Entity, mask entity.FieldMask) {
+	w.Uint8(uint8(mask))
+	e.MarshalDelta(w, mask)
+}
+
+// marshalGap writes one entry of a gap-encoded ID column, id's distance
+// from the previous entry prev (0 before the first), and returns id.
+func marshalGap(w *wire.Writer, prev, id entity.ID) entity.ID {
+	w.Uvarint(uint64(id - prev))
+	return id
+}
+
+// marshalGone writes the Gone column: its length, then the gap-encoded IDs.
+func marshalGone(w *wire.Writer, gone []entity.ID) {
+	w.Uvarint(uint64(len(gone)))
+	prev := entity.ID(0)
+	for _, id := range gone {
+		prev = marshalGap(w, prev, id)
+	}
+}
+
+// DeltaBodies is one tick's arena of delta bodies, indexed by snapshot
+// position. An entity's masked changes are the same bytes for every viewer
+// — only the gap-encoded ID in front of them depends on who is looking — so
+// the publish stage encodes each snapshot entity's body once per tick and
+// AppendStateDelta splices it into every viewer's update. The zero value is
+// ready to use; Reset keeps the capacity for the next tick.
+type DeltaBodies struct {
+	w wire.Writer
+	// ends[p] is where position p's body ends in w; it starts where
+	// position p-1's ends (at 0 for position 0).
+	ends []int32
+}
+
+// Reset empties the arena, keeping its capacity.
+func (b *DeltaBodies) Reset() {
+	b.w.Reset()
+	b.ends = b.ends[:0]
+}
+
+// Append encodes the body of the next snapshot position: e's field groups
+// under mask, the entity's change mask relative to the previous snapshot.
+// A zero mask encodes the one-byte body of an unchanged entity.
+func (b *DeltaBodies) Append(e *entity.Entity, mask entity.FieldMask) {
+	marshalBody(&b.w, e, mask)
+	b.ends = append(b.ends, int32(b.w.Len()))
+}
+
+// body returns the delta body of snapshot position p, aliasing the arena.
+func (b *DeltaBodies) body(p int32) []byte {
+	start := int32(0)
+	if p > 0 {
+		start = b.ends[p-1]
+	}
+	return b.w.Bytes()[start:b.ends[p]]
+}
+
+// AppendStateDelta appends to w the payload, kind tag included, that
+// Registry.Encode writes for the StateDelta
+//
+//	{Tick: tick, BaseTick: baseTick, AckSeq: ackSeq,
+//	 SelfMask, Self: the avatar's mask and body at snapshot position self,
+//	 Updates: the entities at positions updates, with their masks,
+//	 Enters: the entities at positions enters,
+//	 Gone: gone, Events: events}
+//
+// without building it: the avatar and every update are spans of bodies,
+// the arena DeltaBodies encoded from snap, behind their gap-encoded IDs;
+// entrants are full records encoded from snap at the point of use. The
+// position columns must ascend, like the ID columns they stand for.
+func AppendStateDelta(w *wire.Writer, snap *entity.Snapshot, bodies *DeltaBodies,
+	tick, baseTick, ackSeq uint64, self int32, updates, enters []int32, gone []entity.ID, events []byte) {
+	w.Uint16(uint16(KindStateDelta))
+	w.Uvarint(tick)
+	w.Uvarint(tick - baseTick)
+	w.Uvarint(ackSeq)
+	w.Raw(bodies.body(self))
+	w.Uvarint(uint64(len(updates)))
+	prev := entity.ID(0)
+	for _, p := range updates {
+		e, _ := snap.At(p)
+		prev = marshalGap(w, prev, e.ID)
+		w.Raw(bodies.body(p))
+	}
+	w.Uvarint(uint64(len(enters)))
+	for _, p := range enters {
+		e, _ := snap.At(p)
+		e.MarshalWire(w)
+	}
+	marshalGone(w, gone)
+	w.Blob(events)
 }
 
 // UnmarshalWire implements wire.Message. The Updates, Enters, Gone and
@@ -183,6 +271,23 @@ func (m *StateKeyframe) MarshalWire(w *wire.Writer) {
 		m.Visible[i].MarshalWire(w)
 	}
 	w.Blob(m.Events)
+}
+
+// AppendStateKeyframe appends to w the payload, kind tag included, that
+// Registry.Encode writes for the StateKeyframe {Tick: tick, AckSeq: ackSeq,
+// Self: self, Visible: the entities at the ascending snapshot positions
+// visible, Events: events}, encoding each record straight from snap.
+func AppendStateKeyframe(w *wire.Writer, snap *entity.Snapshot, tick, ackSeq uint64, self *entity.Entity, visible []int32, events []byte) {
+	w.Uint16(uint16(KindStateKeyframe))
+	w.Uvarint(tick)
+	w.Uvarint(ackSeq)
+	self.MarshalWire(w)
+	w.Uvarint(uint64(len(visible)))
+	for _, p := range visible {
+		e, _ := snap.At(p)
+		e.MarshalWire(w)
+	}
+	w.Blob(events)
 }
 
 // UnmarshalWire implements wire.Message.

@@ -5,37 +5,26 @@ import (
 	"time"
 
 	"roia/internal/rtf/entity"
-	"roia/internal/rtf/proto"
-	"roia/internal/rtf/wire"
 )
 
 // workerCtx is the per-worker scratch state of the tick pipeline's
 // parallel stages, reused across ticks so the fan-out allocates nothing
-// per stage: a serialization buffer for state-update encoding, the AoI
-// query's result and bitset buffers, and what the visible-set merge walk
-// fills (the new visible set, leavers, masked update records, and full
-// records for keyframes and entrants). A workerCtx is only ever touched by
-// the one worker it belongs to during a run, and by the tick goroutine
-// between runs.
+// per stage: the AoI query's result and bitset buffers, and what the
+// visible-set merge walk fills (the new visible set, leavers, and the
+// snapshot positions of changed stayers and of entrants). A workerCtx is
+// only ever touched by the one worker it belongs to during a run, and by
+// the tick goroutine between runs.
 type workerCtx struct {
-	w *wire.Writer
 	// vis holds the tick's visible set as ascending snapshot positions;
 	// marks is the all-zero bitset aoi.Manager.VisiblePositions orders
 	// them through, one bit per snapshot entity.
 	vis   []int32
 	marks []uint64
 
-	ids     []entity.ID
-	gone    []entity.ID
-	updates []proto.EntityDelta
-	ents    []entity.Entity
-
-	// Reusable message shells: encoding passes the message by interface,
-	// so a stack-allocated struct would escape — one heap allocation per
-	// user per tick. These live as long as the worker; publishItem fills
-	// every field before each encode.
-	delta    proto.StateDelta
-	keyframe proto.StateKeyframe
+	ids    []entity.ID
+	gone   []entity.ID
+	updPos []int32
+	entPos []int32
 }
 
 // executor fans the embarrassingly-parallel tick stages (frame decode,
@@ -90,7 +79,7 @@ func newExecutor(workers int, clock func() time.Time) *executor {
 	e := &executor{workers: workers, clock: clock}
 	e.ctxs = make([]*workerCtx, workers)
 	for i := range e.ctxs {
-		e.ctxs[i] = &workerCtx{w: wire.NewWriter(4 << 10)}
+		e.ctxs[i] = &workerCtx{}
 	}
 	if workers > 1 {
 		e.stopc = make(chan struct{})

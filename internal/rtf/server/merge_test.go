@@ -8,9 +8,10 @@ import (
 )
 
 // TestMergeVisible pins the publish stage's one walk on hand-written sets:
-// what left, what entered, what stayed and changed, and the set carried to
-// the next tick, for delta and keyframe alike. Entities 1–8 sit at snapshot
-// positions 0–7; the even ones moved since the previous snapshot.
+// what left, what entered (as snapshot positions), what stayed and changed
+// (positions too), and the set carried to the next tick, for delta and
+// keyframe alike. Entities 1–8 sit at snapshot positions 0–7; the even ones
+// moved since the previous snapshot.
 func TestMergeVisible(t *testing.T) {
 	store := entity.NewStore()
 	for id := entity.ID(1); id <= 8; id++ {
@@ -25,6 +26,13 @@ func TestMergeVisible(t *testing.T) {
 	snap := store.Snapshot()
 
 	ids := func(s ...entity.ID) []entity.ID { return s }
+	positions := func(ids []entity.ID) []int32 {
+		var ps []int32
+		for _, id := range ids {
+			ps = append(ps, int32(id-1))
+		}
+		return ps
+	}
 	for _, c := range []struct {
 		name                        string
 		prev, cur                   []entity.ID
@@ -39,31 +47,23 @@ func TestMergeVisible(t *testing.T) {
 		{name: "tails", prev: ids(4, 7, 8), cur: ids(1, 4), enters: ids(1), gone: ids(7, 8), stayedChanged: ids(4)},
 	} {
 		for _, full := range []bool{false, true} {
-			ctx := &workerCtx{}
-			for _, id := range c.cur {
-				ctx.vis = append(ctx.vis, int32(id-1))
-			}
+			ctx := &workerCtx{vis: positions(c.cur)}
 			entered := ctx.mergeVisible(snap, c.prev, full)
 
-			var ents, updates []entity.ID
-			for _, e := range ctx.ents {
-				ents = append(ents, e.ID)
-			}
-			for _, u := range ctx.updates {
-				if u.Mask != entity.FieldPos || u.State.ID != u.ID {
-					t.Errorf("%s full=%v: update %+v, want entity %d with the position mask", c.name, full, u, u.ID)
+			for _, p := range ctx.updPos {
+				if _, mask := snap.At(p); mask != entity.FieldPos {
+					t.Errorf("%s full=%v: update at position %d has mask %v, want the position mask", c.name, full, p, mask)
 				}
-				updates = append(updates, u.ID)
 			}
-			wantEnts, wantUpdates := c.enters, c.stayedChanged
+			wantEnts, wantUpdates := positions(c.enters), positions(c.stayedChanged)
 			if full {
-				wantEnts, wantUpdates = c.cur, nil
+				wantEnts, wantUpdates = positions(c.cur), nil
 			}
 			if entered != len(c.enters) || !slices.Equal(ctx.gone, c.gone) ||
-				!slices.Equal(ents, wantEnts) || !slices.Equal(updates, wantUpdates) ||
+				!slices.Equal(ctx.entPos, wantEnts) || !slices.Equal(ctx.updPos, wantUpdates) ||
 				!slices.Equal(ctx.ids, c.cur) {
-				t.Errorf("%s full=%v: entered=%d gone=%v ents=%v updates=%v ids=%v, want %d %v %v %v %v",
-					c.name, full, entered, ctx.gone, ents, updates, ctx.ids,
+				t.Errorf("%s full=%v: entered=%d gone=%v entPos=%v updPos=%v ids=%v, want %d %v %v %v %v",
+					c.name, full, entered, ctx.gone, ctx.entPos, ctx.updPos, ctx.ids,
 					len(c.enters), c.gone, wantEnts, wantUpdates, c.cur)
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash"
 	"runtime"
+	"strings"
 	"testing"
 
 	"roia/internal/game"
@@ -255,6 +256,36 @@ func TestPipelineDeterministicAcrossParallelism(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// pinnedWireDigest is the SHA-256 of the comma-joined per-client digests of
+// the sparse session at Parallelism 1 and 4, then the dense session at
+// Parallelism 1 and 4, recorded while every state update was still encoded
+// through StateDelta/StateKeyframe.MarshalWire. Changing the wire format
+// means changing it here, deliberately.
+const pinnedWireDigest = "3782bf5b1e91094bea007c38c126949c4c1622c69ec0230b119ebf3a16ddc488"
+
+// TestPipelineWireBytesPinned pins the wire stream to recorded bytes.
+// TestPipelineDeterministicAcrossParallelism only compares runs of the same
+// build with each other, so an encoder change that altered the bytes the
+// same way at every Parallelism would pass it; this test would not.
+func TestPipelineWireBytesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// The game's movement and hit math is float64; the Go compiler may
+		// fuse its multiply-adds on other architectures (arm64 among them),
+		// which moves positions by an ulp and with them the bytes.
+		t.Skipf("wire bytes are pinned on amd64 only, this is %s", runtime.GOARCH)
+	}
+	var digests []string
+	for _, sess := range []pipelineSession{sparseSession, denseSession} {
+		for _, w := range []int{1, 4} {
+			digests = append(digests, runPipelineScenario(t, sess, w, gameApp, nil)...)
+		}
+	}
+	sum := sha256.Sum256([]byte(strings.Join(digests, ",")))
+	if got := hex.EncodeToString(sum[:]); got != pinnedWireDigest {
+		t.Fatalf("wire stream digest %s, pinned %s", got, pinnedWireDigest)
 	}
 }
 

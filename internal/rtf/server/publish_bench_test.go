@@ -1,10 +1,10 @@
 package server_test
 
 // Allocation benchmark for the publish half of the tick: n users in mutual
-// view, moving NPCs dirtying the world every tick, proto v5 delta stream.
-// The sink node discards frames without copying, so the measurement is the
-// server pipeline alone — the acceptance bar is 0 allocs/op in steady
-// state (see DESIGN §17 and ISSUE 10).
+// view, moving NPCs (and, in one case, moving users) dirtying the world
+// every tick, delta stream with periodic keyframes. The sink node discards
+// frames without copying, so the measurement is the server pipeline alone
+// — the acceptance bar is 0 allocs/op in steady state (see DESIGN §17).
 
 import (
 	"fmt"
@@ -75,16 +75,20 @@ func (benchApp) ApplyForwarded(env *server.Env, actor entity.ID, target *entity.
 }
 
 func (benchApp) UpdateNPC(env *server.Env, npc *entity.Entity) []server.Forward {
-	// Oscillating patrol: every NPC moves every tick (keeping the world
-	// dirty) but stays in its neighbourhood, so visible sets — and with
-	// them the steady-state buffer capacities — stay bounded.
+	patrol(env.Tick, npc)
+	return nil
+}
+
+// patrol is an oscillating drift: the entity moves every tick (keeping the
+// world dirty) but stays in its neighbourhood, so visible sets — and with
+// them the steady-state buffer capacities — stay bounded.
+func patrol(tick uint64, e *entity.Entity) {
 	d := 1.0
-	if env.Tick%16 >= 8 {
+	if tick%16 >= 8 {
 		d = -1.0
 	}
-	npc.Pos.X += d * 0.5 * float64(1+npc.ID%7)
-	npc.Pos.Y += d * 0.25 * float64(1+npc.ID%3)
-	return nil
+	e.Pos.X += d * 0.5 * float64(1+e.ID%7)
+	e.Pos.Y += d * 0.25 * float64(1+e.ID%3)
 }
 
 func (benchApp) DrainEvents(env *server.Env, avatar entity.ID) []byte     { return nil }
@@ -92,16 +96,31 @@ func (benchApp) EncodeUserState(env *server.Env, avatar entity.ID) []byte { retu
 func (benchApp) ApplyUserState(env *server.Env, avatar entity.ID, data []byte) {
 }
 
-// benchServer builds a server on a sink node with n joined users, user i
-// standing at place(i), plus n/10 NPCs.
-func benchServer(b *testing.B, n int, parallelism int, place func(i int) entity.Vec2) (*server.Server, *sinkNode) {
+// movingApp is benchApp whose users patrol like its NPCs, every user every
+// tick, so every entity a viewer sees is a masked update. It sends no
+// inputs — decoding one allocates, and this benchmark measures publishing
+// — but moves each avatar when the publish stage drains its events. That
+// is after the tick's snapshot, on the tick goroutine, so the move shows
+// in the next tick's snapshot.
+type movingApp struct{ benchApp }
+
+func (movingApp) DrainEvents(env *server.Env, avatar entity.ID) []byte {
+	if av, ok := env.Store.Get(avatar); ok {
+		patrol(env.Tick, av)
+	}
+	return nil
+}
+
+// benchServer builds a server running app on a sink node with n joined
+// users, user i standing at place(i), plus n/10 NPCs.
+func benchServer(b *testing.B, app server.Application, n int, parallelism int, place func(i int) entity.Vec2) (*server.Server, *sinkNode) {
 	b.Helper()
 	node := newSinkNode("s1", n+16)
 	srv, err := server.New(server.Config{
 		Node:        node,
 		Zone:        1,
 		Assignment:  zone.NewAssignment(),
-		App:         benchApp{},
+		App:         app,
 		AOI:         aoi.NewIncremental(60),
 		IDPrefix:    1,
 		Seed:        1,
@@ -136,20 +155,27 @@ func benchServer(b *testing.B, n int, parallelism int, place func(i int) entity.
 // every user — with a dirty world. The publish stage dominates; the whole
 // tick must be allocation-free in steady state.
 func BenchmarkPublish(b *testing.B) {
+	grid := func(i int) entity.Vec2 { return entity.Vec2{X: float64(20 * (i % 32)), Y: float64(20 * (i / 32))} }
+	crowd := func(i int) entity.Vec2 { return entity.Vec2{X: 7.5 * float64(i%20), Y: 7.5 * float64(i/20)} }
 	for _, bc := range []struct {
 		name  string
+		app   server.Application
 		n     int
 		place func(i int) entity.Vec2
 	}{
 		// A grid sized so AoI neighbourhoods stay populated: visible sets
 		// of a few dozen.
-		{"delta", 500, func(i int) entity.Vec2 { return entity.Vec2{X: float64(20 * (i % 32)), Y: float64(20 * (i / 32))} }},
+		{"delta", benchApp{}, 500, grid},
 		// A crowd on a 150×150 patch: visible sets of a hundred and more,
-		// spanning several words of the position query's bitset.
-		{"crowd", 400, func(i int) entity.Vec2 { return entity.Vec2{X: 7.5 * float64(i%20), Y: 7.5 * float64(i/20)} }},
+		// spanning several words of the position query's bitset. Only the
+		// NPCs move.
+		{"crowd", benchApp{}, 400, crowd},
+		// The same crowd with every user moving too: nearly every visible
+		// entity is a masked update in every viewer's delta.
+		{"crowd-moving", movingApp{}, 400, crowd},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			srv, node := benchServer(b, bc.n, 1, bc.place)
+			srv, node := benchServer(b, bc.app, bc.n, 1, bc.place)
 			// Warm up past two keyframe cycles so every reusable buffer
 			// has reached steady-state capacity.
 			for i := 0; i < 80; i++ {

@@ -192,8 +192,9 @@ type Server struct {
 	decodeFn, npcFn, publishFn func(i int, ctx *workerCtx)
 	// Reusable per-tick stage buffers (tick goroutine only): decoded-frame
 	// slots, applied inputs, forwarded inputs, removed entities, the NPC
-	// active set and result slots, the publish items and their snapshot,
-	// peer replicas, and the shadow-update entity scratch.
+	// active set and result slots, the publish items, their snapshot and
+	// its delta-body arena, peer replicas, and the shadow-update entity
+	// scratch.
 	decBuf     []decodedFrame
 	inputsBuf  []decodedInput
 	fwdBuf     []*proto.Forwarded
@@ -203,6 +204,7 @@ type Server struct {
 	pubItems   []pubItem
 	pubSnap    *entity.Snapshot
 	pubWorld   []*entity.Entity
+	pubBodies  proto.DeltaBodies
 	peersBuf   []string
 	suEnts     []entity.Entity
 }

@@ -46,13 +46,13 @@ type npcResult struct {
 // send it and account for it. Slots live in the server's reusable pubItems
 // buffer; payload keeps its capacity across ticks.
 type pubItem struct {
-	uid    string
-	u      *user
-	av     *entity.Entity
-	avMask entity.FieldMask
+	uid string
+	u   *user
+	// avPos is the snapshot position of the user's avatar.
+	avPos  int32
 	events []byte
 
-	payload     []byte
+	payload     wire.Writer
 	aoiMS, suMS float64
 	ok          bool
 
@@ -373,19 +373,22 @@ func (s *Server) housekeep(br *monitor.Breakdown) {
 // Publishing fans out per user: AoI query, visible-set diffing and wire
 // serialization are independent across users once the world state is
 // frozen. The stage runs against an immutable store snapshot so workers
-// never touch live entities; each worker encodes into its own writer and
-// copies the payload into the user's slot. Application callbacks
-// (DrainEvents) stay on the tick goroutine per the Application contract,
-// and the actual sends happen in the sequential merge in sorted-user
-// order — so the wire output is byte-identical to the sequential loop.
-// Every buffer in the stage (snapshot arenas, AoI index, per-user
-// visible sets, delta scratch, payload slots, the outbox) is reused
-// across ticks: the steady-state publish path allocates nothing.
+// never touch live entities. Each entity's delta body is encoded once,
+// before the fan-out (encodeBodies); each worker then writes its
+// user's update straight into the user's slot, splicing those bodies
+// behind per-viewer gap-encoded IDs. Application callbacks (DrainEvents)
+// stay on the tick goroutine per the Application contract, and the actual
+// sends happen in the sequential merge in sorted-user order — so the wire
+// output is byte-identical to the sequential loop. Every buffer in the
+// stage (snapshot arenas, the body arena, AoI index, per-user visible
+// sets, merge scratch, payload slots, the outbox) is reused across ticks:
+// the steady-state publish path allocates nothing.
 func (s *Server) publish(br *monitor.Breakdown) {
 	snap := s.store.Snapshot()
 	s.pubSnap = snap
 	s.pubWorld = snap.All()
 	s.cfg.AOI.Build(s.pubWorld)
+	s.encodeBodies(br)
 	uids := s.sortedUserIDs()
 	if cap(s.pubItems) < len(uids) {
 		grown := make([]pubItem, len(uids))
@@ -397,14 +400,14 @@ func (s *Server) publish(br *monitor.Breakdown) {
 	for i, uid := range uids {
 		it := &items[i]
 		u := s.users[uid]
-		av, mask, ok := snap.Lookup(u.avatar)
+		p, ok := snap.Index(u.avatar)
 		if !ok {
 			it.ok = false
 			continue
 		}
-		it.uid, it.u, it.av, it.avMask, it.ok = uid, u, av, mask, true
-		it.events = s.cfg.App.DrainEvents(s.env, av.ID)
-		it.payload = it.payload[:0]
+		it.uid, it.u, it.avPos, it.ok = uid, u, p, true
+		it.events = s.cfg.App.DrainEvents(s.env, u.avatar)
+		it.payload.Reset()
 		it.entered, it.left = 0, 0
 	}
 	s.exec.run(len(items), s.publishFn)
@@ -415,7 +418,7 @@ func (s *Server) publish(br *monitor.Breakdown) {
 			continue
 		}
 		br.Add(monitor.AOI, it.aoiMS, 1)
-		s.sendRaw(it.uid, it.payload)
+		s.sendRaw(it.uid, it.payload.Bytes())
 		br.Add(monitor.SU, it.suMS, 1)
 		if s.cfg.Cost != nil {
 			s.cfg.Cost.ObserveChurn(it.entered, it.left)
@@ -426,6 +429,30 @@ func (s *Server) publish(br *monitor.Breakdown) {
 	// counts toward t_su alongside the encoding measured in publishItem
 	// (time only: the per-user items were counted inside it).
 	br.Add(monitor.SU, s.exec.since(tStage), 0)
+}
+
+// encodeBodies is the publish stage's one walk of the snapshot: it encodes
+// every entity's delta body (its mask byte and the field groups that
+// changed since the previous snapshot; one byte for an unchanged entity)
+// into the tick's arena, which every viewer's StateDelta splices, and
+// counts the avatars and NPCs of the published world for the tick's
+// Breakdown. The walk is serialization of state updates, so its time
+// counts toward t_su (time only: the per-user items are counted per
+// viewer).
+func (s *Server) encodeBodies(br *monitor.Breakdown) {
+	t0 := s.exec.now()
+	s.pubBodies.Reset()
+	for p := range int32(s.pubSnap.Len()) {
+		e, mask := s.pubSnap.At(p)
+		s.pubBodies.Append(e, mask)
+		switch e.Kind {
+		case entity.Avatar:
+			br.Users++
+		case entity.NPC:
+			br.NPCs++
+		}
+	}
+	br.Add(monitor.SU, s.exec.since(t0), 0)
 }
 
 // replicate sends shadow updates to peer replicas (carrying the tick's
@@ -465,19 +492,10 @@ func (s *Server) replicate(br *monitor.Breakdown) {
 	br.Add(monitor.SU, s.exec.since(tFlush), 0)
 }
 
-// record completes the tick's Breakdown with the workload gauges and the
-// wall time, feeds it to the Monitor, and hands the tick's TickRecord to
-// the flight recorder.
+// record completes the tick's Breakdown with the workload gauges (the
+// entity counts were taken by encodeBodies) and the wall time, feeds it to
+// the Monitor, and hands the tick's TickRecord to the flight recorder.
 func (s *Server) record(start time.Time, br *monitor.Breakdown, queueDepth int) {
-	// The store has not changed since the publish snapshot was taken.
-	for _, e := range s.pubWorld {
-		switch e.Kind {
-		case entity.Avatar:
-			br.Users++
-		case entity.NPC:
-			br.NPCs++
-		}
-	}
 	br.ActiveUsers = len(s.users)
 	br.Replicas = s.cfg.Assignment.ReplicaCount(s.cfg.Zone)
 	br.BytesOut = s.tickBytesOut
@@ -584,9 +602,10 @@ func (s *Server) npcItem(i int, _ *workerCtx) {
 // publishItem is the publish-stage body for user slot i: AoI query in
 // snapshot-position space, one merge walk against the user's previously
 // published visible set, and wire encoding into the slot's payload buffer.
-// It reads the tick's immutable snapshot (never the live store) and writes
-// only slot i, the passed workerCtx and the one user's publish bookkeeping
-// (prevVis/lastPub/nextKey), so the stage may fan out across workers.
+// It reads the tick's immutable snapshot and body arena (never the live
+// store) and writes only slot i, the passed workerCtx and the one user's
+// publish bookkeeping (prevVis/lastPub/nextKey), so the stage may fan out
+// across workers.
 //
 // The user gets a StateDelta when its delta chain is intact (published
 // last tick, no periodic keyframe due) and a StateKeyframe otherwise — on
@@ -601,8 +620,9 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 	if words := (snap.Len() + 63) / 64; len(ctx.marks) < words {
 		ctx.marks = make([]uint64, words)
 	}
+	av, _ := snap.At(it.avPos)
 	t0 := s.exec.now()
-	ctx.vis = s.cfg.AOI.VisiblePositions(ctx.vis[:0], ctx.marks, it.av.ID, it.av.Pos, s.pubWorld)
+	ctx.vis = s.cfg.AOI.VisiblePositions(ctx.vis[:0], ctx.marks, av.ID, av.Pos, s.pubWorld)
 	t1 := s.exec.now() // closes the t_aoi window and opens the t_su one
 	it.aoiMS = ms(t1.Sub(t0))
 
@@ -612,24 +632,18 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 	it.left = len(ctx.gone)
 	if delta {
 		// StateDelta: masked field changes for entities that stayed
-		// visible, full records for entrants, IDs for leavers. The
-		// entity-level change masks come from the snapshot diff; an
-		// unchanged entity costs nothing on the wire.
-		upd := &ctx.delta
-		upd.Tick, upd.BaseTick, upd.AckSeq = s.tick, u.lastPub, u.seq
-		upd.SelfMask, upd.Self = it.avMask, *it.av
-		upd.Updates, upd.Enters, upd.Gone = ctx.updates, ctx.ents, ctx.gone
-		upd.Events = it.events
-		it.payload = append(it.payload, proto.Registry.Encode(ctx.w, upd)...)
+		// visible, spliced from the tick's body arena; full records for
+		// entrants; IDs for leavers. The entity-level change masks come
+		// from the snapshot diff; an unchanged entity costs nothing on the
+		// wire.
+		proto.AppendStateDelta(&it.payload, snap, &s.pubBodies, s.tick, u.lastPub, u.seq,
+			it.avPos, ctx.updPos, ctx.entPos, ctx.gone, it.events)
 	} else {
 		// StateKeyframe: full refresh; the client replaces its world
 		// wholesale, re-anchoring the delta chain. u.seq is the last input
 		// sequence applied for this user; echoing it (here and in deltas)
 		// lets the client close the input→update response-time loop.
-		upd := &ctx.keyframe
-		upd.Tick, upd.AckSeq, upd.Self, upd.Events = s.tick, u.seq, *it.av, it.events
-		upd.Visible = ctx.ents
-		it.payload = append(it.payload, proto.Registry.Encode(ctx.w, upd)...)
+		proto.AppendStateKeyframe(&it.payload, snap, s.tick, u.seq, av, ctx.entPos, it.events)
 		u.nextKey = s.tick + s.keyframeTicks
 	}
 	u.prevVis = append(u.prevVis[:0], ctx.ids...)
@@ -642,13 +656,14 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 // the tick's visible set as ascending positions of snap — which is
 // ID-sorted, so those IDs ascend too and neither side needs sorting or
 // looking up. It leaves in ctx the new visible set (ids), the leavers
-// (gone), full records (ents) of the entrants — of every visible entity
-// when full is set, the keyframe case — and, unless full, a masked record
-// (updates) of every entity that stayed and changed since the previous
-// snapshot. It returns the number of entrants.
+// (gone), the snapshot positions of the entrants (entPos) — of every
+// visible entity when full is set, the keyframe case — and, unless full,
+// the positions of every entity that stayed and changed since the previous
+// snapshot (updPos). It copies no entity. It returns the number of
+// entrants.
 func (ctx *workerCtx) mergeVisible(snap *entity.Snapshot, prev []entity.ID, full bool) (entered int) {
 	ctx.ids, ctx.gone = ctx.ids[:0], ctx.gone[:0]
-	ctx.updates, ctx.ents = ctx.updates[:0], ctx.ents[:0]
+	ctx.updPos, ctx.entPos = ctx.updPos[:0], ctx.entPos[:0]
 	i := 0
 	for _, p := range ctx.vis {
 		ent, mask := snap.At(p)
@@ -663,9 +678,9 @@ func (ctx *workerCtx) mergeVisible(snap *entity.Snapshot, prev []entity.ID, full
 		}
 		switch {
 		case full || !stayed:
-			ctx.ents = append(ctx.ents, *ent)
+			ctx.entPos = append(ctx.entPos, p)
 		case mask != 0:
-			ctx.updates = append(ctx.updates, proto.EntityDelta{ID: ent.ID, Mask: mask, State: *ent})
+			ctx.updPos = append(ctx.updPos, p)
 		}
 		ctx.ids = append(ctx.ids, ent.ID)
 	}

@@ -92,6 +92,10 @@ func (w *Writer) Blob(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// Raw appends b verbatim, with no length prefix: a splice of bytes some
+// other writer already encoded.
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
 // Reader deserializes values from a byte slice. Errors are sticky: after
 // the first failure every subsequent read returns the zero value, and Err
 // reports the original failure. This keeps message UnmarshalWire methods
