@@ -9,6 +9,7 @@ package roia
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"roia/internal/bots"
@@ -231,75 +232,102 @@ func BenchmarkAoIIncremental(b *testing.B) {
 	}
 }
 
-// --- observability overhead ablation -----------------------------------------
+// --- the price of the server's observer -------------------------------------
 
-// BenchmarkInstrumentedTick measures the full tick loop bare and with the
-// per-tick observers cmd/roiaserver attaches (the flight recorder, whose
-// TickRecord ring also serves the tick trace, and the cost tracker), plus
-// bots measuring input→update RTT from the echoed acks. Diffing the two sub-benchmarks bounds the cost of
-// the instrumentation itself; the design target is under 5% on the hot
-// path, since the point of the telemetry is to watch production ticks, not
-// to perturb them.
+// observedTick builds a server running the game with nBots joined bots,
+// each client measuring its input→update RTT against a 40 ms deadline, and
+// returns one lockstep iteration: every bot steps, then the server ticks.
+// rec is the server's one observer (nil for the bare server); the clients'
+// latency tracking runs either way, so two rigs differ by the observer
+// alone.
+func observedTick(tb testing.TB, nBots int, rec *telemetry.FlightRecorder) func() {
+	tb.Helper()
+	net := transport.NewLoopback()
+	tb.Cleanup(func() { net.Close() })
+	node, err := net.Attach("s1", 1<<16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := server.New(server.Config{
+		Node: node, Zone: 1, Assignment: zone.NewAssignment(),
+		App: game.New(game.DefaultConfig()), IDPrefix: 1, Seed: 1,
+		FlightRec: rec,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv.Start()
+	swarm := make([]*bots.Bot, nBots)
+	for i := range swarm {
+		cn, err := net.Attach(fmt.Sprintf("c%d", i+1), 1<<14)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cl := client.New(cn, "s1")
+		cl.SetLatencyDeadline(40)
+		if err := cl.Join(1, entity.Vec2{X: float64(100 + i*3), Y: 100}, cn.ID()); err != nil {
+			tb.Fatal(err)
+		}
+		swarm[i] = bots.New(cl, bots.DefaultProfile(), int64(i+1))
+	}
+	step := func() {
+		for _, bt := range swarm {
+			bt.Step()
+		}
+		srv.Tick()
+	}
+	for i := 0; i < 5; i++ {
+		step()
+	}
+	return step
+}
+
+// BenchmarkInstrumentedTick measures the full tick loop with 60 bots, bare
+// and instrumented — with the server's one observer, the flight recorder
+// cmd/roiaserver and cmd/roiarms attach (its TickRecord ring serves the
+// tick trace, the migration trace and the GC and egress alert rules, and
+// it samples runtime/metrics once at tick start and once in Record).
+// Diffing the two sub-benchmarks bounds the cost of the observer itself;
+// the design target is under 5% on the hot path, since the point of the
+// telemetry is to watch production ticks, not to perturb them.
+// TestRecorderTickAllocs holds the allocation half of that price.
 func BenchmarkInstrumentedTick(b *testing.B) {
 	for _, mode := range []struct {
 		name         string
 		instrumented bool
 	}{{"bare", false}, {"instrumented", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			net := transport.NewLoopback()
-			defer net.Close()
-			asg := zone.NewAssignment()
-			node, err := net.Attach("s1", 1<<16)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := server.Config{
-				Node: node, Zone: 1, Assignment: asg,
-				App: game.New(game.DefaultConfig()), IDPrefix: 1, Seed: 1,
-			}
+			var rec *telemetry.FlightRecorder
 			if mode.instrumented {
-				cfg.FlightRec = telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
-				cfg.Cost = telemetry.NewCostTracker()
+				rec = telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
 			}
-			srv, err := server.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv.Start()
-			const nBots = 60
-			swarm := make([]*bots.Bot, nBots)
-			for i := range swarm {
-				cn, err := net.Attach(fmt.Sprintf("c%d", i+1), 1<<14)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cl := client.New(cn, "s1")
-				if mode.instrumented {
-					cl.SetLatencyDeadline(40)
-				}
-				if err := cl.Join(1, entity.Vec2{X: float64(100 + i*3), Y: 100}, cn.ID()); err != nil {
-					b.Fatal(err)
-				}
-				swarm[i] = bots.New(cl, bots.DefaultProfile(), int64(i+1))
-			}
-			for i := 0; i < 5; i++ {
-				srv.Tick()
-				for _, bt := range swarm {
-					bt.Step()
-				}
-			}
+			step := observedTick(b, 60, rec)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, bt := range swarm {
-					bt.Step()
-				}
-				srv.Tick()
+				step()
 			}
 		})
 	}
 }
 
-// --- fitting ablation ---------------------------------------------------------
+// TestRecorderTickAllocs prices the observer in allocations, which unlike
+// its time are deterministic: on steady ticks with moving users and no
+// migrations, the flight recorder adds at most one allocation per tick to
+// the bare server — the record's Tasks slice. Captures are the recorder's
+// rare path, so this recorder never triggers one.
+func TestRecorderTickAllocs(t *testing.T) {
+	const ticks = 100
+	bare := testing.AllocsPerRun(ticks, observedTick(t, 8, nil))
+	rec := telemetry.NewFlightRecorder(telemetry.FlightRecConfig{MinHiccupMS: math.MaxFloat64})
+	observed := testing.AllocsPerRun(ticks, observedTick(t, 8, rec))
+	if observed > bare+1 {
+		t.Fatalf("recorder tick allocs = %g, bare = %g: the observer adds %g per tick, want <= 1 (the Tasks slice)",
+			observed, bare, observed-bare)
+	}
+	if got := len(rec.Last(0)); got < ticks {
+		t.Fatalf("recorder holds %d records after %d ticks", got, ticks)
+	}
+}
 
 func BenchmarkLevMarQuadraticFit(b *testing.B) {
 	xs := make([]float64, 60)

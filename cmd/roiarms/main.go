@@ -10,10 +10,10 @@
 // the machine's real profile).
 //
 // With -fleet-metrics the session serves the cluster-level scrape while it
-// runs: per-replica tick and QoS-deadline counters, per-zone cost
-// attribution (allocation by stage, GC pauses, egress bytes, AoI churn),
-// the merged client input→update RTT distribution (deadline set by
-// -rtt-deadline), and the alert engine's state when -alerts is active. At the end of the session a
+// runs: per-replica tick and QoS-deadline counters, the merged client
+// input→update RTT distribution (deadline set by -rtt-deadline), the
+// stitched cross-replica migration trace on /fleet/migrations, and the
+// alert engine's state when -alerts is active. At the end of the session a
 // client-RTT percentile summary is printed alongside the fleet state.
 //
 // Example:
@@ -52,7 +52,7 @@ var (
 	seedFlag     = flag.Int64("seed", 42, "random seed")
 	decFlag      = flag.String("decisions", "", "write the manager's decision log as JSONL to this file")
 	alertsFlag   = flag.String("alerts", "", "evaluate model-threshold alert rules each second and write transitions as JSONL to this file")
-	eventsFlag   = flag.String("events", "", "write the fleet lifecycle event log (spawn/drain/stop/handoff) as JSONL to this file")
+	eventsFlag   = flag.String("events", "", "write the fleet lifecycle event log (spawn/drain/stop) as JSONL to this file")
 	fleetMetFlag = flag.String("fleet-metrics", "", "serve the fleet collector (per-replica QoS counters, client RTT, alerts) on this address (e.g. 127.0.0.1:9200)")
 	rttDeadFlag  = flag.Float64("rtt-deadline", 0, "client input→update RTT deadline in ms for QoS accounting (default: two tick intervals)")
 )
@@ -87,14 +87,10 @@ func run() error {
 		Events:       eventSinkOrNil(events),
 		TickInterval: tickInterval,
 		// Flight recorders are bounded rings, so they stay on: the hiccup
-		// alert rule and the collector's tail counters need them, and a
-		// stalled replica leaves a capture to inspect after the session.
+		// and GC-pause alert rules, the collector's tail counters and the
+		// migration trace read them, and a stalled replica leaves a capture
+		// to inspect after the session.
 		FlightRecorders: true,
-		// Cost trackers hold fixed-vocabulary maps plus per-client counters
-		// evicted on disconnect, so they stay on too: the qos_gc_pause and
-		// egress_per_user_ceiling rules and the collector's cost families
-		// read them.
-		CostTrackers: true,
 	})
 	if err != nil {
 		return err

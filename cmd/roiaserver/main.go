@@ -13,11 +13,12 @@
 // zone users, mean tick duration, and the per-task model parameters
 // measured by the RTF hooks.
 //
-// Every tick's TickRecord lands in the flight recorder's ring. With
-// -metrics the server also exposes an observability endpoint: Prometheus
-// metrics (QoS deadline violations, windowed tail quantiles, hiccup
-// counters, model-drift gauges — aggregate and per-task — cost
-// attribution when -cost is on, and Go runtime stats) on /metrics, the
+// Every tick's TickRecord — task spans, workload gauges, the tick's GC
+// pause and heap allocations, and its bytes to clients — lands in the
+// flight recorder's ring. With -metrics the server also exposes an
+// observability endpoint: Prometheus metrics (QoS deadline violations,
+// windowed tail quantiles, hiccup counters, model-drift gauges — aggregate
+// and per-task — and Go runtime stats) on /metrics, the
 // ring's recent ticks as a trace on /debug/ticktrace, flight-recorder
 // captures as JSONL on /debug/flightrec, and pprof on /debug/pprof/. With
 // -trace-out the ring is written as Chrome trace-event JSON at shutdown,
@@ -63,7 +64,6 @@ var (
 	traceFlag   = flag.String("trace-out", "", "write the tick trace as Chrome trace JSON to this file at shutdown")
 	flightOut   = flag.String("flightrec-out", "", "write flight-recorder captures as JSONL to this file at shutdown")
 	hiccupK     = flag.Float64("hiccup-k", telemetry.DefaultHiccupK, "flag a tick as a hiccup when its wall time exceeds k x the rolling median")
-	costFlag    = flag.Bool("cost", true, "track per-stage allocation, GC attribution, per-client egress, and AoI churn")
 	deadline    = flag.Duration("deadline", 0, "tick QoS deadline for violation accounting (default: the tick interval, 1/U)")
 	parFlag     = flag.Int("parallelism", 1, "worker count for the tick pipeline's parallel stages (1 = sequential; wire output is identical either way)")
 )
@@ -98,10 +98,6 @@ func run() error {
 	}
 
 	flightRec := telemetry.NewFlightRecorder(telemetry.FlightRecConfig{K: *hiccupK})
-	var cost *telemetry.CostTracker
-	if *costFlag {
-		cost = telemetry.NewCostTracker()
-	}
 	srv, err := server.New(server.Config{
 		Node:         node,
 		Zone:         zone.ID(*zoneFlag),
@@ -111,7 +107,6 @@ func run() error {
 		Seed:         *seedFlag,
 		TickInterval: *tickFlag,
 		FlightRec:    flightRec,
-		Cost:         cost,
 		Parallelism:  *parFlag,
 	})
 	if err != nil {
@@ -137,7 +132,7 @@ func run() error {
 	go trackDrift(ctx, srv.Monitor(), drift, taskDrift, *tickFlag)
 
 	if *metricsFlag != "" {
-		if err := serveMetrics(ctx, srv.Monitor(), drift, taskDrift, flightRec, cost); err != nil {
+		if err := serveMetrics(ctx, srv.Monitor(), drift, taskDrift, flightRec); err != nil {
 			return err
 		}
 	}
@@ -170,7 +165,7 @@ func run() error {
 // serveMetrics starts the observability HTTP server: Prometheus metrics,
 // the flight recorder's tick trace and captures, and pprof. It shuts down
 // gracefully when ctx ends.
-func serveMetrics(ctx context.Context, mon *monitor.Monitor, drift *telemetry.Drift, taskDrift *telemetry.TaskDrift, flightRec *telemetry.FlightRecorder, cost *telemetry.CostTracker) error {
+func serveMetrics(ctx context.Context, mon *monitor.Monitor, drift *telemetry.Drift, taskDrift *telemetry.TaskDrift, flightRec *telemetry.FlightRecorder) error {
 	labels := fmt.Sprintf("server=%q,zone=\"%d\"", *idFlag, *zoneFlag)
 	writers := []telemetry.MetricsWriter{
 		mon.WriteMetrics,
@@ -178,9 +173,6 @@ func serveMetrics(ctx context.Context, mon *monitor.Monitor, drift *telemetry.Dr
 		taskDrift.WriteMetrics,
 		flightRec.WriteMetrics,
 		telemetry.WriteRuntimeMetrics,
-	}
-	if cost != nil {
-		writers = append(writers, cost.WriteMetrics)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", telemetry.MetricsHandler(labels, writers...))

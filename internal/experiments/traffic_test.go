@@ -41,7 +41,7 @@ func TestTrafficAccountingCountsOnlyDeliveredFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := telemetry.NewCostTracker()
+	rec := telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
 	srv, err := server.New(server.Config{
 		Node:       srvNode,
 		Zone:       1,
@@ -49,7 +49,7 @@ func TestTrafficAccountingCountsOnlyDeliveredFrames(t *testing.T) {
 		App:        game.New(game.DefaultConfig()),
 		IDPrefix:   1,
 		Seed:       11,
-		Cost:       cost,
+		FlightRec:  rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,14 +98,18 @@ func TestTrafficAccountingCountsOnlyDeliveredFrames(t *testing.T) {
 			bytesIn, delivered.bytes, dropped)
 	}
 
-	// The cost tracker's egress accounting points the other way (server →
-	// client); it must have billed the client for the join ack and state
-	// updates the server actually handed to its own node.
-	if b, ok := cost.ClientEgressBytes("c1"); !ok || b == 0 {
-		t.Fatalf("ClientEgressBytes(c1) = %d, %v; want nonzero egress for a joined client", b, ok)
+	// The tick records' client egress points the other way (server →
+	// client). The lone user is the only destination, so after the join
+	// tick (whose JoinAck is not a state update) every byte the server sent
+	// was a state update billed to it.
+	client := 0
+	for _, r := range rec.Last(0)[1:] {
+		if r.ClientBytesOut != r.BytesOut {
+			t.Fatalf("tick %d: client bytes %d != bytes out %d with one user and no peers", r.Tick, r.ClientBytesOut, r.BytesOut)
+		}
+		client += r.ClientBytesOut
 	}
-	snap := cost.Snapshot()
-	if snap.EgressByType["state_keyframe"] == 0 || snap.EgressByType["state_delta"] == 0 {
-		t.Fatalf("no state_keyframe/state_delta egress billed: %+v", snap.EgressByType)
+	if client == 0 {
+		t.Fatal("no state-update egress recorded for a joined client")
 	}
 }

@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"roia/internal/model"
+	"roia/internal/stats"
 	"roia/internal/telemetry"
 )
 
@@ -53,15 +55,17 @@ type AlertConfig struct {
 	ClientLatency func() telemetry.LatencySnapshot
 	// GCPauseBudget is the fraction of the tick deadline 1/U that in-tick
 	// GC pause may consume before the qos_gc_pause rule is active (default
-	// 0.25: the windowed per-tick GC-pause p99 eats more than a quarter of
-	// the deadline). The rule is inert on replicas without a cost tracker
-	// (fleet Config.CostTrackers off).
+	// 0.25: the per-tick GC-pause p99 over the flight recorder's ring eats
+	// more than a quarter of the deadline). The rule is inert on replicas
+	// without a flight recorder (fleet Config.FlightRecorders off).
 	GCPauseBudget float64
 	// EgressPerUserCeiling is the per-user egress budget in framed wire
 	// bytes per tick; the egress_per_user_ceiling rule fires when a
-	// replica's client egress since the previous evaluation, divided by
-	// new ticks and connected users, exceeds it. 0 disables the rule (no
-	// universal ceiling exists — it is a deployment bandwidth budget).
+	// replica's state-update bytes over the ticks recorded since the
+	// previous evaluation, divided by those ticks' connected users, exceed
+	// it. 0 disables the rule (no universal ceiling exists — it is a
+	// deployment bandwidth budget). The rule is inert on replicas without
+	// a flight recorder.
 	EgressPerUserCeiling float64
 }
 
@@ -113,17 +117,18 @@ const (
 //     than TailInflation× its p50 — sustained tail-latency inflation, the
 //     regime where mean-based capacity numbers (n_max from mean task
 //     costs) stop protecting the QoS deadline. One instance per replica.
-//   - qos_gc_pause: a replica's windowed per-tick GC-pause p99 exceeds
-//     GCPauseBudget of the tick deadline 1/U — the runtime, not the
-//     workload, is eating the QoS budget, and no migration or replication
-//     decision can win it back. One instance per replica; requires fleet
-//     Config.CostTrackers.
-//   - egress_per_user_ceiling: a replica's client egress since the
-//     previous evaluation, per user per tick, exceeds the configured
-//     bandwidth budget — the interest-management cost model (what the
-//     paper folds into the per-user cost term) is under-charging for
-//     update fan-out. One instance per replica; requires CostTrackers
-//     and a non-zero EgressPerUserCeiling.
+//   - qos_gc_pause: the p99 of a replica's per-tick GC pause over its
+//     flight recorder's ring (the last 2048 ticks) exceeds GCPauseBudget
+//     of the tick deadline 1/U — the runtime, not the workload, is eating
+//     the QoS budget, and no migration or replication decision can win it
+//     back. One instance per replica; requires fleet
+//     Config.FlightRecorders.
+//   - egress_per_user_ceiling: a replica's client egress over the ticks
+//     recorded since the previous evaluation, per user per tick, exceeds
+//     the configured bandwidth budget — the interest-management cost
+//     model (what the paper folds into the per-user cost term) is
+//     under-charging for update fan-out. One instance per replica;
+//     requires FlightRecorders and a non-zero EgressPerUserCeiling.
 func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 	if cfg.DriftTolerance <= 0 {
 		cfg.DriftTolerance = 0.5
@@ -378,19 +383,24 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 				if !ok {
 					continue
 				}
-				ct := srv.CostTracker()
-				if ct == nil {
-					continue
-				}
-				snap := ct.Snapshot()
-				if snap.Ticks == 0 {
+				rec := srv.FlightRecorder()
+				if rec == nil {
 					continue
 				}
 				budgetMS := cfg.GCPauseBudget * srv.Monitor().DeadlineMS()
 				if budgetMS <= 0 {
 					continue
 				}
-				p99 := snap.GCPause.Quantile(0.99)
+				recs := rec.Last(0)
+				if len(recs) == 0 {
+					continue
+				}
+				pauses := make([]float64, len(recs))
+				for i, r := range recs {
+					pauses[i] = r.GCPauseMS
+				}
+				slices.Sort(pauses)
+				p99 := stats.Percentile(pauses, 99)
 				if p99 <= budgetMS {
 					continue
 				}
@@ -398,18 +408,18 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 					Key:       id,
 					Value:     p99,
 					Threshold: budgetMS,
-					Detail: fmt.Sprintf("windowed per-tick GC pause p99 %.3fms exceeds %.0f%% of the %.1fms tick deadline",
-						p99, cfg.GCPauseBudget*100, srv.Monitor().DeadlineMS()),
+					Detail: fmt.Sprintf("per-tick GC pause p99 %.3fms over the last %d ticks exceeds %.0f%% of the %.1fms tick deadline",
+						p99, len(recs), cfg.GCPauseBudget*100, srv.Monitor().DeadlineMS()),
 				})
 			}
 			return out
 		},
 	})
 	if cfg.EgressPerUserCeiling > 0 {
-		// Same delta idiom as the QoS rules: only egress since the previous
-		// evaluation counts, so a join burst resolves once traffic settles.
-		type egressPrev struct{ ticks, bytes uint64 }
-		egrPrev := make(map[string]egressPrev)
+		// Same delta idiom as the QoS rules: only ticks recorded since the
+		// previous evaluation count, so a join burst resolves once traffic
+		// settles.
+		lastTick := make(map[string]uint64)
 		rules = append(rules, telemetry.Rule{
 			Name:       AlertEgressPerUser,
 			PendingFor: cfg.PendingFor,
@@ -421,20 +431,25 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 					if !ok {
 						continue
 					}
-					ct := srv.CostTracker()
-					if ct == nil {
+					rec := srv.FlightRecorder()
+					if rec == nil {
 						continue
 					}
 					seen[id] = true
-					snap := ct.Snapshot()
-					cur := egressPrev{ticks: snap.Ticks, bytes: snap.EgressClientBytes}
-					prev := egrPrev[id]
-					egrPrev[id] = cur
-					users := srv.UserCount()
-					if cur.ticks <= prev.ticks || users == 0 {
-						continue // no new ticks (or tracker reset), or nobody to bill
+					bytes, userTicks, ticks := 0, 0, 0
+					for _, r := range rec.Last(0) {
+						if r.Tick <= lastTick[id] {
+							continue
+						}
+						bytes += r.ClientBytesOut
+						userTicks += r.ActiveUsers
+						ticks++
+						lastTick[id] = r.Tick
 					}
-					perUserTick := float64(cur.bytes-prev.bytes) / float64(cur.ticks-prev.ticks) / float64(users)
+					if userTicks == 0 {
+						continue // no new ticks, or nobody to bill
+					}
+					perUserTick := float64(bytes) / float64(userTicks)
 					if perUserTick <= cfg.EgressPerUserCeiling {
 						continue
 					}
@@ -442,13 +457,13 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 						Key:       id,
 						Value:     perUserTick,
 						Threshold: cfg.EgressPerUserCeiling,
-						Detail: fmt.Sprintf("client egress ran %.1f B/user/tick over the last %d ticks (%d users), above the %.1f B ceiling",
-							perUserTick, cur.ticks-prev.ticks, users, cfg.EgressPerUserCeiling),
+						Detail: fmt.Sprintf("client egress ran %.1f B/user/tick over the last %d ticks, above the %.1f B ceiling",
+							perUserTick, ticks, cfg.EgressPerUserCeiling),
 					})
 				}
-				for id := range egrPrev {
+				for id := range lastTick {
 					if !seen[id] {
-						delete(egrPrev, id) // replica stopped; forget its counters
+						delete(lastTick, id) // replica stopped; forget its position
 					}
 				}
 				return out

@@ -12,7 +12,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -170,23 +169,9 @@ func (c *Collector) MigEvents() map[string][]telemetry.MigEvent {
 //	                                        (-1 unbounded; only with an
 //	                                        attached model)
 //	roia_fleet_migrations{zone,state}       gauge, stitched migrations in
-//	                                        the trace rings (complete /
-//	                                        incomplete)
-//
-// When the fleet runs with CostTrackers, the per-replica trackers are
-// additionally merged into zone-level cost families (counters summed,
-// windowed log histograms merged so zone quantiles are exact over the
-// union):
-//
-//	roia_fleet_egress_bytes_total{zone,type}       counter, framed wire bytes
-//	roia_fleet_egress_client_bytes_total{zone}     counter, client share
-//	roia_fleet_egress_payload_q_bytes{zone,q}      gauge, per-client frames
-//	roia_fleet_gc_cycles_total{zone}               counter, in-tick GC cycles
-//	roia_fleet_gc_pause_ms_total{zone}             counter, in-tick GC pause
-//	roia_fleet_gc_pause_q_ms{zone,q}               gauge, per-tick pause tail
-//	roia_fleet_alloc_bytes_total{zone,stage}       counter, heap bytes/stage
-//	roia_fleet_aoi_churn_enter_q{zone,q}           gauge, AoI entries/client/tick
-//	roia_fleet_aoi_churn_leave_q{zone,q}           gauge, AoI exits/client/tick
+//	                                        the replicas' flight-recorder
+//	                                        rings (complete / incomplete;
+//	                                        0 without recorders)
 //
 // zoneRow is one zone's aggregated scrape snapshot.
 type zoneRow struct {
@@ -202,19 +187,6 @@ type zoneRow struct {
 	modeled        bool
 	nmax, lmax     int
 	nmaxOK, lmaxOK bool
-
-	// Cost aggregates; cost is false when no replica has a tracker,
-	// and the cost families are omitted from the scrape.
-	cost              bool
-	egressType        map[string]uint64
-	egressClientBytes uint64
-	gcCycles          uint64
-	gcPauseTotalMS    float64
-	allocBytes        map[string]uint64
-	gcPause           *telemetry.LogHistogram
-	payload           *telemetry.LogHistogram
-	churnEnter        *telemetry.LogHistogram
-	churnLeave        *telemetry.LogHistogram
 }
 
 // collect walks every registered fleet and returns the per-replica and
@@ -230,15 +202,7 @@ func (c *Collector) collect() ([]replicaRow, []zoneRow) {
 	for _, fl := range fleets {
 		z := uint32(fl.Zone())
 		zoneTail := telemetry.NewLogHistogram()
-		zr := zoneRow{
-			zone:       z,
-			egressType: make(map[string]uint64),
-			allocBytes: make(map[string]uint64),
-			gcPause:    telemetry.NewLogHistogram(),
-			payload:    telemetry.NewLogHistogram(),
-			churnEnter: telemetry.NewLogHistogram(),
-			churnLeave: telemetry.NewLogHistogram(),
-		}
+		zr := zoneRow{zone: z}
 		for _, id := range fl.IDs() {
 			srv, ok := fl.Server(id)
 			if !ok {
@@ -259,23 +223,6 @@ func (c *Collector) collect() ([]replicaRow, []zoneRow) {
 			if rec := srv.FlightRecorder(); rec != nil {
 				row.hiccups = rec.Hiccups()
 				row.captures = rec.CapturesTotal()
-			}
-			if ct := srv.CostTracker(); ct != nil {
-				cs := ct.Snapshot()
-				zr.cost = true
-				for typ, v := range cs.EgressByType {
-					zr.egressType[typ] += v
-				}
-				for stage, v := range cs.AllocBytes {
-					zr.allocBytes[stage] += v
-				}
-				zr.egressClientBytes += cs.EgressClientBytes
-				zr.gcCycles += cs.GCCycles
-				zr.gcPauseTotalMS += cs.GCPauseTotalMS
-				zr.gcPause.Merge(cs.GCPause)
-				zr.payload.Merge(cs.Payload)
-				zr.churnEnter.Merge(cs.ChurnEnter)
-				zr.churnLeave.Merge(cs.ChurnLeave)
 			}
 			zoneTail.Merge(mon.TailHistogram())
 			rows = append(rows, row)
@@ -396,115 +343,6 @@ func (c *Collector) WriteMetrics(w io.Writer, labels string) error {
 	for _, z := range zones {
 		fmt.Fprintf(&b, "roia_fleet_migrations%s %d\n", lbl(fmt.Sprintf("zone=\"%d\",state=\"complete\"", z.zone)), z.complete)
 		fmt.Fprintf(&b, "roia_fleet_migrations%s %d\n", lbl(fmt.Sprintf("zone=\"%d\",state=\"incomplete\"", z.zone)), z.incompl)
-	}
-	anyCost := false
-	for _, z := range zones {
-		if z.cost {
-			anyCost = true
-			break
-		}
-	}
-	if anyCost {
-		quantiles := []struct {
-			name string
-			q    float64
-		}{
-			{"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}, {"p999", 0.999},
-		}
-		fmt.Fprintf(&b, "# TYPE roia_fleet_egress_bytes_total counter\n")
-		for _, z := range zones {
-			if !z.cost {
-				continue
-			}
-			types := make([]string, 0, len(z.egressType))
-			for typ := range z.egressType {
-				types = append(types, typ)
-			}
-			sort.Strings(types)
-			for _, typ := range types {
-				fmt.Fprintf(&b, "roia_fleet_egress_bytes_total%s %d\n",
-					lbl(fmt.Sprintf("zone=\"%d\",type=%q", z.zone, typ)), z.egressType[typ])
-			}
-		}
-		fmt.Fprintf(&b, "# TYPE roia_fleet_egress_client_bytes_total counter\n")
-		for _, z := range zones {
-			if !z.cost {
-				continue
-			}
-			fmt.Fprintf(&b, "roia_fleet_egress_client_bytes_total%s %d\n",
-				lbl(fmt.Sprintf("zone=\"%d\"", z.zone)), z.egressClientBytes)
-		}
-		fmt.Fprintf(&b, "# TYPE roia_fleet_egress_payload_q_bytes gauge\n")
-		for _, z := range zones {
-			if !z.cost {
-				continue
-			}
-			for _, q := range quantiles {
-				fmt.Fprintf(&b, "roia_fleet_egress_payload_q_bytes%s %g\n",
-					lbl(fmt.Sprintf("zone=\"%d\",q=%q", z.zone, q.name)), z.payload.Quantile(q.q))
-			}
-		}
-		fmt.Fprintf(&b, "# TYPE roia_fleet_gc_cycles_total counter\n")
-		for _, z := range zones {
-			if !z.cost {
-				continue
-			}
-			fmt.Fprintf(&b, "roia_fleet_gc_cycles_total%s %d\n",
-				lbl(fmt.Sprintf("zone=\"%d\"", z.zone)), z.gcCycles)
-		}
-		fmt.Fprintf(&b, "# TYPE roia_fleet_gc_pause_ms_total counter\n")
-		for _, z := range zones {
-			if !z.cost {
-				continue
-			}
-			fmt.Fprintf(&b, "roia_fleet_gc_pause_ms_total%s %g\n",
-				lbl(fmt.Sprintf("zone=\"%d\"", z.zone)), z.gcPauseTotalMS)
-		}
-		fmt.Fprintf(&b, "# TYPE roia_fleet_gc_pause_q_ms gauge\n")
-		for _, z := range zones {
-			if !z.cost {
-				continue
-			}
-			for _, q := range quantiles {
-				fmt.Fprintf(&b, "roia_fleet_gc_pause_q_ms%s %g\n",
-					lbl(fmt.Sprintf("zone=\"%d\",q=%q", z.zone, q.name)), z.gcPause.Quantile(q.q))
-			}
-		}
-		fmt.Fprintf(&b, "# TYPE roia_fleet_alloc_bytes_total counter\n")
-		for _, z := range zones {
-			if !z.cost {
-				continue
-			}
-			stages := make([]string, 0, len(z.allocBytes))
-			for stage := range z.allocBytes {
-				stages = append(stages, stage)
-			}
-			sort.Strings(stages)
-			for _, stage := range stages {
-				fmt.Fprintf(&b, "roia_fleet_alloc_bytes_total%s %d\n",
-					lbl(fmt.Sprintf("zone=\"%d\",stage=%q", z.zone, stage)), z.allocBytes[stage])
-			}
-		}
-		fmt.Fprintf(&b, "# TYPE roia_fleet_aoi_churn_enter_q gauge\n")
-		for _, z := range zones {
-			if !z.cost {
-				continue
-			}
-			for _, q := range quantiles {
-				fmt.Fprintf(&b, "roia_fleet_aoi_churn_enter_q%s %g\n",
-					lbl(fmt.Sprintf("zone=\"%d\",q=%q", z.zone, q.name)), z.churnEnter.Quantile(q.q))
-			}
-		}
-		fmt.Fprintf(&b, "# TYPE roia_fleet_aoi_churn_leave_q gauge\n")
-		for _, z := range zones {
-			if !z.cost {
-				continue
-			}
-			for _, q := range quantiles {
-				fmt.Fprintf(&b, "roia_fleet_aoi_churn_leave_q%s %g\n",
-					lbl(fmt.Sprintf("zone=\"%d\",q=%q", z.zone, q.name)), z.churnLeave.Quantile(q.q))
-			}
-		}
 	}
 	if _, err := io.WriteString(w, b.String()); err != nil {
 		return err

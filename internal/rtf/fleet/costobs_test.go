@@ -1,14 +1,13 @@
 package fleet_test
 
-// Cost observability at fleet level: the collector's zone-merged egress /
-// GC / AoI-churn families and the qos_gc_pause and egress_per_user_ceiling
-// alert rules. The GC rule test forces a collection from inside ApplyInput
-// so a GC pause provably lands between BeginTick and EndTick, instead of
-// hoping the runtime collects on cue.
+// Cost observability at fleet level: the qos_gc_pause and
+// egress_per_user_ceiling alert rules, read from the replicas' flight
+// recorders. The GC rule test forces a collection from inside ApplyInput
+// so a GC pause provably lands between the recorder's BeginTick and
+// Record, instead of hoping the runtime collects on cue.
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 
 	"roia/internal/game"
@@ -21,8 +20,8 @@ import (
 )
 
 // gcForceApp wraps the game application and forces a garbage collection on
-// every user input, guaranteeing in-tick GC pause for the cost tracker to
-// attribute.
+// every user input, guaranteeing in-tick GC pause for the flight recorder
+// to attribute.
 type gcForceApp struct{ server.Application }
 
 func (a gcForceApp) ApplyInput(env *server.Env, actor *entity.Entity, payload []byte) ([]server.Forward, error) {
@@ -39,12 +38,12 @@ func newCostHarness(t *testing.T, forceGC bool) *harness {
 		newApp = func() server.Application { return gcForceApp{game.New(game.DefaultConfig())} }
 	}
 	fl, err := fleet.New(fleet.Config{
-		Network:      net,
-		Zone:         1,
-		Assignment:   zone.NewAssignment(),
-		NewApp:       newApp,
-		Seed:         7,
-		CostTrackers: true,
+		Network:         net,
+		Zone:            1,
+		Assignment:      zone.NewAssignment(),
+		NewApp:          newApp,
+		Seed:            7,
+		FlightRecorders: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,72 +52,6 @@ func newCostHarness(t *testing.T, forceGC bool) *harness {
 		t.Fatal(err)
 	}
 	return &harness{net: net, fl: fl}
-}
-
-func TestFleetCostMetricsExposition(t *testing.T) {
-	h := newCostHarness(t, false)
-	h.addBot(t, "server-1")
-	for i := 0; i < 40; i++ {
-		h.step()
-	}
-	srv, ok := h.fl.Server("server-1")
-	if !ok {
-		t.Fatal("server-1 not running")
-	}
-	ct := srv.CostTracker()
-	if ct == nil {
-		t.Fatal("no cost tracker with CostTrackers on")
-	}
-	if ct.Ticks() == 0 {
-		t.Fatal("cost tracker recorded no ticks")
-	}
-
-	c := fleet.NewCollector(h.fl)
-	var b strings.Builder
-	if err := c.WriteMetrics(&b, ""); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE roia_fleet_egress_bytes_total counter",
-		`roia_fleet_egress_bytes_total{zone="1",type="state_delta"} `,
-		"# TYPE roia_fleet_egress_client_bytes_total counter",
-		`roia_fleet_egress_client_bytes_total{zone="1"} `,
-		"# TYPE roia_fleet_egress_payload_q_bytes gauge",
-		`roia_fleet_egress_payload_q_bytes{zone="1",q="p50"}`,
-		`roia_fleet_egress_payload_q_bytes{zone="1",q="p999"}`,
-		"# TYPE roia_fleet_gc_cycles_total counter",
-		`roia_fleet_gc_cycles_total{zone="1"} `,
-		"# TYPE roia_fleet_gc_pause_ms_total counter",
-		"# TYPE roia_fleet_gc_pause_q_ms gauge",
-		`roia_fleet_gc_pause_q_ms{zone="1",q="p99"}`,
-		"# TYPE roia_fleet_alloc_bytes_total counter",
-		`roia_fleet_alloc_bytes_total{zone="1",stage="publish"} `,
-		"# TYPE roia_fleet_aoi_churn_enter_q gauge",
-		`roia_fleet_aoi_churn_enter_q{zone="1",q="p50"}`,
-		"# TYPE roia_fleet_aoi_churn_leave_q gauge",
-		`roia_fleet_aoi_churn_leave_q{zone="1",q="p50"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fleet metrics missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFleetCostMetricsOmittedWithoutTrackers(t *testing.T) {
-	h := newHarness(t) // CostTrackers off
-	h.addBot(t, "server-1")
-	for i := 0; i < 10; i++ {
-		h.step()
-	}
-	c := fleet.NewCollector(h.fl)
-	var b strings.Builder
-	if err := c.WriteMetrics(&b, ""); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "roia_fleet_egress_bytes_total") {
-		t.Fatalf("cost families emitted without cost trackers:\n%s", b.String())
-	}
 }
 
 func TestQoSGCPauseRule(t *testing.T) {
@@ -130,7 +63,7 @@ func TestQoSGCPauseRule(t *testing.T) {
 	}
 	srv.Monitor().SetDeadline(25)
 	// A near-zero budget fraction makes any in-tick GC pause a breach; the
-	// wrapped app forces a collection on every input, so the windowed pause
+	// wrapped app forces a collection on every input, so the ring's pause
 	// p99 is nonzero by construction after a handful of ticks.
 	engine := telemetry.NewAlertEngine(nil, h.fl.AlertRules(fleet.AlertConfig{
 		Model:         tinyModel(t),
@@ -150,7 +83,7 @@ func TestQoSGCPauseRule(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("qos_gc_pause not active after forced in-tick GCs (snapshot %+v)", srv.CostTracker().Snapshot())
+		t.Fatalf("qos_gc_pause not active after forced in-tick GCs (records %+v)", srv.FlightRecorder().Last(3))
 	}
 }
 
@@ -181,7 +114,7 @@ func TestEgressPerUserCeilingRule(t *testing.T) {
 	}
 	if !found {
 		srv, _ := h.fl.Server("server-1")
-		t.Fatalf("egress_per_user_ceiling not active under live traffic (snapshot %+v)", srv.CostTracker().Snapshot())
+		t.Fatalf("egress_per_user_ceiling not active under live traffic (records %+v)", srv.FlightRecorder().Last(3))
 	}
 }
 

@@ -50,30 +50,22 @@ type Config struct {
 	IDBase uint16
 	// Seed bases the per-server deterministic seeds.
 	Seed int64
-	// Events, when set, receives the fleet's lifecycle log: spawn, drain,
-	// stop, and the zone handoffs its servers execute — the replica-group
-	// counterpart of the RMS decision audit. Typically a
-	// telemetry.FleetEventLog writing JSONL.
+	// Events, when set, receives the fleet's own lifecycle log: spawn,
+	// drain and stop — the replica-group counterpart of the RMS decision
+	// audit. Typically a telemetry.FleetEventLog writing JSONL. Zone
+	// handoffs are migrations; they ride the servers' tick records (see
+	// MigEvents).
 	Events telemetry.FleetEventSink
-	// TraceMigrations gives every spawned server its own migration tracer,
-	// so the wire-level migration IDs recorded on both endpoints can be
-	// stitched into one cross-replica trace (MigEvents, Collector).
-	TraceMigrations bool
-	// MigTraceCapacity bounds each server's migration-event ring
-	// (default telemetry.DefaultMigTraceCapacity).
-	MigTraceCapacity int
 	// FlightRecorders gives every spawned server a tick flight recorder
-	// with default thresholds (see telemetry.FlightRecConfig): per-tick
-	// records in a bounded ring, with deadline-violating or hiccup ticks
-	// frozen into JSONL-exportable captures. The collector exports each
-	// replica's hiccup and capture counters with the fleet metrics.
+	// with default thresholds (see telemetry.FlightRecConfig), the server's
+	// one observer: per-tick records in a bounded ring — task spans, GC and
+	// allocation cost, client egress and migration phases — with
+	// deadline-violating or hiccup ticks frozen into JSONL-exportable
+	// captures. The collector exports each replica's hiccup and capture
+	// counters and stitches the recorders' migration events into one
+	// cross-replica trace (MigEvents); the qos_tick_hiccup, qos_gc_pause
+	// and egress_per_user_ceiling alert rules read the rings.
 	FlightRecorders bool
-	// CostTrackers gives every spawned server a telemetry.CostTracker
-	// attributing per-stage heap allocations, in-tick GC pauses, framed
-	// egress bytes (per message type and per client), and AoI churn (see
-	// server.Config.Cost and Fleet.CostTracker). The collector aggregates
-	// the per-replica trackers into zone-level cost metrics.
-	CostTrackers bool
 	// TickInterval is passed to every spawned server (default 40 ms); it
 	// also sets each server's tick QoS deadline 1/U.
 	TickInterval time.Duration
@@ -94,10 +86,10 @@ type Fleet struct {
 	servers map[string]*server.Server
 	order   []string
 	nextIdx int
-	// migs keeps every spawned server's migration tracer, including
+	// recs keeps every spawned server's flight recorder, including
 	// stopped servers': a migration initiated by a since-removed replica
 	// must still stitch (or be flagged incomplete), not vanish.
-	migs map[string]*telemetry.MigTracer
+	recs map[string]*telemetry.FlightRecorder
 }
 
 // New returns an empty fleet. Call AddReplica (directly or through the
@@ -118,7 +110,7 @@ func New(cfg Config) (*Fleet, error) {
 	return &Fleet{
 		cfg:     cfg,
 		servers: make(map[string]*server.Server),
-		migs:    make(map[string]*telemetry.MigTracer),
+		recs:    make(map[string]*telemetry.FlightRecorder),
 	}, nil
 }
 
@@ -139,28 +131,22 @@ func (f *Fleet) event(kind, replica, detail string) {
 	})
 }
 
-// MigTracer returns the migration tracer of a spawned server (including
-// already-stopped ones), when TraceMigrations is on.
-func (f *Fleet) MigTracer(id string) (*telemetry.MigTracer, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	tr, ok := f.migs[id]
-	return tr, ok
-}
-
-// MigEvents snapshots every spawned server's migration events, keyed by
-// replica ID — the input to telemetry.StitchMigrations and
-// telemetry.WriteMigrationChromeTrace.
+// MigEvents snapshots the migration events in every spawned server's
+// flight recorder (stopped servers' included), keyed by replica ID — the
+// input to telemetry.StitchMigrations and
+// telemetry.WriteMigrationChromeTrace. Each recorder covers its last
+// 2048 ticks, so a migration whose other side has left its ring reads as
+// incomplete. Empty without FlightRecorders.
 func (f *Fleet) MigEvents() map[string][]telemetry.MigEvent {
 	f.mu.Lock()
-	tracers := make(map[string]*telemetry.MigTracer, len(f.migs))
-	for id, tr := range f.migs {
-		tracers[id] = tr
+	recs := make(map[string]*telemetry.FlightRecorder, len(f.recs))
+	for id, rec := range f.recs {
+		recs[id] = rec
 	}
 	f.mu.Unlock()
-	out := make(map[string][]telemetry.MigEvent, len(tracers))
-	for id, tr := range tracers {
-		out[id] = tr.Events()
+	out := make(map[string][]telemetry.MigEvent, len(recs))
+	for id, rec := range recs {
+		out[id] = rec.Migrations()
 	}
 	return out
 }
@@ -338,17 +324,9 @@ func (f *Fleet) AddReplica() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("fleet: attach %s: %w", id, err)
 	}
-	var migTrace *telemetry.MigTracer
-	if f.cfg.TraceMigrations {
-		migTrace = telemetry.NewMigTracer(f.cfg.MigTraceCapacity)
-	}
 	var flightRec *telemetry.FlightRecorder
 	if f.cfg.FlightRecorders {
 		flightRec = telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
-	}
-	var cost *telemetry.CostTracker
-	if f.cfg.CostTrackers {
-		cost = telemetry.NewCostTracker()
 	}
 	srv, err := server.New(server.Config{
 		Node:         node,
@@ -360,10 +338,7 @@ func (f *Fleet) AddReplica() (string, error) {
 		Seed:         f.cfg.Seed + int64(f.nextIdx),
 		TickInterval: f.cfg.TickInterval,
 		Parallelism:  f.cfg.Parallelism,
-		MigTrace:     migTrace,
 		FlightRec:    flightRec,
-		Cost:         cost,
-		Events:       f.cfg.Events,
 	})
 	if err != nil {
 		_ = node.Close()
@@ -371,8 +346,8 @@ func (f *Fleet) AddReplica() (string, error) {
 	}
 	srv.Start()
 	f.servers[id] = srv
-	if migTrace != nil {
-		f.migs[id] = migTrace
+	if flightRec != nil {
+		f.recs[id] = flightRec
 	}
 	f.order = append(f.order, id)
 	f.event(telemetry.FleetEventSpawn, id, "")

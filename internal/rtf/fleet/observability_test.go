@@ -25,8 +25,9 @@ import (
 	"roia/internal/telemetry"
 )
 
-// obsHarness is the fleet harness with migration tracing and lifecycle
-// events enabled.
+// obsHarness is the fleet harness with roiarms's observer config — flight
+// recorders, which carry the migration trace — and lifecycle events
+// enabled.
 type obsHarness struct {
 	*harness
 	events *telemetry.MemoryFleetEvents
@@ -44,7 +45,7 @@ func newObsHarness(t *testing.T) *obsHarness {
 		NewApp:          func() server.Application { return game.New(game.DefaultConfig()) },
 		Seed:            7,
 		Events:          events,
-		TraceMigrations: true,
+		FlightRecorders: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +186,7 @@ func TestMigrationTraceOverLossyTransport(t *testing.T) {
 	t.Cleanup(func() { base.Close() })
 	assign := zone.NewAssignment()
 	var links []*transport.Lossy
-	newServer := func(name string, idPrefix uint16, tr *telemetry.MigTracer) *server.Server {
+	newServer := func(name string, idPrefix uint16, rec *telemetry.FlightRecorder) *server.Server {
 		node, err := base.Attach(name, 1<<14)
 		if err != nil {
 			t.Fatal(err)
@@ -201,7 +202,7 @@ func TestMigrationTraceOverLossyTransport(t *testing.T) {
 			App:        game.New(game.DefaultConfig()),
 			IDPrefix:   idPrefix,
 			Seed:       int64(idPrefix),
-			MigTrace:   tr,
+			FlightRec:  rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -210,10 +211,10 @@ func TestMigrationTraceOverLossyTransport(t *testing.T) {
 		t.Cleanup(func() { srv.Stop() })
 		return srv
 	}
-	tr1 := telemetry.NewMigTracer(0)
-	tr2 := telemetry.NewMigTracer(0)
-	s1 := newServer("lossy-1", 1, tr1)
-	s2 := newServer("lossy-2", 2, tr2)
+	rec1 := telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
+	rec2 := telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
+	s1 := newServer("lossy-1", 1, rec1)
+	s2 := newServer("lossy-2", 2, rec2)
 
 	var clients []*client.Client
 	step := func() {
@@ -255,12 +256,12 @@ func TestMigrationTraceOverLossyTransport(t *testing.T) {
 	}
 
 	perReplica := map[string][]telemetry.MigEvent{
-		"lossy-1": tr1.Events(),
-		"lossy-2": tr2.Events(),
+		"lossy-1": rec1.Migrations(),
+		"lossy-2": rec2.Migrations(),
 	}
 	migs := telemetry.StitchMigrations(perReplica)
 	inits := 0
-	for _, e := range tr1.Events() {
+	for _, e := range rec1.Migrations() {
 		if e.Phase == telemetry.MigPhaseInit {
 			inits++
 		}

@@ -22,8 +22,8 @@ import (
 )
 
 // gcApp extends flightApp with an on-demand garbage collection inside
-// ApplyInput, so a GC pause provably lands between the cost tracker's
-// BeginTick and EndTick of a chosen tick.
+// ApplyInput, so a GC pause provably lands between the flight recorder's
+// BeginTick and Record of a chosen tick.
 type gcApp struct {
 	flightApp
 	force atomic.Bool
@@ -46,7 +46,6 @@ func TestFlightCaptureGCAttribution(t *testing.T) {
 		MinHiccupMS: -1, // wall times here are synthetic µs-scale values
 	})
 	app := &gcApp{}
-	cost := telemetry.NewCostTracker()
 
 	clk := newStepClock(20 * time.Microsecond)
 	net := transport.NewLoopback()
@@ -64,7 +63,6 @@ func TestFlightCaptureGCAttribution(t *testing.T) {
 		Seed:        42,
 		Parallelism: 4,
 		FlightRec:   rec,
-		Cost:        cost,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,11 +157,5 @@ func TestFlightCaptureGCAttribution(t *testing.T) {
 	if want := trig2.GCPauseMS > 0 || trig2.GCCycles > 0; cap2.GCAttributed != want {
 		t.Fatalf("gc_attributed = %v, but trigger GC deltas are (%g ms, %d cycles)",
 			cap2.GCAttributed, trig2.GCPauseMS, trig2.GCCycles)
-	}
-
-	// The cost tracker's per-stage attribution ran for every tick.
-	snap := cost.Snapshot()
-	if snap.Ticks == 0 || snap.AllocBytes[telemetry.CostStageApply] == 0 {
-		t.Fatalf("cost tracker snapshot missing stage attribution: %+v", snap)
 	}
 }

@@ -48,7 +48,7 @@ func TestMergeVisible(t *testing.T) {
 	} {
 		for _, full := range []bool{false, true} {
 			ctx := &workerCtx{vis: positions(c.cur)}
-			entered := ctx.mergeVisible(snap, c.prev, full)
+			ctx.mergeVisible(snap, c.prev, full)
 
 			for _, p := range ctx.updPos {
 				if _, mask := snap.At(p); mask != entity.FieldPos {
@@ -59,12 +59,12 @@ func TestMergeVisible(t *testing.T) {
 			if full {
 				wantEnts, wantUpdates = positions(c.cur), nil
 			}
-			if entered != len(c.enters) || !slices.Equal(ctx.gone, c.gone) ||
+			if !slices.Equal(ctx.gone, c.gone) ||
 				!slices.Equal(ctx.entPos, wantEnts) || !slices.Equal(ctx.updPos, wantUpdates) ||
 				!slices.Equal(ctx.ids, c.cur) {
-				t.Errorf("%s full=%v: entered=%d gone=%v entPos=%v updPos=%v ids=%v, want %d %v %v %v %v",
-					c.name, full, entered, ctx.gone, ctx.entPos, ctx.updPos, ctx.ids,
-					len(c.enters), c.gone, wantEnts, wantUpdates, c.cur)
+				t.Errorf("%s full=%v: gone=%v entPos=%v updPos=%v ids=%v, want %v %v %v %v",
+					c.name, full, ctx.gone, ctx.entPos, ctx.updPos, ctx.ids,
+					c.gone, wantEnts, wantUpdates, c.cur)
 			}
 		}
 	}

@@ -11,7 +11,6 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -78,33 +77,20 @@ type Config struct {
 	// avatars would otherwise haunt the zone forever. 0 disables eviction.
 	// At 25 Hz, 250 ticks ≈ 10 s of silence.
 	IdleTimeoutTicks uint64
-	// FlightRec, when set, receives one telemetry.TickRecord per tick —
-	// the per-task span decomposition plus workload gauges — into its
-	// bounded ring, read as a tick trace (telemetry.TraceHandler, see
-	// cmd/roiaserver's /debug/ticktrace), and freezes a pre/post window
-	// around deadline-violating or hiccup ticks into immutable captures
-	// (telemetry.FlightRecHandler, /debug/flightrec). The record reuses the
-	// Breakdown already timed for the Monitor, so recording adds no clock
-	// reads to the hot loop.
+	// FlightRec, when set, is the server's one observer: it receives one
+	// telemetry.TickRecord per tick — the per-task span decomposition,
+	// workload gauges, the tick's heap-allocation and GC cost (sampled from
+	// runtime/metrics between the recorder's BeginTick and Record), the
+	// framed bytes sent to users, and the migration phases the tick
+	// executed — into its bounded ring. The ring is read as a tick trace
+	// (telemetry.TraceHandler, see cmd/roiaserver's /debug/ticktrace) and as
+	// this server's side of the cross-replica migration trace
+	// (FlightRecorder.Migrations, telemetry.StitchMigrations); deadline-
+	// violating or hiccup ticks freeze a pre/post window into immutable
+	// captures (telemetry.FlightRecHandler, /debug/flightrec). The record
+	// reuses the Breakdown already timed for the Monitor, so recording adds
+	// no clock reads to the hot loop.
 	FlightRec *telemetry.FlightRecorder
-	// Cost, when set, receives the tick pipeline's resource attribution:
-	// per-stage heap-allocation deltas and in-tick GC pauses sampled from
-	// runtime/metrics at the stage barriers, framed egress bytes per
-	// message type and per client, and per-client AoI churn. The tick's
-	// GC/alloc totals also ride on every FlightRec TickRecord, so hiccup
-	// captures classify whether GC caused the spike (gc_attributed).
-	Cost *telemetry.CostTracker
-	// MigTrace, when set, records the server's side of every user
-	// migration (init on the source, recv/ack on the destination) keyed by
-	// the wire-level migration ID, so a fleet collector can stitch the
-	// per-replica events into one cross-replica trace
-	// (telemetry.StitchMigrations).
-	MigTrace *telemetry.MigTracer
-	// Events, when set, receives replica-group lifecycle events this
-	// server observes locally — currently zone handoffs. Fleet-level
-	// events (spawn, drain, stop) are emitted by the fleet that owns the
-	// server.
-	Events telemetry.FleetEventSink
 }
 
 // DefaultAOIRadius is the visibility radius used when Config.AOI is nil.
@@ -165,15 +151,16 @@ type Server struct {
 	// it degenerates to inline loops on the tick goroutine.
 	exec *executor
 	// tickBytesOut accumulates sent payload bytes within the current tick
-	// for the monitor's traffic counters.
-	tickBytesOut int
+	// for the monitor's traffic counters; tickClientBytes is the share the
+	// publish stage sent to users, and tickMigs the migration phases the
+	// tick executed, both for the tick's record (reused across ticks).
+	tickBytesOut    int
+	tickClientBytes int
+	tickMigs        []telemetry.MigEvent
 	// handoffs lists entities whose ownership was just transferred away;
 	// they ride along in the next shadow update (they are no longer
 	// "active" here, but the new owner must learn of the transfer).
 	handoffs []entity.ID
-	// detailBuf is a reusable scratch buffer for building event detail
-	// strings without fmt on the tick path (tick goroutine only).
-	detailBuf []byte
 	// frameBuf is the reusable receive buffer the tick's Drain fills;
 	// frames are only referenced within the tick that drained them.
 	frameBuf []transport.Frame
@@ -268,13 +255,6 @@ func (s *Server) Monitor() *monitor.Monitor { return s.mon }
 // FlightRecorder exposes the server's tick flight recorder (nil unless
 // configured).
 func (s *Server) FlightRecorder() *telemetry.FlightRecorder { return s.cfg.FlightRec }
-
-// MigTrace exposes the server's migration tracer (nil unless configured).
-func (s *Server) MigTrace() *telemetry.MigTracer { return s.cfg.MigTrace }
-
-// CostTracker exposes the server's resource cost tracker (nil unless
-// configured).
-func (s *Server) CostTracker() *telemetry.CostTracker { return s.cfg.Cost }
 
 // Start registers the server as a replica of its zone. It is idempotent.
 func (s *Server) Start() {
@@ -460,50 +440,12 @@ func (s *Server) send(to string, msg wire.Message) {
 //
 // Byte accounting uses the framed wire size (transport header + payload),
 // mirroring what a TCP peer actually writes, so BytesOut matches BytesIn
-// on the receiving end whatever the transport.
-func (s *Server) sendRaw(to string, payload []byte) {
+// on the receiving end whatever the transport. sendRaw returns that size.
+func (s *Server) sendRaw(to string, payload []byte) int {
 	frameBytes := transport.FrameWireBytes(s.ID(), to, len(payload))
 	s.tickBytesOut += frameBytes
-	if c := s.cfg.Cost; c != nil && len(payload) >= 2 {
-		client := ""
-		if _, ok := s.users[to]; ok {
-			client = to
-		}
-		c.ObserveEgress(client, egressTypeName(wire.Kind(binary.BigEndian.Uint16(payload))), frameBytes)
-	}
 	s.ob.stage(to, payload)
-}
-
-// egressTypeName maps a wire kind to the message-type label of the
-// roia_egress_bytes_total family.
-func egressTypeName(k wire.Kind) string {
-	switch k {
-	case proto.KindJoin:
-		return "join"
-	case proto.KindJoinAck:
-		return "join_ack"
-	case proto.KindJoinNack:
-		return "join_nack"
-	case proto.KindLeave:
-		return "leave"
-	case proto.KindInput:
-		return "input"
-	case proto.KindShadowUpdate:
-		return "shadow_update"
-	case proto.KindForwarded:
-		return "forwarded"
-	case proto.KindMigrateInit:
-		return "migrate_init"
-	case proto.KindMigrateAck:
-		return "migrate_ack"
-	case proto.KindMigrateNotice:
-		return "migrate_notice"
-	case proto.KindStateDelta:
-		return "state_delta"
-	case proto.KindStateKeyframe:
-		return "state_keyframe"
-	}
-	return "other"
+	return frameBytes
 }
 
 func (s *Server) String() string {

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/binary"
 	"slices"
-	"strconv"
 	"time"
 
 	"roia/internal/rtf/entity"
@@ -11,7 +10,6 @@ import (
 	"roia/internal/rtf/proto"
 	"roia/internal/rtf/transport"
 	"roia/internal/rtf/wire"
-	"roia/internal/rtf/zone"
 	"roia/internal/telemetry"
 )
 
@@ -55,11 +53,6 @@ type pubItem struct {
 	payload     wire.Writer
 	aoiMS, suMS float64
 	ok          bool
-
-	// entered/left count AoI churn for this user's tick: entities that
-	// appeared in / dropped out of its visible set (fed to the CostTracker
-	// by the sequential merge; left zero when churn is not tracked).
-	entered, left int
 }
 
 // Tick executes one iteration of the real-time loop, one stage method per
@@ -74,7 +67,7 @@ type pubItem struct {
 //  5. publish: area-of-interest filtered state updates to users;
 //  6. replicate: shadow updates to peer replicas, then flush the outbox;
 //  7. record: feed the tick's Breakdown to the Monitor and its TickRecord
-//     to the flight recorder.
+//     to the flight recorder, the server's one observer.
 //
 // Every task is timed into the paper's model parameters via the Monitor:
 // t_ua_dser/t_ua for user inputs, t_fa_dser/t_fa for forwarded inputs and
@@ -93,32 +86,22 @@ func (s *Server) Tick() {
 	tickStart := s.exec.now()
 	s.tick++
 	s.env.Tick = s.tick
-	s.tickBytesOut = 0
+	s.tickBytesOut, s.tickClientBytes = 0, 0
 	var br monitor.Breakdown
-	if s.cfg.Cost != nil {
-		s.cfg.Cost.BeginTick()
+	if fr := s.cfg.FlightRec; fr != nil {
+		fr.BeginTick()
 	}
 	// receive, simulate and publish fan out over the executor with s.mu
 	// held: the pool's wake channels are buffered and drained by the
 	// previous run's wg.Wait, so the sends never block, and workers never
 	// take s.mu.
 	frames := s.receive(&br) //roialint:ignore lockhold executor wake sends never block (above)
-	s.endStage(telemetry.CostStageDecode)
 	s.applyFrames(&br, frames)
 	s.simulate(&br) //roialint:ignore lockhold executor wake sends never block (above)
-	s.endStage(telemetry.CostStageSimulate)
 	s.housekeep(&br)
 	s.publish(&br) //roialint:ignore lockhold executor wake sends never block (above)
 	s.replicate(&br)
-	s.endStage(telemetry.CostStagePublish)
 	s.record(tickStart, &br, len(frames))
-}
-
-// endStage closes one cost-attribution stage when cost tracking is on.
-func (s *Server) endStage(stage string) {
-	if s.cfg.Cost != nil {
-		s.cfg.Cost.EndStage(stage)
-	}
 }
 
 // receive is the receive + decode stage. Deserialization of input,
@@ -210,14 +193,12 @@ func (s *Server) applyFrames(br *monitor.Breakdown, frames []transport.Frame) {
 		case proto.KindMigrateAck:
 			// Ownership already handed off optimistically at initiation;
 			// the ack closes the migration span in the trace.
-			if s.cfg.MigTrace != nil {
-				if msg, err := proto.Registry.Decode(f.Payload); err == nil {
-					ack := msg.(*proto.MigrateAck)
-					s.recordMigEvent(telemetry.MigEvent{
-						ID: ack.MigID, Phase: telemetry.MigPhaseAck,
-						User: ack.User, From: s.ID(), To: f.From,
-					}, 0)
-				}
+			if msg, err := proto.Registry.Decode(f.Payload); err == nil {
+				ack := msg.(*proto.MigrateAck)
+				s.recordMigEvent(telemetry.MigEvent{
+					ID: ack.MigID, Phase: telemetry.MigPhaseAck,
+					User: ack.User, From: s.ID(), To: f.From,
+				}, 0)
 			}
 		case proto.KindJoin:
 			if msg, err := proto.Registry.Decode(f.Payload); err == nil {
@@ -233,8 +214,7 @@ func (s *Server) applyFrames(br *monitor.Breakdown, frames []transport.Frame) {
 }
 
 // simulate is the simulate stage: user inputs, forwarded inputs, then NPC
-// updates. The apply cost stage ends between the forwarded inputs and the
-// NPCs.
+// updates.
 func (s *Server) simulate(br *monitor.Breakdown) {
 	// --- User inputs ---
 	//
@@ -305,7 +285,6 @@ func (s *Server) simulate(br *monitor.Breakdown) {
 		s.applyForwarded(fw.Actor, target, fw.Payload)
 		br.Add(monitor.FA, s.exec.since(t0), 1)
 	}
-	s.endStage(telemetry.CostStageApply)
 
 	// --- NPC updates ---
 	npcs := s.store.ActiveInto(s.npcActive[:0], s.ID(), int(entity.NPC))
@@ -408,7 +387,6 @@ func (s *Server) publish(br *monitor.Breakdown) {
 		it.uid, it.u, it.avPos, it.ok = uid, u, p, true
 		it.events = s.cfg.App.DrainEvents(s.env, u.avatar)
 		it.payload.Reset()
-		it.entered, it.left = 0, 0
 	}
 	s.exec.run(len(items), s.publishFn)
 	tStage := s.exec.now()
@@ -418,11 +396,8 @@ func (s *Server) publish(br *monitor.Breakdown) {
 			continue
 		}
 		br.Add(monitor.AOI, it.aoiMS, 1)
-		s.sendRaw(it.uid, it.payload.Bytes())
+		s.tickClientBytes += s.sendRaw(it.uid, it.payload.Bytes())
 		br.Add(monitor.SU, it.suMS, 1)
-		if s.cfg.Cost != nil {
-			s.cfg.Cost.ObserveChurn(it.entered, it.left)
-		}
 	}
 	// Staging copies each payload into the outbox arena — per-byte work
 	// that is part of serializing the state updates, so the loop's time
@@ -495,6 +470,8 @@ func (s *Server) replicate(br *monitor.Breakdown) {
 // record completes the tick's Breakdown with the workload gauges (the
 // entity counts were taken by encodeBodies) and the wall time, feeds it to
 // the Monitor, and hands the tick's TickRecord to the flight recorder.
+// The tick's migration phases are collected whether or not a recorder
+// listens; record is where they are handed on and the buffer reset.
 func (s *Server) record(start time.Time, br *monitor.Breakdown, queueDepth int) {
 	br.ActiveUsers = len(s.users)
 	br.Replicas = s.cfg.Assignment.ReplicaCount(s.cfg.Zone)
@@ -504,13 +481,10 @@ func (s *Server) record(start time.Time, br *monitor.Breakdown, queueDepth int) 
 	// speedup reported by Monitor.TickCPUSummary / MeanTick.
 	br.WallMS = s.exec.since(start)
 	s.mon.RecordTick(*br)
-	var tickCost telemetry.TickCost
-	if s.cfg.Cost != nil {
-		tickCost = s.cfg.Cost.EndTick()
+	if fr := s.cfg.FlightRec; fr != nil {
+		s.recordFlight(fr, start, br, queueDepth)
 	}
-	if s.cfg.FlightRec != nil {
-		s.recordFlight(start, br, queueDepth, tickCost)
-	}
+	s.tickMigs = s.tickMigs[:0]
 }
 
 // recordFlight builds the tick's telemetry.TickRecord — the one per-tick
@@ -518,10 +492,11 @@ func (s *Server) record(start time.Time, br *monitor.Breakdown, queueDepth int) 
 // reads from the flight recorder's ring. It reuses the Breakdown already
 // timed for the Monitor, so recording adds no clock reads to the hot loop:
 // one span per task that did work, laid out sequentially in loop order so
-// the spans sum exactly to the breakdown total. The tick's resource cost
-// rides along (zero without a CostTracker), so a capture can classify
-// GC-caused spikes.
-func (s *Server) recordFlight(start time.Time, br *monitor.Breakdown, queueDepth int, tc telemetry.TickCost) {
+// the spans sum exactly to the breakdown total. The recorder fills in the
+// tick's GC and allocation cost, so a capture can classify GC-caused
+// spikes. Quiet ticks carry no migration slice; a tick with migrations
+// hands the recorder its own copy.
+func (s *Server) recordFlight(fr *telemetry.FlightRecorder, start time.Time, br *monitor.Breakdown, queueDepth int) {
 	tasks := make([]telemetry.Span, 0, len(br.TimeMS))
 	offset := 0.0
 	for _, t := range monitor.Tasks() {
@@ -548,16 +523,16 @@ func (s *Server) recordFlight(start time.Time, br *monitor.Breakdown, queueDepth
 		QueueDepth:     queueDepth,
 		BytesIn:        br.BytesIn,
 		BytesOut:       br.BytesOut,
-		GCPauseMS:      tc.GCPauseMS,
-		GCCycles:       tc.GCCycles,
-		AllocBytes:     tc.AllocBytes,
-		AllocObjects:   tc.AllocObjects,
+		ClientBytesOut: s.tickClientBytes,
 		Tasks:          tasks,
 	}
 	if deadline > 0 {
 		rec.SlackMS = deadline - br.WallMS
 	}
-	s.cfg.FlightRec.Record(rec)
+	if len(s.tickMigs) > 0 {
+		rec.Migrations = slices.Clone(s.tickMigs)
+	}
+	fr.Record(rec)
 }
 
 // decodeItem is the decode-stage body (executor slot discipline: frame i
@@ -628,8 +603,7 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 
 	u := it.u
 	delta := u.lastPub == s.tick-1 && u.lastPub != 0 && s.tick < u.nextKey
-	it.entered = ctx.mergeVisible(snap, u.prevVis, !delta)
-	it.left = len(ctx.gone)
+	ctx.mergeVisible(snap, u.prevVis, !delta)
 	if delta {
 		// StateDelta: masked field changes for entities that stayed
 		// visible, spliced from the tick's body arena; full records for
@@ -659,9 +633,8 @@ func (s *Server) publishItem(i int, ctx *workerCtx) {
 // (gone), the snapshot positions of the entrants (entPos) — of every
 // visible entity when full is set, the keyframe case — and, unless full,
 // the positions of every entity that stayed and changed since the previous
-// snapshot (updPos). It copies no entity. It returns the number of
-// entrants.
-func (ctx *workerCtx) mergeVisible(snap *entity.Snapshot, prev []entity.ID, full bool) (entered int) {
+// snapshot (updPos). It copies no entity.
+func (ctx *workerCtx) mergeVisible(snap *entity.Snapshot, prev []entity.ID, full bool) {
 	ctx.ids, ctx.gone = ctx.ids[:0], ctx.gone[:0]
 	ctx.updPos, ctx.entPos = ctx.updPos[:0], ctx.entPos[:0]
 	i := 0
@@ -673,8 +646,6 @@ func (ctx *workerCtx) mergeVisible(snap *entity.Snapshot, prev []entity.ID, full
 		stayed := i < len(prev) && prev[i] == ent.ID
 		if stayed {
 			i++
-		} else {
-			entered++
 		}
 		switch {
 		case full || !stayed:
@@ -685,7 +656,6 @@ func (ctx *workerCtx) mergeVisible(snap *entity.Snapshot, prev []entity.ID, full
 		ctx.ids = append(ctx.ids, ent.ID)
 	}
 	ctx.gone = append(ctx.gone, prev[i:]...)
-	return entered
 }
 
 // sortedUserIDs returns connected user IDs in deterministic order. The
@@ -779,17 +749,12 @@ func (s *Server) removeUser(uid string) (entity.ID, bool) {
 	return u.avatar, true
 }
 
-// forgetUser drops a user's connection-scoped state: the users-map entry
-// and, when cost tracking is on, its per-client egress counter. Every path
-// that disconnects a user (leave, idle eviction, zone handoff, migration)
-// must go through here so the CostTracker's per-client map stays bounded by
-// the live connection count.
+// forgetUser drops a user's connection-scoped state: the users-map entry,
+// and with it the sorted user-ID cache. Every path that disconnects a user
+// (leave, idle eviction, zone handoff, migration) goes through here.
 func (s *Server) forgetUser(uid string) {
 	delete(s.users, uid)
 	s.uidsStale = true
-	if s.cfg.Cost != nil {
-		s.cfg.Cost.EvictClient(uid)
-	}
 }
 
 // receiveMigration installs a user handed off by a peer replica.
@@ -808,24 +773,21 @@ func (s *Server) receiveMigration(mi *proto.MigrateInit) {
 	s.send(mi.Avatar.Owner, &proto.MigrateAck{MigID: mi.MigID, User: mi.User, Avatar: av.ID})
 }
 
-// recordMigEvent stamps and stores one migration-phase observation in the
-// server's migration tracer (no-op when tracing is off).
+// recordMigEvent stamps one migration-phase observation and adds it to the
+// tick's migration buffer, which record hands to the flight recorder.
 func (s *Server) recordMigEvent(e telemetry.MigEvent, durMS float64) {
-	if s.cfg.MigTrace == nil {
-		return
-	}
 	e.Tick = s.tick
 	e.UnixMicro = s.exec.now().UnixMicro()
 	e.DurMS = durMS
-	s.cfg.MigTrace.Record(e)
+	s.tickMigs = append(s.tickMigs, e)
 }
 
 // processZoneTransfers hands off users whose avatars moved into another
 // zone of the world: the avatar state migrates to a replica of the
 // destination zone (removal propagates to this zone's peers), and the
 // client is re-pointed at its new server. Zone transfers reuse the
-// user-migration machinery, so their overhead lands in t_mig_ini like any
-// other migration.
+// user-migration machinery, so their overhead lands in t_mig_ini and their
+// init phase in the tick's record like any other migration.
 func (s *Server) processZoneTransfers(br *monitor.Breakdown) {
 	for _, uid := range s.sortedUserIDs() {
 		u := s.users[uid]
@@ -860,38 +822,11 @@ func (s *Server) processZoneTransfers(br *monitor.Breakdown) {
 			ID: mi.MigID, Phase: telemetry.MigPhaseInit,
 			User: uid, From: s.ID(), To: target,
 		}, dur)
-		if s.cfg.Events != nil {
-			s.cfg.Events.FleetEvent(telemetry.FleetEvent{
-				UnixMicro: s.exec.now().UnixMicro(),
-				Kind:      telemetry.FleetEventZoneHandoff,
-				Zone:      uint32(s.cfg.Zone),
-				Replica:   s.ID(),
-				Detail:    s.handoffDetail(uid, dest.ID, target),
-			})
-		}
-
 		s.send(uid, &proto.MigrateNotice{NewServer: target})
 		s.forgetUser(uid)
 		s.store.Remove(av.ID)
 		s.removedBuf = append(s.removedBuf, av.ID)
 	}
-}
-
-// handoffDetail renders "user <uid> → zone <id> (<target>)" into the
-// server's reused scratch buffer: it runs once per zone handoff on the
-// tick path, where fmt's formatting machinery (boxing plus verb parsing)
-// is avoidable cost. Only the final string conversion allocates.
-func (s *Server) handoffDetail(uid string, dest zone.ID, target string) string {
-	b := s.detailBuf[:0]
-	b = append(b, "user "...)
-	b = append(b, uid...)
-	b = append(b, " → zone "...)
-	b = strconv.AppendUint(b, uint64(dest), 10)
-	b = append(b, " ("...)
-	b = append(b, target...)
-	b = append(b, ')')
-	s.detailBuf = b
-	return string(b)
 }
 
 // processMigrationOrders executes the pending migration orders, handing

@@ -9,10 +9,12 @@ import (
 	"roia/internal/rtf/server"
 	"roia/internal/rtf/transport"
 	"roia/internal/rtf/zone"
+	"roia/internal/telemetry"
 )
 
 // zonedWorld builds two adjacent zones (x < 100 and x >= 100) with one
-// server each on a shared network and assignment.
+// server each, each with a flight recorder, on a shared network and
+// assignment.
 func zonedWorld(t *testing.T) (*transport.Loopback, *zone.World, []*server.Server) {
 	t.Helper()
 	net := transport.NewLoopback()
@@ -33,6 +35,7 @@ func zonedWorld(t *testing.T) (*transport.Loopback, *zone.World, []*server.Serve
 			World:      world,
 			IDPrefix:   uint16(i + 1),
 			Seed:       int64(i + 1),
+			FlightRec:  telemetry.NewFlightRecorder(telemetry.FlightRecConfig{}),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -89,6 +92,18 @@ func TestZoneHandoffOnBoundaryCrossing(t *testing.T) {
 	}
 	if servers[0].UserCount() != 0 || servers[1].UserCount() != 1 {
 		t.Fatalf("user counts wrong: %d/%d", servers[0].UserCount(), servers[1].UserCount())
+	}
+
+	// The handoff is in both tick records: the source's init names the
+	// destination replica (its ack follows), and the destination's recv
+	// shares the init's ID.
+	src := servers[0].FlightRecorder().Migrations()
+	if len(src) == 0 || src[0].Phase != telemetry.MigPhaseInit || src[0].To != "zb" || src[0].User != "c1" {
+		t.Fatalf("source migration events = %+v, want an init of c1 to zb first", src)
+	}
+	dst := servers[1].FlightRecorder().Migrations()
+	if len(dst) != 1 || dst[0].Phase != telemetry.MigPhaseRecv || dst[0].ID != src[0].ID {
+		t.Fatalf("destination migration events = %+v, want one recv of migration %d", dst, src[0].ID)
 	}
 
 	// The user keeps playing in the new zone.

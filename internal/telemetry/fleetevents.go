@@ -8,8 +8,8 @@ import (
 
 // Fleet event kinds: the replica-group lifecycle transitions worth a line
 // in the fleet log. They mirror the RMS actions (spawn = replication
-// enactment, drain/stop = resource removal) plus the zoning distribution's
-// user handoffs between zones.
+// enactment, drain/stop = resource removal). Zone handoffs are migrations
+// and ride the servers' tick records (TickRecord.Migrations).
 const (
 	// FleetEventSpawn records a new replica joining the group.
 	FleetEventSpawn = "spawn"
@@ -18,8 +18,6 @@ const (
 	FleetEventDrain = "drain"
 	// FleetEventStop records a replica leaving the group.
 	FleetEventStop = "stop"
-	// FleetEventZoneHandoff records a user crossing into another zone.
-	FleetEventZoneHandoff = "zone_handoff"
 )
 
 // FleetEvent is one replica-group lifecycle event, logged as JSONL in the
@@ -33,8 +31,7 @@ type FleetEvent struct {
 	Zone uint32 `json:"zone"`
 	// Replica is the affected server ID.
 	Replica string `json:"replica"`
-	// Detail carries event-specific context (destination zone of a
-	// handoff, drain direction, ...).
+	// Detail carries event-specific context (the drain direction).
 	Detail string `json:"detail,omitempty"`
 }
 

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -14,7 +16,8 @@ import (
 // and read by every tick observer through the FlightRecorder's ring: the
 // wall/CPU split, the workload gauges the scalability model is
 // parameterized with (n, a, m, l, w), the receive-queue depth, the QoS
-// deadline and its slack, and the per-task decomposition. One record is
+// deadline and its slack, the runtime's allocation and GC cost, the
+// per-task decomposition and the tick's migration phases. One record is
 // everything needed to explain a single slow tick after the fact.
 type TickRecord struct {
 	// Tick is the server's tick counter.
@@ -43,13 +46,17 @@ type TickRecord struct {
 	// the start of the tick — backlog pressure when a previous tick ran long.
 	QueueDepth int `json:"queue_depth"`
 	// BytesIn/BytesOut are the tick's framed wire bytes (transport header
-	// + payload, matching what the transport reads and writes).
-	BytesIn  int `json:"bytes_in,omitempty"`
-	BytesOut int `json:"bytes_out,omitempty"`
+	// + payload, matching what the transport reads and writes);
+	// ClientBytesOut is the share of BytesOut that carried state updates to
+	// connected users.
+	BytesIn        int `json:"bytes_in,omitempty"`
+	BytesOut       int `json:"bytes_out,omitempty"`
+	ClientBytesOut int `json:"client_bytes_out,omitempty"`
 	// GCPauseMS is the stop-the-world GC pause time that landed inside the
 	// tick and GCCycles the GC cycles that completed in it; AllocBytes and
-	// AllocObjects are the tick's heap allocations. All four come from the
-	// server's CostTracker and stay zero when cost tracking is off.
+	// AllocObjects are the process's heap allocations during the tick. The
+	// recorder fills all four from runtime/metrics between BeginTick and
+	// Record; a Record without a BeginTick keeps the caller's values.
 	GCPauseMS    float64 `json:"gc_pause_ms,omitempty"`
 	GCCycles     uint64  `json:"gc_cycles,omitempty"`
 	AllocBytes   uint64  `json:"alloc_bytes,omitempty"`
@@ -58,6 +65,10 @@ type TickRecord struct {
 	// the tick, laid out contiguously from 0 in loop order; tasks that did
 	// no work are omitted.
 	Tasks []Span `json:"tasks,omitempty"`
+	// Migrations are the migration phases this server executed during the
+	// tick (nil on the many ticks without one); FlightRecorder.Migrations
+	// collects them across the ring.
+	Migrations []MigEvent `json:"migrations,omitempty"`
 }
 
 // FlightCapture is one frozen pre/post window around a triggering tick.
@@ -76,7 +87,6 @@ type FlightCapture struct {
 	// GCAttributed classifies the capture: true when the triggering tick
 	// observed in-tick GC activity (a nonzero pause or a completed cycle),
 	// so GC-caused tail spikes are distinguishable from simulation cost.
-	// Always false when the server runs without a CostTracker.
 	GCAttributed bool `json:"gc_attributed"`
 	// Records is the surrounding window in chronological order: up to Pre
 	// ticks before the trigger, the trigger itself, and Post ticks after.
@@ -84,7 +94,8 @@ type FlightCapture struct {
 }
 
 // flightHistory is how many recent tick records the recorder's ring keeps
-// for Last (and so for /debug/ticktrace): ~82 s of history at 25 Hz.
+// for Last (and so for /debug/ticktrace) and Migrations: ~82 s of history
+// at 25 Hz.
 const flightHistory = 2048
 
 // Flight-recorder defaults: a 16-tick window either side of the trigger
@@ -160,9 +171,22 @@ func (c FlightRecConfig) withDefaults() FlightRecConfig {
 // while HTTP handlers and the fleet collector read. Recording is O(Window)
 // (one insertion into a sorted median window) and allocation-free outside
 // captures, so it can stay enabled in production.
+//
+// The recorder also samples the runtime: BeginTick reads the cumulative
+// heap-allocation and GC counters, and the next Record diffs them into the
+// record's GC and allocation fields.
 type FlightRecorder struct {
 	mu  sync.Mutex
 	cfg FlightRecConfig
+
+	// samples is the runtime/metrics set BeginTick reads and Record diffs
+	// against base (the counters) and pauseBase (the pause histogram's
+	// bucket counts, copied because runtime/metrics reuses the histogram
+	// across reads). began marks a BeginTick awaiting its Record.
+	samples   []metrics.Sample
+	base      [runtimeSampleGCPauses]uint64
+	pauseBase []uint64
+	began     bool
 
 	// ring holds the most recent records (capacity flightHistory, or Pre+1
 	// if larger), overwritten oldest-first.
@@ -191,19 +215,98 @@ type FlightRecorder struct {
 // fields take the Default* values).
 func NewFlightRecorder(cfg FlightRecConfig) *FlightRecorder {
 	cfg = cfg.withDefaults()
-	return &FlightRecorder{
-		cfg:    cfg,
-		ring:   make([]TickRecord, 0, max(flightHistory, cfg.Pre+1)),
-		window: make([]float64, 0, cfg.Window),
-		sorted: make([]float64, 0, cfg.Window),
+	r := &FlightRecorder{
+		cfg:     cfg,
+		samples: make([]metrics.Sample, len(runtimeSampleNames)),
+		ring:    make([]TickRecord, 0, max(flightHistory, cfg.Pre+1)),
+		window:  make([]float64, 0, cfg.Window),
+		sorted:  make([]float64, 0, cfg.Window),
 	}
+	for i, name := range runtimeSampleNames {
+		r.samples[i].Name = name
+	}
+	return r
+}
+
+// runtimeSampleNames are the runtime/metrics series BeginTick and Record
+// read, in the order of the runtimeSample* indices.
+var runtimeSampleNames = []string{
+	"/gc/heap/allocs:bytes",
+	"/gc/heap/allocs:objects",
+	"/gc/cycles/total:gc-cycles",
+	"/gc/pauses:seconds",
+}
+
+const (
+	runtimeSampleAllocBytes = iota
+	runtimeSampleAllocObjects
+	runtimeSampleGCCycles
+	runtimeSampleGCPauses
+)
+
+// BeginTick samples the runtime's cumulative allocation and GC counters at
+// the start of a tick; the next Record fills the record's GCPauseMS,
+// GCCycles, AllocBytes and AllocObjects with the change since.
+func (r *FlightRecorder) BeginTick() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	metrics.Read(r.samples)
+	for i := range r.base {
+		r.base[i] = r.samples[i].Value.Uint64()
+	}
+	r.pauseBase = append(r.pauseBase[:0], r.samples[runtimeSampleGCPauses].Value.Float64Histogram().Counts...)
+	r.began = true
+}
+
+// endSampleLocked closes the runtime sample BeginTick opened, writing the
+// tick's deltas into rec.
+func (r *FlightRecorder) endSampleLocked(rec *TickRecord) {
+	r.began = false
+	metrics.Read(r.samples)
+	rec.AllocBytes = r.samples[runtimeSampleAllocBytes].Value.Uint64() - r.base[runtimeSampleAllocBytes]
+	rec.AllocObjects = r.samples[runtimeSampleAllocObjects].Value.Uint64() - r.base[runtimeSampleAllocObjects]
+	rec.GCCycles = r.samples[runtimeSampleGCCycles].Value.Uint64() - r.base[runtimeSampleGCCycles]
+	rec.GCPauseMS = pauseDeltaMS(r.samples[runtimeSampleGCPauses].Value.Float64Histogram(), r.pauseBase)
+}
+
+// pauseDeltaMS sums the new observations a cumulative pause histogram
+// gained since base, approximating each by its bucket midpoint (the finite
+// edge for the ±Inf boundary buckets). Returns milliseconds.
+func pauseDeltaMS(h *metrics.Float64Histogram, base []uint64) float64 {
+	if h == nil || len(base) != len(h.Counts) || len(h.Buckets) != len(h.Counts)+1 {
+		return 0
+	}
+	total := 0.0
+	for i, n := range h.Counts {
+		d := n - base[i]
+		if d == 0 {
+			continue
+		}
+		lo, hi := h.Buckets[i], h.Buckets[i+1]
+		var mid float64
+		switch {
+		case math.IsInf(lo, -1):
+			mid = hi
+		case math.IsInf(hi, 1):
+			mid = lo
+		default:
+			mid = (lo + hi) / 2
+		}
+		total += float64(d) * mid
+	}
+	return total * 1e3
 }
 
 // Record ingests one tick record, runs the trigger checks, and maintains
-// any open capture. The recorder takes ownership of rec.Tasks.
+// any open capture. After a BeginTick it first fills the record's GC and
+// allocation fields. The recorder takes ownership of rec.Tasks and
+// rec.Migrations.
 func (r *FlightRecorder) Record(rec TickRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.began {
+		r.endSampleLocked(&rec)
+	}
 
 	// The median is computed before rec enters the window, so a hiccup is
 	// judged against the recent past, not against itself.
@@ -313,6 +416,20 @@ func (r *FlightRecorder) lastLocked(n int) []TickRecord {
 	}
 	out = append(out, r.ring[len(r.ring)-(n-end):]...)
 	return append(out, r.ring[:end]...)
+}
+
+// Migrations returns the migration events of the ring's records, oldest
+// first: this server's side of every user migration in the last
+// flightHistory ticks, the per-replica input to StitchMigrations.
+func (r *FlightRecorder) Migrations() []MigEvent {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []MigEvent
+	// next is the oldest record once the ring is full, and 0 until then.
+	for i := range r.ring {
+		out = append(out, r.ring[(r.next+i)%len(r.ring)].Migrations...)
+	}
+	return out
 }
 
 // freezeLocked finalizes the open capture into the bounded capture list,

@@ -3,7 +3,9 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -329,6 +331,102 @@ func TestFlightRecorderLast(t *testing.T) {
 				t.Fatalf("capture ends at tick %d, want the trigger %d", got, tc.ticks)
 			}
 		})
+	}
+}
+
+// allocSink keeps test allocations live so the compiler cannot elide them.
+var allocSink [][]byte
+
+// TestFlightRecorderSamplesRuntime: the heap allocations and the GC forced
+// between BeginTick and Record land in the record, and a following tick
+// without a GC does not inherit the previous tick's pauses.
+func TestFlightRecorderSamplesRuntime(t *testing.T) {
+	fr := NewFlightRecorder(FlightRecConfig{})
+	fr.BeginTick()
+	for i := 0; i < 2; i++ {
+		allocSink = append(allocSink, make([]byte, 1<<20))
+	}
+	runtime.GC()
+	fr.Record(TickRecord{Tick: 1})
+	allocSink = nil
+
+	fr.BeginTick()
+	fr.Record(TickRecord{Tick: 2})
+	recs := fr.Last(0)
+	if got := recs[0]; got.AllocBytes < 2<<20 || got.AllocObjects < 2 {
+		t.Fatalf("tick allocations = (%d B, %d objs), want >= 2 MiB in >= 2 objects", got.AllocBytes, got.AllocObjects)
+	}
+	if got := recs[0]; got.GCCycles == 0 || got.GCPauseMS <= 0 {
+		t.Fatalf("forced GC inside the tick, but GC deltas are (%d cycles, %g ms)", got.GCCycles, got.GCPauseMS)
+	}
+	if got := recs[1]; got.GCPauseMS != 0 && got.GCCycles == 0 {
+		t.Fatalf("no GC cycle in tick 2 but pause delta = %g ms", got.GCPauseMS)
+	}
+}
+
+// TestFlightRecorderRecordWithoutBeginTick: without an open sample Record
+// keeps the caller's GC and allocation fields, and one BeginTick fills one
+// record only.
+func TestFlightRecorderRecordWithoutBeginTick(t *testing.T) {
+	fr := NewFlightRecorder(FlightRecConfig{})
+	fr.Record(TickRecord{Tick: 1, GCPauseMS: 3, GCCycles: 1})
+	fr.BeginTick()
+	fr.Record(TickRecord{Tick: 2})
+	fr.Record(TickRecord{Tick: 3, AllocBytes: 7})
+	recs := fr.Last(0)
+	if got := recs[0]; got.GCPauseMS != 3 || got.GCCycles != 1 || got.AllocBytes != 0 {
+		t.Fatalf("unsampled record changed: %+v", got)
+	}
+	if got := recs[2]; got.AllocBytes != 7 || got.AllocObjects != 0 {
+		t.Fatalf("second Record after one BeginTick was sampled: %+v", got)
+	}
+}
+
+// TestFlightRecorderMigrations: Migrations returns the ring's migration
+// events in chronological order, and an event leaves with its record when
+// the ring wraps.
+func TestFlightRecorderMigrations(t *testing.T) {
+	fr := NewFlightRecorder(FlightRecConfig{})
+	mig := func(id uint64) []MigEvent { return []MigEvent{{ID: id, Phase: MigPhaseInit}} }
+	fr.Record(TickRecord{Tick: 1, Migrations: mig(1)})
+	fr.Record(TickRecord{Tick: 2, Migrations: append(mig(2), MigEvent{ID: 3, Phase: MigPhaseRecv})})
+	for i := 3; i <= flightHistory; i++ {
+		fr.Record(TickRecord{Tick: uint64(i)})
+	}
+	fr.Record(TickRecord{Tick: flightHistory + 1, Migrations: mig(4)})
+	var ids []uint64
+	for _, e := range fr.Migrations() {
+		ids = append(ids, e.ID)
+	}
+	if want := []uint64{2, 3, 4}; fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Fatalf("migration IDs = %v, want %v (tick 1 left the ring)", ids, want)
+	}
+}
+
+// TestFlightRecorderConcurrentReaders: the tick loop samples and records
+// while a collector reads the ring's migrations and records, as in a
+// served fleet; run under -race.
+func TestFlightRecorderConcurrentReaders(t *testing.T) {
+	fr := NewFlightRecorder(FlightRecConfig{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 500; i++ {
+			fr.BeginTick()
+			fr.Record(TickRecord{Tick: uint64(i), Migrations: []MigEvent{{ID: uint64(i)}}})
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if n := len(fr.Migrations()); n != 500 {
+				t.Fatalf("migrations = %d, want 500", n)
+			}
+			return
+		default:
+			fr.Migrations()
+			fr.Last(8)
+		}
 	}
 }
 

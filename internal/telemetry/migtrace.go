@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 )
 
 // Migration trace phases. A user migration is a distributed operation: the
 // source replica serializes and hands off the user (init), the destination
 // installs it (recv) and acknowledges back (ack). Each replica records the
-// phases it executes locally; StitchMigrations correlates them by ID into
-// one cross-replica view.
+// phases it executes locally in its tick records (TickRecord.Migrations);
+// StitchMigrations correlates them by ID into one cross-replica view.
 const (
 	// MigPhaseInit is the source-side handoff (t_mig_ini).
 	MigPhaseInit = "init"
@@ -47,75 +46,9 @@ type MigEvent struct {
 	DurMS float64 `json:"dur_ms"`
 }
 
-// DefaultMigTraceCapacity is the migration tracer ring size used when a
-// non-positive capacity is requested.
-const DefaultMigTraceCapacity = 4096
-
-// MigTracer records migration events into a bounded ring buffer, one per
-// server. It is safe for concurrent use: the real-time loop records while
-// the fleet collector reads.
-type MigTracer struct {
-	mu    sync.Mutex
-	buf   []MigEvent
-	next  int
-	full  bool
-	total uint64
-}
-
-// NewMigTracer returns a tracer keeping the last capacity events
-// (DefaultMigTraceCapacity if capacity is not positive).
-func NewMigTracer(capacity int) *MigTracer {
-	if capacity <= 0 {
-		capacity = DefaultMigTraceCapacity
-	}
-	return &MigTracer{buf: make([]MigEvent, 0, capacity)}
-}
-
-// Record stores one migration event, evicting the oldest when full.
-func (tr *MigTracer) Record(e MigEvent) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.total++
-	if len(tr.buf) < cap(tr.buf) {
-		tr.buf = append(tr.buf, e)
-		return
-	}
-	tr.full = true
-	tr.buf[tr.next] = e
-	tr.next = (tr.next + 1) % cap(tr.buf)
-}
-
-// Events returns the buffered events in chronological order.
-func (tr *MigTracer) Events() []MigEvent {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	out := make([]MigEvent, 0, len(tr.buf))
-	if tr.full {
-		out = append(out, tr.buf[tr.next:]...)
-		out = append(out, tr.buf[:tr.next]...)
-	} else {
-		out = append(out, tr.buf...)
-	}
-	return out
-}
-
-// Len reports the number of buffered events.
-func (tr *MigTracer) Len() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return len(tr.buf)
-}
-
-// Total reports how many events were ever recorded (including evicted ones).
-func (tr *MigTracer) Total() uint64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.total
-}
-
 // Migration is one user migration stitched from the events of every replica
 // that observed it. Incomplete migrations (an init whose transfer never
-// arrived, or a recv whose init was evicted from the source ring) are kept
+// arrived, or a recv whose init left the source's ring) are kept
 // and flagged, never dropped: a vanished handoff is exactly the failure a
 // cross-replica trace exists to expose.
 type Migration struct {
@@ -138,7 +71,7 @@ type Migration struct {
 
 // StitchMigrations correlates per-replica migration events into one
 // migration record per ID. perReplica maps a replica ID to the events its
-// MigTracer buffered. The result is ordered by init time (events without an
+// flight recorder holds (FlightRecorder.Migrations). The result is ordered by init time (events without an
 // init sort by their earliest observation).
 func StitchMigrations(perReplica map[string][]MigEvent) []Migration {
 	byID := make(map[uint64]*Migration)

@@ -8,32 +8,6 @@ import (
 	"testing"
 )
 
-func TestMigTracerRingEviction(t *testing.T) {
-	tr := NewMigTracer(3)
-	for i := 1; i <= 5; i++ {
-		tr.Record(MigEvent{ID: uint64(i), Phase: MigPhaseInit})
-	}
-	if tr.Len() != 3 {
-		t.Fatalf("len = %d, want 3", tr.Len())
-	}
-	if tr.Total() != 5 {
-		t.Fatalf("total = %d, want 5", tr.Total())
-	}
-	events := tr.Events()
-	for i, want := range []uint64{3, 4, 5} {
-		if events[i].ID != want {
-			t.Fatalf("events[%d].ID = %d, want %d (ring not chronological)", i, events[i].ID, want)
-		}
-	}
-}
-
-func TestMigTracerDefaultCapacity(t *testing.T) {
-	tr := NewMigTracer(0)
-	if got := cap(tr.buf); got != DefaultMigTraceCapacity {
-		t.Fatalf("capacity = %d, want %d", got, DefaultMigTraceCapacity)
-	}
-}
-
 // twoReplicaEvents is a migration observed on both endpoints (ID 1) plus an
 // init whose transfer was lost (ID 2) and a recv whose init was evicted
 // from the source ring (ID 3).
