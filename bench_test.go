@@ -237,9 +237,7 @@ func BenchmarkAoIIncremental(b *testing.B) {
 // observedTick builds a server running the game with nBots joined bots,
 // each client measuring its input→update RTT against a 40 ms deadline, and
 // returns one lockstep iteration: every bot steps, then the server ticks.
-// rec is the server's one observer (nil for the bare server); the clients'
-// latency tracking runs either way, so two rigs differ by the observer
-// alone.
+// rec is the server's tick history (nil for one with default thresholds).
 func observedTick(tb testing.TB, nBots int, rec *telemetry.FlightRecorder) func() {
 	tb.Helper()
 	net := transport.NewLoopback()
@@ -282,50 +280,46 @@ func observedTick(tb testing.TB, nBots int, rec *telemetry.FlightRecorder) func(
 	return step
 }
 
-// BenchmarkInstrumentedTick measures the full tick loop with 60 bots, bare
-// and instrumented — with the server's one observer, the flight recorder
-// cmd/roiaserver and cmd/roiarms attach (its TickRecord ring serves the
-// tick trace, the migration trace and the GC and egress alert rules, and
+// BenchmarkInstrumentedTick measures the full tick loop with 60 bots as
+// every server runs it: with the flight recorder, the server's one tick
+// history (its TickRecord ring serves the resource manager's mean tick,
+// /metrics, the tick trace, the migration trace and the alert rules, and
 // it samples runtime/metrics once at tick start and once in Record).
-// Diffing the two sub-benchmarks bounds the cost of the observer itself;
-// the design target is under 5% on the hot path, since the point of the
-// telemetry is to watch production ticks, not to perturb them.
-// TestRecorderTickAllocs holds the allocation half of that price.
+// TestRecorderTickAllocs holds the allocation half of the recorder's
+// price.
 func BenchmarkInstrumentedTick(b *testing.B) {
-	for _, mode := range []struct {
-		name         string
-		instrumented bool
-	}{{"bare", false}, {"instrumented", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var rec *telemetry.FlightRecorder
-			if mode.instrumented {
-				rec = telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
-			}
-			step := observedTick(b, 60, rec)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
-			}
-		})
+	step := observedTick(b, 60, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 
-// TestRecorderTickAllocs prices the observer in allocations, which unlike
-// its time are deterministic: on steady ticks with moving users and no
-// migrations, the flight recorder adds at most one allocation per tick to
-// the bare server — the record's Tasks slice. Captures are the recorder's
-// rare path, so this recorder never triggers one.
+// bareTickAllocs is the rig's allocations per tick after the same
+// 2048-tick warm-up, measured with no recorder at all before the recorder
+// became every server's tick history (go1.24, linux/amd64, plain and -race
+// alike; 127 after a 5-tick warm-up, while the server's own buffers still
+// grow).
+const bareTickAllocs = 118
+
+// TestRecorderTickAllocs prices the always-on recorder in allocations,
+// which unlike its time are deterministic: on steady ticks with moving
+// users and no migrations, once the ring has filled (every record then
+// reuses an evicted slot's Tasks array), the rig's tick allocates no more
+// than the bare tick did. Captures are the recorder's rare path, so this
+// recorder never triggers one.
 func TestRecorderTickAllocs(t *testing.T) {
-	const ticks = 100
-	bare := testing.AllocsPerRun(ticks, observedTick(t, 8, nil))
+	const ticks, ring = 100, 2048
 	rec := telemetry.NewFlightRecorder(telemetry.FlightRecConfig{MinHiccupMS: math.MaxFloat64})
-	observed := testing.AllocsPerRun(ticks, observedTick(t, 8, rec))
-	if observed > bare+1 {
-		t.Fatalf("recorder tick allocs = %g, bare = %g: the observer adds %g per tick, want <= 1 (the Tasks slice)",
-			observed, bare, observed-bare)
+	step := observedTick(t, 8, rec)
+	for i := 0; i < ring; i++ {
+		step()
 	}
-	if got := len(rec.Last(0)); got < ticks {
-		t.Fatalf("recorder holds %d records after %d ticks", got, ticks)
+	if got := testing.AllocsPerRun(ticks, step); got > bareTickAllocs {
+		t.Fatalf("tick allocs = %g with the recorder, want <= %d (the bare tick)", got, bareTickAllocs)
+	}
+	if got := len(rec.Last(0)); got != ring {
+		t.Fatalf("recorder holds %d records, want a full ring of %d", got, ring)
 	}
 }
 

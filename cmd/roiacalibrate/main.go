@@ -140,8 +140,8 @@ func validateModel(res *calibrate.Result, driver *bots.FleetDriver, monitors []*
 }
 
 // stepMeanTick runs -ticks ticks and returns their mean wall time (ms) over
-// every replica: the ticks of this load level only, where the monitors'
-// MeanTick would average a history window spanning several levels.
+// every replica: the ticks of this load level only, where the recorders'
+// 512-record mean would span several levels.
 func stepMeanTick(driver *bots.FleetDriver, monitors []*monitor.Monitor) float64 {
 	sum, n := 0.0, 0
 	for tick := 0; tick < *ticksPer; tick++ {

@@ -86,11 +86,6 @@ func run() error {
 		Seed:         *seedFlag,
 		Events:       eventSinkOrNil(events),
 		TickInterval: tickInterval,
-		// Flight recorders are bounded rings, so they stay on: the hiccup
-		// and GC-pause alert rules, the collector's tail counters and the
-		// migration trace read them, and a stalled replica leaves a capture
-		// to inspect after the session.
-		FlightRecorders: true,
 	})
 	if err != nil {
 		return err
@@ -159,7 +154,6 @@ func run() error {
 	var (
 		alertLog *telemetry.AlertLog
 		engine   *telemetry.AlertEngine
-		drift    *telemetry.Drift
 	)
 	if *alertsFlag != "" {
 		f, err := os.Create(*alertsFlag)
@@ -168,11 +162,9 @@ func run() error {
 		}
 		defer f.Close()
 		alertLog = telemetry.NewAlertLog(f)
-		drift = &telemetry.Drift{}
 		rules := fl.AlertRules(fleet.AlertConfig{
 			Model:         mdl,
 			MaxReplicas:   *maxRepFlag,
-			Drift:         drift,
 			ClientLatency: func() telemetry.LatencySnapshot { return driver.ClientLatency().Snapshot() },
 		})
 		if slo != nil {
@@ -230,7 +222,6 @@ func run() error {
 		}
 		actions := mgr.Step(float64(sec))
 		if engine != nil {
-			observeDrift(fl, mdl, drift)
 			engine.Eval(float64(sec))
 		}
 		var notable []string
@@ -276,23 +267,6 @@ func run() error {
 		fmt.Printf("event log: %s (%d events)\n", *eventsFlag, events.Events())
 	}
 	return nil
-}
-
-// observeDrift feeds every replica's prediction/measurement pair into the
-// drift tracker, the live Fig. 4/6 validation the model_drift rule watches.
-func observeDrift(fl *fleet.Fleet, mdl *model.Model, drift *telemetry.Drift) {
-	for _, id := range fl.IDs() {
-		srv, ok := fl.Server(id)
-		if !ok {
-			continue
-		}
-		mon := srv.Monitor()
-		b := mon.LastBreakdown()
-		if b.Replicas == 0 {
-			continue
-		}
-		drift.Observe(mdl.TickTimeUneven(b.Replicas, b.Users, b.NPCs, b.ActiveUsers), mon.MeanTick())
-	}
 }
 
 // eventSinkOrNil avoids handing the fleet a non-nil interface wrapping a

@@ -9,17 +9,19 @@
 //	roiaserver -id s2 -listen 127.0.0.1:7002 -peers s1=127.0.0.1:7001
 //	roiabot    -server s1=127.0.0.1:7001 -bots 50
 //
-// The server prints a monitoring line once per second: connected users,
-// zone users, mean tick duration, and the per-task model parameters
-// measured by the RTF hooks.
+// Every tick's TickRecord — task spans, workload gauges, the QoS deadline
+// (the tick interval, 1/U), the tick's GC pause and heap allocations, and
+// its bytes to clients — lands in the flight recorder's ring, the server's
+// one tick history. The server prints a monitoring line once per second
+// from it: connected users, zone users, mean tick duration, and the
+// per-task model parameters measured by the RTF hooks.
 //
-// Every tick's TickRecord — task spans, workload gauges, the tick's GC
-// pause and heap allocations, and its bytes to clients — lands in the
-// flight recorder's ring. With -metrics the server also exposes an
-// observability endpoint: Prometheus metrics (QoS deadline violations,
-// windowed tail quantiles, hiccup counters, model-drift gauges — aggregate
-// and per-task — and Go runtime stats) on /metrics, the
-// ring's recent ticks as a trace on /debug/ticktrace, flight-recorder
+// With -metrics the server also exposes an observability endpoint:
+// Prometheus metrics (QoS deadline violations, tail quantiles over the
+// ring, hiccup counters, model-drift gauges — aggregate and per-task, each
+// ring record compared with the model at its own workload — and Go runtime
+// stats) on /metrics, the ring's recent ticks as a trace on
+// /debug/ticktrace, flight-recorder
 // captures as JSONL on /debug/flightrec, and pprof on /debug/pprof/. With
 // -trace-out the ring is written as Chrome trace-event JSON at shutdown,
 // loadable in Perfetto; with -flightrec-out the captures (pre/post
@@ -31,6 +33,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -64,7 +67,6 @@ var (
 	traceFlag   = flag.String("trace-out", "", "write the tick trace as Chrome trace JSON to this file at shutdown")
 	flightOut   = flag.String("flightrec-out", "", "write flight-recorder captures as JSONL to this file at shutdown")
 	hiccupK     = flag.Float64("hiccup-k", telemetry.DefaultHiccupK, "flag a tick as a hiccup when its wall time exceeds k x the rolling median")
-	deadline    = flag.Duration("deadline", 0, "tick QoS deadline for violation accounting (default: the tick interval, 1/U)")
 	parFlag     = flag.Int("parallelism", 1, "worker count for the tick pipeline's parallel stages (1 = sequential; wire output is identical either way)")
 )
 
@@ -112,9 +114,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *deadline > 0 {
-		srv.Monitor().SetDeadline(float64(*deadline) / float64(time.Millisecond))
-	}
 	for i := 0; i < *npcFlag; i++ {
 		srv.SpawnNPC(npcPos(i))
 	}
@@ -126,13 +125,14 @@ func run() error {
 		go report(ctx, srv)
 	}
 
-	drift := &telemetry.Drift{}
-	names := telemetry.PhaseNames()
-	taskDrift := telemetry.NewTaskDrift(names[:]...)
-	go trackDrift(ctx, srv.Monitor(), drift, taskDrift, *tickFlag)
-
 	if *metricsFlag != "" {
-		if err := serveMetrics(ctx, srv.Monitor(), drift, taskDrift, flightRec); err != nil {
+		// Drift is read from the ring at scrape time against the model
+		// solved for U = the tick interval.
+		mdl, err := model.New(params.RTFDemo(), float64(tickFlag.Microseconds())/1000, params.CDefault)
+		if err != nil {
+			return fmt.Errorf("drift model: %w", err)
+		}
+		if err := serveMetrics(ctx, flightRec, mdl); err != nil {
 			return err
 		}
 	}
@@ -165,18 +165,18 @@ func run() error {
 // serveMetrics starts the observability HTTP server: Prometheus metrics,
 // the flight recorder's tick trace and captures, and pprof. It shuts down
 // gracefully when ctx ends.
-func serveMetrics(ctx context.Context, mon *monitor.Monitor, drift *telemetry.Drift, taskDrift *telemetry.TaskDrift, flightRec *telemetry.FlightRecorder) error {
+func serveMetrics(ctx context.Context, flightRec *telemetry.FlightRecorder, mdl *model.Model) error {
 	labels := fmt.Sprintf("server=%q,zone=\"%d\"", *idFlag, *zoneFlag)
 	writers := []telemetry.MetricsWriter{
-		mon.WriteMetrics,
-		drift.WriteMetrics,
-		taskDrift.WriteMetrics,
 		flightRec.WriteMetrics,
+		func(w io.Writer, labels string) error {
+			return monitor.ModelDrift(mdl, flightRec.Last(0)).WriteMetrics(w, labels)
+		},
 		telemetry.WriteRuntimeMetrics,
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", telemetry.MetricsHandler(labels, writers...))
-	mux.Handle("/healthz", telemetry.ReadyHandler(func() bool { return mon.Ticks() > 0 }))
+	mux.Handle("/healthz", telemetry.ReadyHandler(func() bool { return len(flightRec.Last(1)) > 0 }))
 	mux.Handle("/debug/ticktrace", telemetry.TraceHandler(flightRec))
 	mux.Handle("/debug/flightrec", telemetry.FlightRecHandler(flightRec))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -210,37 +210,6 @@ func serveMetrics(ctx context.Context, mon *monitor.Monitor, drift *telemetry.Dr
 	}()
 	fmt.Printf("metrics on http://%s/metrics, traces on /debug/ticktrace, flight recorder on /debug/flightrec, pprof on /debug/pprof/\n", *metricsFlag)
 	return nil
-}
-
-// trackDrift feeds the model-drift gauges once per second: the scalability
-// model's predicted tick time for the current l/n/m/a against the measured
-// mean tick (aggregate drift), plus the per-task comparison of each fitted
-// parameter curve against the measured phase cost (task drift, attributing
-// a diverging calibration to the specific term that is wrong). U is the
-// tick interval — the budget the model is solved for.
-func trackDrift(ctx context.Context, mon *monitor.Monitor, drift *telemetry.Drift, taskDrift *telemetry.TaskDrift, tick time.Duration) {
-	set := params.RTFDemo()
-	mdl, err := model.New(set, float64(tick.Microseconds())/1000, params.CDefault)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "roiaserver: drift model:", err)
-		return
-	}
-	ticker := time.NewTicker(time.Second)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			b := mon.LastBreakdown()
-			if b.Replicas == 0 || mon.Ticks() == 0 {
-				continue
-			}
-			predicted := mdl.TickTimeUneven(b.Replicas, b.Users, b.NPCs, b.ActiveUsers)
-			drift.Observe(predicted, mon.MeanTick())
-			mon.ObserveTaskDrift(set, taskDrift)
-		}
-	}
 }
 
 // dumpFlightRec writes the frozen flight-recorder captures as JSONL.
@@ -284,13 +253,13 @@ func report(ctx context.Context, srv *server.Server) {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			mon := srv.Monitor()
+			sum := srv.FlightRecorder().Summary()
 			fmt.Printf("[%s] users=%d/%d tick(mean)=%.3fms t_ua=%.4f t_aoi=%.4f t_su=%.4f ticks=%d\n",
-				srv.ID(), srv.UserCount(), srv.ZoneUserCount(), mon.MeanTick(),
-				mon.TaskSummary(monitor.UA).Mean,
-				mon.TaskSummary(monitor.AOI).Mean,
-				mon.TaskSummary(monitor.SU).Mean,
-				mon.Ticks())
+				srv.ID(), srv.UserCount(), srv.ZoneUserCount(), sum.Wall.Mean,
+				sum.Tasks[monitor.UA.String()].Mean,
+				sum.Tasks[monitor.AOI.String()].Mean,
+				sum.Tasks[monitor.SU.String()].Mean,
+				sum.Ticks)
 		}
 	}
 }

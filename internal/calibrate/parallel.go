@@ -12,7 +12,7 @@ import (
 // ParSample is one observation of a parallel-executor calibration sweep:
 // the measured tick speedup at a worker count, relative to the one-worker
 // run of the same workload (speedup = wall(w=1) / wall(w), or
-// equivalently mean tick CPU / MeanTick for a single configuration).
+// equivalently mean tick CPU / mean tick wall for a single configuration).
 type ParSample struct {
 	// Workers is the executor worker count w (≥ 1).
 	Workers int

@@ -149,13 +149,13 @@ func (mgr *Manager) noteMigration(rec *telemetry.DecisionRecord, a Action, reaso
 }
 
 // snapshotServers mirrors the cluster state into the audit record.
-func snapshotServers(rec *telemetry.DecisionRecord, servers []ServerState) {
-	if rec == nil {
+func snapshotServers(dec *telemetry.DecisionRecord, servers []ServerState) {
+	if dec == nil {
 		return
 	}
-	rec.Servers = make([]telemetry.ServerSnapshot, len(servers))
+	dec.Servers = make([]telemetry.ServerSnapshot, len(servers))
 	for i, s := range servers {
-		rec.Servers[i] = telemetry.ServerSnapshot{
+		dec.Servers[i] = telemetry.ServerSnapshot{
 			ID: s.ID, Users: s.Users, TickMS: s.TickMS, Power: s.Power,
 			Class: s.Class, Ready: s.Ready, Draining: s.Draining,
 		}
@@ -329,8 +329,8 @@ func (mgr *Manager) step(now float64, rec *telemetry.DecisionRecord) []Action {
 
 // usersByID indexes the group's user counts for budget reporting; it
 // returns nil when auditing is off so the hot path allocates nothing.
-func usersByID(rec *telemetry.DecisionRecord, servers []ServerState) map[string]int {
-	if rec == nil {
+func usersByID(dec *telemetry.DecisionRecord, servers []ServerState) map[string]int {
+	if dec == nil {
 		return nil
 	}
 	users := make(map[string]int, len(servers))

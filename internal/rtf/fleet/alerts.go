@@ -2,9 +2,10 @@ package fleet
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"roia/internal/model"
+	"roia/internal/rtf/monitor"
 	"roia/internal/stats"
 	"roia/internal/telemetry"
 )
@@ -19,11 +20,9 @@ type AlertConfig struct {
 	// MaxReplicas optionally caps l below the model's l_max (mirrors
 	// rms.Config.MaxReplicas). 0 means use the model's l_max alone.
 	MaxReplicas int
-	// Drift, when set, enables the model-drift rule on the tracker's live
-	// snapshot.
-	Drift *telemetry.Drift
-	// DriftTolerance is the |relative error| above which the drift rule is
-	// active (default 0.5, i.e. the prediction is off by more than 50%).
+	// DriftTolerance is the |relative error| above which the model_drift
+	// rule is active for a replica (default 0.5, i.e. the prediction is off
+	// by more than 50%).
 	DriftTolerance float64
 	// PendingFor is how many consecutive true evaluations promote a rule
 	// instance from pending to firing (default 1: the second consecutive
@@ -36,13 +35,13 @@ type AlertConfig struct {
 	// HiccupRate is the fraction of ticks (per replica, between
 	// evaluations) flagged by the flight recorder's hiccup detector above
 	// which the qos_tick_hiccup rule is active (default 0.01: more than 1%
-	// of recent ticks stalled). The rule is inert on replicas without a
-	// flight recorder (fleet Config.FlightRecorders off).
+	// of recent ticks stalled).
 	HiccupRate float64
-	// TailInflation is the windowed p99/p50 tick-wall ratio above which the
-	// qos_tail_inflation rule is active (default 4: the tail runs 4× the
-	// typical tick). Replicas with fewer than TailMinCount recent ticks in
-	// the window are skipped so a cold start cannot fire the rule.
+	// TailInflation is the p99/p50 tick-wall ratio over a replica's flight
+	// recorder ring above which the qos_tail_inflation rule is active
+	// (default 4: the tail runs 4× the typical tick). Replicas with fewer
+	// than TailMinCount ticks in the ring are skipped so a cold start cannot
+	// fire the rule.
 	TailInflation float64
 	// TailMinCount is the minimum recent-tick count before the tail
 	// inflation rule evaluates a replica (default 64).
@@ -56,16 +55,14 @@ type AlertConfig struct {
 	// GCPauseBudget is the fraction of the tick deadline 1/U that in-tick
 	// GC pause may consume before the qos_gc_pause rule is active (default
 	// 0.25: the per-tick GC-pause p99 over the flight recorder's ring eats
-	// more than a quarter of the deadline). The rule is inert on replicas
-	// without a flight recorder (fleet Config.FlightRecorders off).
+	// more than a quarter of the deadline).
 	GCPauseBudget float64
 	// EgressPerUserCeiling is the per-user egress budget in framed wire
 	// bytes per tick; the egress_per_user_ceiling rule fires when a
 	// replica's state-update bytes over the ticks recorded since the
 	// previous evaluation, divided by those ticks' connected users, exceed
 	// it. 0 disables the rule (no universal ceiling exists — it is a
-	// deployment bandwidth budget). The rule is inert on replicas without
-	// a flight recorder.
+	// deployment bandwidth budget).
 	EgressPerUserCeiling float64
 }
 
@@ -84,8 +81,9 @@ const (
 )
 
 // AlertRules builds the fleet's threshold rules for a telemetry.AlertEngine.
-// Every evaluation reads the live cluster state, so the rules track the
-// same numbers the RMS manager decides on:
+// Every evaluation reads the live cluster state — the replicas' flight
+// recorder rings — so the rules track the same numbers the RMS manager
+// decides on:
 //
 //   - replica_over_nmax: a ready replica holds more users than its share
 //     n_max(l)/l of the zone capacity (Eq. 2). One instance per replica.
@@ -96,9 +94,12 @@ const (
 //     users but its Eq. 5 initiation budget x_max_ini is zero — it is too
 //     overloaded to shed load within the tick budget, the regime where
 //     the paper falls back to unpaced migration.
-//   - model_drift: the live |prediction error| ratio exceeds
-//     DriftTolerance — the calibrated cost model no longer matches the
-//     deployed workload, so every threshold above is suspect.
+//   - model_drift: over a replica's ring, the |relative error| of the
+//     model's mean predicted tick T(l,n,m,a) — each record predicted at its
+//     own workload — against the mean measured wall exceeds
+//     DriftTolerance: the calibrated cost model no longer matches the
+//     deployed workload, so every threshold above is suspect. One instance
+//     per replica.
 //   - qos_tick_deadline: more than QoSViolationRate of a replica's ticks
 //     since the previous evaluation exceeded the tick deadline 1/U — the
 //     server-side half of the QoS contract is being broken sustainedly
@@ -112,23 +113,26 @@ const (
 //     previous evaluation tripped the flight recorder's hiccup detector
 //     (wall time k× above the rolling median) — the server stalls in
 //     bursts even if mean tick time looks healthy. One instance per
-//     replica; requires fleet Config.FlightRecorders.
-//   - qos_tail_inflation: a replica's windowed p99 tick wall runs more
-//     than TailInflation× its p50 — sustained tail-latency inflation, the
+//     replica.
+//   - qos_tail_inflation: a replica's p99 tick wall over its ring runs
+//     more than TailInflation× its p50 — sustained tail-latency inflation, the
 //     regime where mean-based capacity numbers (n_max from mean task
 //     costs) stop protecting the QoS deadline. One instance per replica.
 //   - qos_gc_pause: the p99 of a replica's per-tick GC pause over its
 //     flight recorder's ring (the last 2048 ticks) exceeds GCPauseBudget
 //     of the tick deadline 1/U — the runtime, not the workload, is eating
 //     the QoS budget, and no migration or replication decision can win it
-//     back. One instance per replica; requires fleet
-//     Config.FlightRecorders.
+//     back. One instance per replica.
 //   - egress_per_user_ceiling: a replica's client egress over the ticks
 //     recorded since the previous evaluation, per user per tick, exceeds
 //     the configured bandwidth budget — the interest-management cost
 //     model (what the paper folds into the per-user cost term) is
 //     under-charging for update fan-out. One instance per replica;
-//     requires FlightRecorders and a non-zero EgressPerUserCeiling.
+//     requires a non-zero EgressPerUserCeiling.
+//
+// qos_tick_deadline, qos_tick_hiccup and egress_per_user_ceiling read the
+// records each replica took since the rule's previous evaluation
+// (sinceLast), so a burst resolves once the server steadies.
 func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 	if cfg.DriftTolerance <= 0 {
 		cfg.DriftTolerance = 0.5
@@ -253,93 +257,46 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 			},
 		},
 	}
-	// qos_tick_deadline compares violation deltas between evaluations, so
-	// a replica that ran long during warm-up but recovered resolves
-	// instead of staying firing on its cumulative counter.
-	type qosPrev struct{ ticks, violations uint64 }
-	tickPrev := make(map[string]qosPrev)
+	deadlineSince := f.sinceLast()
 	rules = append(rules, telemetry.Rule{
 		Name:       AlertQoSTickDeadline,
 		PendingFor: cfg.PendingFor,
 		Eval: func(now float64) []telemetry.RuleResult {
 			var out []telemetry.RuleResult
-			seen := make(map[string]bool)
-			for _, id := range f.IDs() {
-				srv, ok := f.Server(id)
-				if !ok {
-					continue
-				}
-				seen[id] = true
-				mon := srv.Monitor()
-				cur := qosPrev{ticks: mon.Ticks(), violations: mon.DeadlineViolations()}
-				prev := tickPrev[id]
-				tickPrev[id] = cur
-				if cur.ticks <= prev.ticks {
-					continue // no new ticks
-				}
-				rate := float64(cur.violations-prev.violations) / float64(cur.ticks-prev.ticks)
+			for _, w := range deadlineSince() {
+				rate := float64(w.violations) / float64(w.ticks)
 				if rate <= cfg.QoSViolationRate {
 					continue
 				}
 				out = append(out, telemetry.RuleResult{
-					Key:       id,
+					Key:       w.id,
 					Value:     rate,
 					Threshold: cfg.QoSViolationRate,
 					Detail: fmt.Sprintf("%.1f%% of the last %d ticks exceeded the %.1fms deadline (QoS budget %.1f%%)",
-						rate*100, cur.ticks-prev.ticks, mon.DeadlineMS(), cfg.QoSViolationRate*100),
+						rate*100, w.ticks, w.deadlineMS, cfg.QoSViolationRate*100),
 				})
-			}
-			for id := range tickPrev {
-				if !seen[id] {
-					delete(tickPrev, id) // replica stopped; forget its counters
-				}
 			}
 			return out
 		},
 	})
-	// qos_tick_hiccup uses the same delta idiom on the flight recorder's
-	// hiccup counter: only stalls since the previous evaluation count, so
-	// one bad burst resolves once the server steadies.
-	type hiccupPrev struct{ ticks, hiccups uint64 }
-	hicPrev := make(map[string]hiccupPrev)
+	hiccupSince := f.sinceLast()
 	rules = append(rules, telemetry.Rule{
 		Name:       AlertQoSTickHiccup,
 		PendingFor: cfg.PendingFor,
 		Eval: func(now float64) []telemetry.RuleResult {
 			var out []telemetry.RuleResult
-			seen := make(map[string]bool)
-			for _, id := range f.IDs() {
-				srv, ok := f.Server(id)
-				if !ok {
-					continue
-				}
-				rec := srv.FlightRecorder()
-				if rec == nil {
-					continue
-				}
-				seen[id] = true
-				cur := hiccupPrev{ticks: srv.Monitor().Ticks(), hiccups: rec.Hiccups()}
-				prev := hicPrev[id]
-				hicPrev[id] = cur
-				if cur.ticks <= prev.ticks {
-					continue // no new ticks
-				}
-				rate := float64(cur.hiccups-prev.hiccups) / float64(cur.ticks-prev.ticks)
+			for _, w := range hiccupSince() {
+				rate := float64(w.hiccups) / float64(w.ticks)
 				if rate <= cfg.HiccupRate {
 					continue
 				}
 				out = append(out, telemetry.RuleResult{
-					Key:       id,
+					Key:       w.id,
 					Value:     rate,
 					Threshold: cfg.HiccupRate,
 					Detail: fmt.Sprintf("%.1f%% of the last %d ticks were hiccups (wall over the rolling-median threshold; budget %.1f%%)",
-						rate*100, cur.ticks-prev.ticks, cfg.HiccupRate*100),
+						rate*100, w.ticks, cfg.HiccupRate*100),
 				})
-			}
-			for id := range hicPrev {
-				if !seen[id] {
-					delete(hicPrev, id) // replica stopped; forget its counters
-				}
 			}
 			return out
 		},
@@ -349,25 +306,22 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 		PendingFor: cfg.PendingFor,
 		Eval: func(now float64) []telemetry.RuleResult {
 			var out []telemetry.RuleResult
-			for _, id := range f.IDs() {
-				srv, ok := f.Server(id)
-				if !ok {
+			for _, r := range f.summaries() {
+				walls := r.sum.Walls
+				p50, p99 := stats.Percentile(walls, 50), stats.Percentile(walls, 99)
+				if len(walls) < cfg.TailMinCount || p50 <= 0 {
 					continue
 				}
-				q := srv.Monitor().TailQuantiles()
-				if q.Count < uint64(cfg.TailMinCount) || q.P50 <= 0 {
-					continue
-				}
-				ratio := q.P99 / q.P50
+				ratio := p99 / p50
 				if ratio <= cfg.TailInflation {
 					continue
 				}
 				out = append(out, telemetry.RuleResult{
-					Key:       id,
+					Key:       r.id,
 					Value:     ratio,
 					Threshold: cfg.TailInflation,
-					Detail: fmt.Sprintf("windowed tick wall p99 %.2fms is %.1f× p50 %.2fms over the last %d ticks (budget %.1f×)",
-						q.P99, ratio, q.P50, q.Count, cfg.TailInflation),
+					Detail: fmt.Sprintf("tick wall p99 %.2fms is %.1f× p50 %.2fms over the last %d ticks (budget %.1f×)",
+						p99, ratio, p50, len(walls), cfg.TailInflation),
 				})
 			}
 			return out
@@ -378,93 +332,49 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 		PendingFor: cfg.PendingFor,
 		Eval: func(now float64) []telemetry.RuleResult {
 			var out []telemetry.RuleResult
-			for _, id := range f.IDs() {
-				srv, ok := f.Server(id)
-				if !ok {
+			for _, r := range f.summaries() {
+				deadline := r.sum.Newest.DeadlineMS
+				budgetMS := cfg.GCPauseBudget * deadline
+				if budgetMS <= 0 || len(r.sum.GCPauses) == 0 {
 					continue
 				}
-				rec := srv.FlightRecorder()
-				if rec == nil {
-					continue
-				}
-				budgetMS := cfg.GCPauseBudget * srv.Monitor().DeadlineMS()
-				if budgetMS <= 0 {
-					continue
-				}
-				recs := rec.Last(0)
-				if len(recs) == 0 {
-					continue
-				}
-				pauses := make([]float64, len(recs))
-				for i, r := range recs {
-					pauses[i] = r.GCPauseMS
-				}
-				slices.Sort(pauses)
-				p99 := stats.Percentile(pauses, 99)
+				p99 := stats.Percentile(r.sum.GCPauses, 99)
 				if p99 <= budgetMS {
 					continue
 				}
 				out = append(out, telemetry.RuleResult{
-					Key:       id,
+					Key:       r.id,
 					Value:     p99,
 					Threshold: budgetMS,
 					Detail: fmt.Sprintf("per-tick GC pause p99 %.3fms over the last %d ticks exceeds %.0f%% of the %.1fms tick deadline",
-						p99, len(recs), cfg.GCPauseBudget*100, srv.Monitor().DeadlineMS()),
+						p99, len(r.sum.GCPauses), cfg.GCPauseBudget*100, deadline),
 				})
 			}
 			return out
 		},
 	})
 	if cfg.EgressPerUserCeiling > 0 {
-		// Same delta idiom as the QoS rules: only ticks recorded since the
-		// previous evaluation count, so a join burst resolves once traffic
-		// settles.
-		lastTick := make(map[string]uint64)
+		egressSince := f.sinceLast()
 		rules = append(rules, telemetry.Rule{
 			Name:       AlertEgressPerUser,
 			PendingFor: cfg.PendingFor,
 			Eval: func(now float64) []telemetry.RuleResult {
 				var out []telemetry.RuleResult
-				seen := make(map[string]bool)
-				for _, id := range f.IDs() {
-					srv, ok := f.Server(id)
-					if !ok {
-						continue
+				for _, w := range egressSince() {
+					if w.userTicks == 0 {
+						continue // nobody to bill
 					}
-					rec := srv.FlightRecorder()
-					if rec == nil {
-						continue
-					}
-					seen[id] = true
-					bytes, userTicks, ticks := 0, 0, 0
-					for _, r := range rec.Last(0) {
-						if r.Tick <= lastTick[id] {
-							continue
-						}
-						bytes += r.ClientBytesOut
-						userTicks += r.ActiveUsers
-						ticks++
-						lastTick[id] = r.Tick
-					}
-					if userTicks == 0 {
-						continue // no new ticks, or nobody to bill
-					}
-					perUserTick := float64(bytes) / float64(userTicks)
+					perUserTick := float64(w.clientBytes) / float64(w.userTicks)
 					if perUserTick <= cfg.EgressPerUserCeiling {
 						continue
 					}
 					out = append(out, telemetry.RuleResult{
-						Key:       id,
+						Key:       w.id,
 						Value:     perUserTick,
 						Threshold: cfg.EgressPerUserCeiling,
 						Detail: fmt.Sprintf("client egress ran %.1f B/user/tick over the last %d ticks, above the %.1f B ceiling",
-							perUserTick, ticks, cfg.EgressPerUserCeiling),
+							perUserTick, w.ticks, cfg.EgressPerUserCeiling),
 					})
-				}
-				for id := range lastTick {
-					if !seen[id] {
-						delete(lastTick, id) // replica stopped; forget its position
-					}
 				}
 				return out
 			},
@@ -496,32 +406,103 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 			},
 		})
 	}
-	if cfg.Drift != nil {
-		tol := cfg.DriftTolerance
-		rules = append(rules, telemetry.Rule{
-			Name:       AlertModelDrift,
-			PendingFor: cfg.PendingFor,
-			Eval: func(now float64) []telemetry.RuleResult {
-				s := cfg.Drift.Snapshot()
-				if s.Samples == 0 {
-					return nil
+	tol := cfg.DriftTolerance
+	rules = append(rules, telemetry.Rule{
+		Name:       AlertModelDrift,
+		PendingFor: cfg.PendingFor,
+		Eval: func(now float64) []telemetry.RuleResult {
+			var out []telemetry.RuleResult
+			for _, id := range f.IDs() {
+				srv, ok := f.Server(id)
+				if !ok {
+					continue
 				}
-				abs := s.ErrRatio
-				if abs < 0 {
-					abs = -abs
+				s := monitor.ModelDrift(cfg.Model, srv.FlightRecorder().Last(0)).Tick
+				abs := math.Abs(s.ErrRatio)
+				if s.Samples == 0 || abs <= tol {
+					continue
 				}
-				if abs <= tol {
-					return nil
-				}
-				return []telemetry.RuleResult{{
-					Key:       zoneKey,
+				out = append(out, telemetry.RuleResult{
+					Key:       id,
 					Value:     abs,
 					Threshold: tol,
-					Detail: fmt.Sprintf("model predicts %.2fms vs measured %.2fms (|rel err| %.2f > %.2f): calibration is stale",
-						s.PredictedMS, s.MeasuredMS, abs, tol),
-				}}
-			},
-		})
-	}
+					Detail: fmt.Sprintf("model predicts %.2fms vs measured %.2fms over the last %d ticks (|rel err| %.2f > %.2f): calibration is stale",
+						s.PredictedMS, s.MeasuredMS, s.Samples, abs, tol),
+				})
+			}
+			return out
+		},
+	})
 	return rules
+}
+
+// replicaSummary is one running replica's flight-recorder summary.
+type replicaSummary struct {
+	id  string
+	sum telemetry.TickSummary
+}
+
+// summaries reads every running replica's flight-recorder summary, in
+// spawn order.
+func (f *Fleet) summaries() []replicaSummary {
+	var out []replicaSummary
+	for _, id := range f.IDs() {
+		if srv, ok := f.Server(id); ok {
+			out = append(out, replicaSummary{id: id, sum: srv.FlightRecorder().Summary()})
+		}
+	}
+	return out
+}
+
+// recordWindow sums what one replica recorded since a rule's previous
+// evaluation.
+type recordWindow struct {
+	id                     string
+	ticks, violations      int
+	hiccups                int
+	clientBytes, userTicks int
+	deadlineMS             float64
+}
+
+// sinceLast returns a walk over the records every running replica took
+// since the walk's previous call, one window per replica with new ticks:
+// the "since the last evaluation" view the deadline, hiccup and egress
+// rules share. A replica's first walk covers its whole ring; stopped
+// replicas' cursors are forgotten.
+func (f *Fleet) sinceLast() func() []recordWindow {
+	cursors := make(map[string]uint64)
+	return func() []recordWindow {
+		var out []recordWindow
+		live := make(map[string]bool)
+		for _, id := range f.IDs() {
+			srv, ok := f.Server(id)
+			if !ok {
+				continue
+			}
+			live[id] = true
+			recs, next := srv.FlightRecorder().Since(cursors[id])
+			cursors[id] = next
+			if len(recs) == 0 {
+				continue
+			}
+			w := recordWindow{id: id, ticks: len(recs), deadlineMS: recs[len(recs)-1].DeadlineMS}
+			for _, r := range recs {
+				if r.DeadlineMS > 0 && r.WallMS > r.DeadlineMS {
+					w.violations++
+				}
+				if r.Hiccup {
+					w.hiccups++
+				}
+				w.clientBytes += r.ClientBytesOut
+				w.userTicks += r.ActiveUsers
+			}
+			out = append(out, w)
+		}
+		for id := range cursors {
+			if !live[id] {
+				delete(cursors, id)
+			}
+		}
+		return out
+	}
 }

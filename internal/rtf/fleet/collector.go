@@ -1,5 +1,5 @@
 // Fleet-level observability: the collector aggregates every replica's
-// monitor snapshot and telemetry into one endpoint, so the reproduction is
+// flight-recorder summary into one endpoint, so the reproduction is
 // observable as a cluster rather than a set of nodes. Per-node metrics hide
 // exactly the cross-node variability (imbalance, stuck drains, lost
 // migrations) that dominates replica-group behaviour; the collector's
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"roia/internal/model"
+	"roia/internal/stats"
 	"roia/internal/telemetry"
 	"roia/internal/telemetry/tsdb"
 )
@@ -139,26 +140,25 @@ func (c *Collector) MigEvents() map[string][]telemetry.MigEvent {
 // Exported families:
 //
 //	roia_fleet_ticks_total{zone,replica}    counter, processed ticks
-//	roia_fleet_tick_mean_ms{zone,replica}   gauge, recent mean tick
-//	roia_fleet_tick_p95_ms{zone,replica}    gauge, recent p95 tick
+//	roia_fleet_tick_mean_ms{zone,replica}   gauge, mean tick wall over the
+//	                                        newest 512 records (the RMS's
+//	                                        signal)
+//	roia_fleet_tick_p95_ms{zone,replica}    gauge, p95 tick wall, same window
 //	roia_fleet_deadline_ms{zone,replica}    gauge, tick QoS deadline 1/U
 //	roia_fleet_deadline_violations_total{zone,replica}
 //	                                        counter, ticks past the deadline
 //	roia_fleet_tick_hiccups_total{zone,replica}
 //	                                        counter, ticks flagged by the
 //	                                        flight recorder's hiccup
-//	                                        detector (0 without recorders)
+//	                                        detector
 //	roia_fleet_flightrec_captures_total{zone,replica}
 //	                                        counter, flight-recorder
 //	                                        captures frozen so far
 //	roia_fleet_users{zone,replica}          gauge, connected users (a)
 //	roia_fleet_draining{zone,replica}       gauge, 1 while draining
-//	roia_fleet_tick_wall_q_ms{zone,q}       gauge, windowed tick-wall tail
-//	                                        quantiles merged across the
-//	                                        zone's replicas (mergeable
-//	                                        log histograms, so the merged
-//	                                        p99/p999 is exact over the
-//	                                        union of recent ticks)
+//	roia_fleet_tick_wall_q_ms{zone,q}       gauge, tick-wall tail quantiles
+//	                                        over the zone's replicas' rings
+//	                                        pooled (nearest rank, exact)
 //	roia_fleet_zone_users{zone}             gauge, zone-wide users (n)
 //	roia_fleet_npcs{zone}                   gauge, zone-wide NPCs (m)
 //	roia_fleet_replicas{zone}               gauge, running replicas (l)
@@ -170,15 +170,15 @@ func (c *Collector) MigEvents() map[string][]telemetry.MigEvent {
 //	                                        attached model)
 //	roia_fleet_migrations{zone,state}       gauge, stitched migrations in
 //	                                        the replicas' flight-recorder
-//	                                        rings (complete / incomplete;
-//	                                        0 without recorders)
+//	                                        rings (complete / incomplete)
 //
 // zoneRow is one zone's aggregated scrape snapshot.
 type zoneRow struct {
 	zone              uint32
 	users, npcs, l    int
 	complete, incompl int
-	tail              *telemetry.LogHistogram
+	// walls is every tick wall time in the replicas' rings, ascending.
+	walls []float64
 
 	// Model capacity ceilings; modeled is false without an attached model,
 	// and the nmax/lmax families are omitted from the scrape. A false
@@ -201,33 +201,31 @@ func (c *Collector) collect() ([]replicaRow, []zoneRow) {
 	var zones []zoneRow
 	for _, fl := range fleets {
 		z := uint32(fl.Zone())
-		zoneTail := telemetry.NewLogHistogram()
 		zr := zoneRow{zone: z}
+		var sums []telemetry.TickSummary
 		for _, id := range fl.IDs() {
 			srv, ok := fl.Server(id)
 			if !ok {
 				continue
 			}
-			mon := srv.Monitor()
-			row := replicaRow{
+			rec := srv.FlightRecorder()
+			sum := rec.Summary()
+			rows = append(rows, replicaRow{
 				zone:       z,
 				id:         id,
-				ticks:      mon.Ticks(),
-				meanMS:     mon.MeanTick(),
-				p95MS:      mon.TickSummary().P95,
+				ticks:      sum.Ticks,
+				meanMS:     sum.Wall.Mean,
+				p95MS:      sum.Wall.P95,
 				users:      srv.UserCount(),
 				draining:   srv.Draining(),
-				deadlineMS: mon.DeadlineMS(),
-				violations: mon.DeadlineViolations(),
-			}
-			if rec := srv.FlightRecorder(); rec != nil {
-				row.hiccups = rec.Hiccups()
-				row.captures = rec.CapturesTotal()
-			}
-			zoneTail.Merge(mon.TailHistogram())
-			rows = append(rows, row)
+				deadlineMS: sum.Newest.DeadlineMS,
+				violations: sum.Violations,
+				hiccups:    rec.Hiccups(),
+				captures:   rec.CapturesTotal(),
+			})
+			sums = append(sums, sum)
 		}
-		zr.users, zr.npcs, zr.l, zr.tail = fl.ZoneUsers(), fl.NPCCount(), len(fl.IDs()), zoneTail
+		zr.users, zr.npcs, zr.l, zr.walls = fl.ZoneUsers(), fl.NPCCount(), len(fl.IDs()), telemetry.PooledWalls(sums...)
 		for _, m := range telemetry.StitchMigrations(fl.MigEvents()) {
 			if m.Complete {
 				zr.complete++
@@ -298,12 +296,12 @@ func (c *Collector) WriteMetrics(w io.Writer, labels string) error {
 	for _, z := range zones {
 		for _, q := range []struct {
 			name string
-			q    float64
+			p    float64
 		}{
-			{"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99}, {"p999", 0.999},
+			{"p50", 50}, {"p90", 90}, {"p99", 99}, {"p999", 99.9},
 		} {
 			fmt.Fprintf(&b, "roia_fleet_tick_wall_q_ms%s %g\n",
-				lbl(fmt.Sprintf("zone=\"%d\",q=%q", z.zone, q.name)), z.tail.Quantile(q.q))
+				lbl(fmt.Sprintf("zone=\"%d\",q=%q", z.zone, q.name)), stats.Percentile(z.walls, q.p))
 		}
 	}
 	fmt.Fprintf(&b, "# TYPE roia_fleet_zone_users gauge\n")
@@ -409,13 +407,13 @@ func (c *Collector) Record() {
 		}
 		for _, q := range []struct {
 			name string
-			q    float64
+			p    float64
 		}{
-			{"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99},
+			{"p50", 50}, {"p90", 90}, {"p99", 99},
 		} {
 			st.Append("roia_fleet_tick_wall_q_ms",
 				map[string]string{"zone": fmt.Sprintf("%d", z.zone), "q": q.name},
-				tsdb.Gauge, z.tail.Quantile(q.q))
+				tsdb.Gauge, stats.Percentile(z.walls, q.p))
 		}
 	}
 	if rtt != nil {

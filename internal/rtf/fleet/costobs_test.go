@@ -38,12 +38,11 @@ func newCostHarness(t *testing.T, forceGC bool) *harness {
 		newApp = func() server.Application { return gcForceApp{game.New(game.DefaultConfig())} }
 	}
 	fl, err := fleet.New(fleet.Config{
-		Network:         net,
-		Zone:            1,
-		Assignment:      zone.NewAssignment(),
-		NewApp:          newApp,
-		Seed:            7,
-		FlightRecorders: true,
+		Network:    net,
+		Zone:       1,
+		Assignment: zone.NewAssignment(),
+		NewApp:     newApp,
+		Seed:       7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +60,8 @@ func TestQoSGCPauseRule(t *testing.T) {
 	if !ok {
 		t.Fatal("server-1 not running")
 	}
-	srv.Monitor().SetDeadline(25)
-	// A near-zero budget fraction makes any in-tick GC pause a breach; the
+	// A near-zero budget fraction of the 40 ms deadline (the fleet's default
+	// tick interval) makes any in-tick GC pause a breach; the
 	// wrapped app forces a collection on every input, so the ring's pause
 	// p99 is nonzero by construction after a handful of ticks.
 	engine := telemetry.NewAlertEngine(nil, h.fl.AlertRules(fleet.AlertConfig{

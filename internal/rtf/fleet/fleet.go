@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"roia/internal/cloud"
-	"roia/internal/model"
 	"roia/internal/rms"
 	"roia/internal/rtf/server"
 	"roia/internal/rtf/transport"
@@ -56,18 +55,9 @@ type Config struct {
 	// handoffs are migrations; they ride the servers' tick records (see
 	// MigEvents).
 	Events telemetry.FleetEventSink
-	// FlightRecorders gives every spawned server a tick flight recorder
-	// with default thresholds (see telemetry.FlightRecConfig), the server's
-	// one observer: per-tick records in a bounded ring — task spans, GC and
-	// allocation cost, client egress and migration phases — with
-	// deadline-violating or hiccup ticks frozen into JSONL-exportable
-	// captures. The collector exports each replica's hiccup and capture
-	// counters and stitches the recorders' migration events into one
-	// cross-replica trace (MigEvents); the qos_tick_hiccup, qos_gc_pause
-	// and egress_per_user_ceiling alert rules read the rings.
-	FlightRecorders bool
 	// TickInterval is passed to every spawned server (default 40 ms); it
-	// also sets each server's tick QoS deadline 1/U.
+	// also sets each server's tick QoS deadline 1/U, which every tick
+	// record carries.
 	TickInterval time.Duration
 	// Parallelism is passed to every spawned server (see
 	// server.Config.Parallelism); wire output stays byte-identical for
@@ -88,7 +78,9 @@ type Fleet struct {
 	nextIdx int
 	// recs keeps every spawned server's flight recorder, including
 	// stopped servers': a migration initiated by a since-removed replica
-	// must still stitch (or be flagged incomplete), not vanish.
+	// must still stitch (or be flagged incomplete), not vanish. The
+	// collector, the alert rules and Servers read the running servers'
+	// recorders.
 	recs map[string]*telemetry.FlightRecorder
 }
 
@@ -136,7 +128,7 @@ func (f *Fleet) event(kind, replica, detail string) {
 // input to telemetry.StitchMigrations and
 // telemetry.WriteMigrationChromeTrace. Each recorder covers its last
 // 2048 ticks, so a migration whose other side has left its ring reads as
-// incomplete. Empty without FlightRecorders.
+// incomplete.
 func (f *Fleet) MigEvents() map[string][]telemetry.MigEvent {
 	f.mu.Lock()
 	recs := make(map[string]*telemetry.FlightRecorder, len(f.recs))
@@ -149,22 +141,6 @@ func (f *Fleet) MigEvents() map[string][]telemetry.MigEvent {
 		out[id] = rec.Migrations()
 	}
 	return out
-}
-
-// ObserveTaskDrift feeds every running server's measured per-phase costs
-// against the cost model's fitted curves into td (see
-// monitor.ObserveTaskDrift). Call it periodically, then export td via the
-// collector's AddMetrics.
-func (f *Fleet) ObserveTaskDrift(cost model.CostModel, td *telemetry.TaskDrift) {
-	f.mu.Lock()
-	servers := make([]*server.Server, 0, len(f.order))
-	for _, id := range f.order {
-		servers = append(servers, f.servers[id])
-	}
-	f.mu.Unlock()
-	for _, s := range servers {
-		s.Monitor().ObserveTaskDrift(cost, td)
-	}
 }
 
 // Server returns a running server by ID (for tests and tick driving).
@@ -262,7 +238,7 @@ func (f *Fleet) Servers() []rms.ServerState {
 		out = append(out, rms.ServerState{
 			ID:       id,
 			Users:    s.UserCount(),
-			TickMS:   s.Monitor().MeanTick(),
+			TickMS:   s.FlightRecorder().Summary().Wall.Mean,
 			Power:    1,
 			Class:    "local",
 			Ready:    true,
@@ -324,10 +300,6 @@ func (f *Fleet) AddReplica() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("fleet: attach %s: %w", id, err)
 	}
-	var flightRec *telemetry.FlightRecorder
-	if f.cfg.FlightRecorders {
-		flightRec = telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
-	}
 	srv, err := server.New(server.Config{
 		Node:         node,
 		Zone:         f.cfg.Zone,
@@ -338,7 +310,6 @@ func (f *Fleet) AddReplica() (string, error) {
 		Seed:         f.cfg.Seed + int64(f.nextIdx),
 		TickInterval: f.cfg.TickInterval,
 		Parallelism:  f.cfg.Parallelism,
-		FlightRec:    flightRec,
 	})
 	if err != nil {
 		_ = node.Close()
@@ -346,9 +317,7 @@ func (f *Fleet) AddReplica() (string, error) {
 	}
 	srv.Start()
 	f.servers[id] = srv
-	if flightRec != nil {
-		f.recs[id] = flightRec
-	}
+	f.recs[id] = srv.FlightRecorder()
 	f.order = append(f.order, id)
 	f.event(telemetry.FleetEventSpawn, id, "")
 	return id, nil

@@ -108,10 +108,11 @@ func TestFleetBotsGenerateLoadAndState(t *testing.T) {
 		}
 	}
 	srv, _ := h.fl.Server("server-1")
-	if srv.Monitor().Ticks() == 0 {
+	sum := srv.FlightRecorder().Summary()
+	if sum.Ticks == 0 {
 		t.Fatal("no ticks recorded")
 	}
-	if srv.Monitor().MeanTick() <= 0 {
+	if sum.Wall.Mean <= 0 {
 		t.Fatal("no tick time measured")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"roia/internal/game"
+	"roia/internal/model"
 	"roia/internal/params"
 	"roia/internal/rtf/client"
 	"roia/internal/rtf/entity"
@@ -178,8 +179,8 @@ func (a *slowableApp) UpdateNPC(env *server.Env, npc *entity.Entity) []server.Fo
 
 // TestTaskDriftFlagsInjectedNPCSlowdown calibrates per-task cost curves
 // from a live fleet, injects a 100×-scale slowdown into the NPC update
-// hook only, and asserts the per-task drift gauges flag npc_update — and
-// no other phase — as diverged from the model.
+// hook only, and asserts the per-task drift read from the replicas' rings
+// flags t_npc — and no other task — as diverged from the model.
 func TestTaskDriftFlagsInjectedNPCSlowdown(t *testing.T) {
 	net := transport.NewLoopback()
 	t.Cleanup(func() { net.Close() })
@@ -201,8 +202,8 @@ func TestTaskDriftFlagsInjectedNPCSlowdown(t *testing.T) {
 	if _, err := fl.AddReplica(); err != nil {
 		t.Fatal(err)
 	}
-	// A second replica produces shadow-update traffic, so the
-	// forwarded_input phase has samples too and all four phases are live.
+	// A second replica produces shadow-update traffic, so the forwarded
+	// tasks have samples too.
 	if _, err := fl.AddReplica(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,6 @@ func TestTaskDriftFlagsInjectedNPCSlowdown(t *testing.T) {
 	// calibration run would. Each task is averaged over the replicas that
 	// actually ran it (forwarded inputs only land on the shadow-holding
 	// replica), so predictions match the workload everywhere.
-	mon := s1.Monitor()
 	c := func(task monitor.Task) params.Curve {
 		var sum float64
 		var k int
@@ -231,7 +231,7 @@ func TestTaskDriftFlagsInjectedNPCSlowdown(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if s := srv.Monitor().TaskSummary(task); s.Count > 0 {
+			if s := srv.FlightRecorder().Summary().Tasks[task.String()]; s.Count > 0 {
 				sum += s.Mean
 				k++
 			}
@@ -248,26 +248,34 @@ func TestTaskDriftFlagsInjectedNPCSlowdown(t *testing.T) {
 		NPC: c(monitor.NPC), AOI: c(monitor.AOI), SU: c(monitor.SU),
 		MigIni: params.Constant(1), MigRcv: params.Constant(1),
 	}
+	mdl, err := model.New(set, 40, params.CDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Inject: only the NPC hook slows down, by ~100× its calibrated cost.
-	npcDelay := 100 * time.Duration(mon.TaskSummary(monitor.NPC).Mean*float64(time.Millisecond))
+	npcDelay := 100 * time.Duration(set.NPCAt(0, 0)*float64(time.Millisecond))
 	if min := 200 * time.Microsecond; npcDelay < min {
 		npcDelay = min
 	}
 	for _, a := range apps {
 		a.npcDelay.Store(int64(npcDelay))
 	}
-	// Enough post-injection ticks that the recent-history reservoirs are
-	// dominated by slowed samples (HistorySize=512, 8 NPC items/tick).
+	// Enough post-injection ticks that slowed samples dominate the rings.
 	for i := 0; i < 80; i++ {
 		h.step()
 	}
 
-	names := telemetry.PhaseNames()
-	td := telemetry.NewTaskDrift(names[:]...)
-	fl.ObserveTaskDrift(set, td)
+	// The zone's rings pooled; every record is compared at its own workload.
+	var recs []telemetry.TickRecord
+	for _, id := range fl.IDs() {
+		srv, _ := fl.Server(id)
+		recs = append(recs, srv.FlightRecorder().Last(0)...)
+	}
+	drift := monitor.ModelDrift(mdl, recs)
 	flagged := []string{}
-	for task, s := range td.Snapshot() {
+	for i, s := range drift.Tasks {
+		task := monitor.Task(i)
 		if s.Samples == 0 {
 			continue
 		}
@@ -278,19 +286,20 @@ func TestTaskDriftFlagsInjectedNPCSlowdown(t *testing.T) {
 		// disagree by over 8× in either direction — far past timing noise,
 		// far under the injected 100×.
 		if s.MeasuredMS > 8*s.PredictedMS || s.PredictedMS > 8*s.MeasuredMS {
-			flagged = append(flagged, task)
+			flagged = append(flagged, task.String())
 		}
 	}
-	if len(flagged) != 1 || flagged[0] != "npc_update" {
-		t.Fatalf("drift flagged %v, want exactly [npc_update]\nsnapshot: %+v", flagged, td.Snapshot())
+	// Exactly one task past 8× makes t_npc the worst by that factor.
+	if len(flagged) != 1 || flagged[0] != "t_npc" {
+		t.Fatalf("drift flagged %v, want exactly [t_npc]\ndrift: %+v", flagged, drift)
 	}
-	if task, snap, ok := td.Worst(); !ok || task != "npc_update" || snap.MeanAbsRatio <= 0.5 {
-		t.Fatalf("worst drift = %q (%+v), want npc_update saturated low", task, snap)
+	if s := drift.Tasks[monitor.NPC]; s.ErrRatio >= -0.5 {
+		t.Fatalf("t_npc drift = %+v, want it saturated low (the model underpredicts)", s)
 	}
 
 	// And the per-task drift gauges export through the fleet scrape.
 	col := fleet.NewCollector(fl)
-	col.AddMetrics(td.WriteMetrics)
+	col.AddMetrics(drift.WriteMetrics)
 	ts := httptest.NewServer(col.Handler())
 	t.Cleanup(ts.Close)
 	resp, err := http.Get(ts.URL + "/fleet/metrics")
@@ -300,9 +309,9 @@ func TestTaskDriftFlagsInjectedNPCSlowdown(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	out := string(body)
-	meas := metricValue(t, out, "roia_model_task_measured_ms", `task="npc_update"`)
-	pred := metricValue(t, out, "roia_model_task_predicted_ms", `task="npc_update"`)
+	meas := metricValue(t, out, "roia_model_task_measured_ms", `task="t_npc"`)
+	pred := metricValue(t, out, "roia_model_task_predicted_ms", `task="t_npc"`)
 	if meas <= 8*pred {
-		t.Fatalf("exported npc_update drift measured=%g predicted=%g, want >8x gap", meas, pred)
+		t.Fatalf("exported t_npc drift measured=%g predicted=%g, want >8x gap", meas, pred)
 	}
 }

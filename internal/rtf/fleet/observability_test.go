@@ -39,13 +39,12 @@ func newObsHarness(t *testing.T) *obsHarness {
 	t.Cleanup(func() { net.Close() })
 	events := &telemetry.MemoryFleetEvents{}
 	fl, err := fleet.New(fleet.Config{
-		Network:         net,
-		Zone:            1,
-		Assignment:      zone.NewAssignment(),
-		NewApp:          func() server.Application { return game.New(game.DefaultConfig()) },
-		Seed:            7,
-		Events:          events,
-		FlightRecorders: true,
+		Network:    net,
+		Zone:       1,
+		Assignment: zone.NewAssignment(),
+		NewApp:     func() server.Application { return game.New(game.DefaultConfig()) },
+		Seed:       7,
+		Events:     events,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package fleet_test
 // Tail-latency observability at fleet level: the collector's hiccup and
 // capture counters and zone-merged tail quantile gauges, and the
 // qos_tick_hiccup / qos_tail_inflation alert rules. The alert tests feed
-// the monitor and flight recorder synthetic ticks directly, so thresholds
+// the flight recorder synthetic ticks directly, so thresholds
 // are crossed by construction rather than by hoping the host machine
 // stalls on cue.
 
@@ -13,7 +13,6 @@ import (
 
 	"roia/internal/game"
 	"roia/internal/rtf/fleet"
-	"roia/internal/rtf/monitor"
 	"roia/internal/rtf/server"
 	"roia/internal/rtf/transport"
 	"roia/internal/rtf/zone"
@@ -25,12 +24,11 @@ func newTailHarness(t *testing.T) *harness {
 	net := transport.NewLoopback()
 	t.Cleanup(func() { net.Close() })
 	fl, err := fleet.New(fleet.Config{
-		Network:         net,
-		Zone:            1,
-		Assignment:      zone.NewAssignment(),
-		NewApp:          func() server.Application { return game.New(game.DefaultConfig()) },
-		Seed:            7,
-		FlightRecorders: true,
+		Network:    net,
+		Zone:       1,
+		Assignment: zone.NewAssignment(),
+		NewApp:     func() server.Application { return game.New(game.DefaultConfig()) },
+		Seed:       7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,14 +45,6 @@ func TestFleetTailMetricsExposition(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		h.step()
 	}
-	srv, ok := h.fl.Server("server-1")
-	if !ok {
-		t.Fatal("server-1 not running")
-	}
-	if srv.FlightRecorder() == nil {
-		t.Fatal("no flight recorder with FlightRecorders on")
-	}
-
 	c := fleet.NewCollector(h.fl)
 	var b strings.Builder
 	if err := c.WriteMetrics(&b, ""); err != nil {
@@ -79,19 +69,15 @@ func TestFleetTailMetricsExposition(t *testing.T) {
 }
 
 // synthTicks feeds n synthetic ticks of the given wall time into a
-// replica's monitor and flight recorder, as if the tick pipeline had run.
+// replica's flight recorder, as if the tick pipeline had run.
 func synthTicks(t *testing.T, h *harness, id string, n int, wallMS float64) {
 	t.Helper()
 	srv, ok := h.fl.Server(id)
 	if !ok {
 		t.Fatalf("server %s not running", id)
 	}
-	rec := srv.FlightRecorder()
 	for i := 0; i < n; i++ {
-		srv.Monitor().RecordTick(monitor.Breakdown{WallMS: wallMS, Users: 1})
-		if rec != nil {
-			rec.Record(telemetry.TickRecord{WallMS: wallMS})
-		}
+		srv.FlightRecorder().Record(telemetry.TickRecord{WallMS: wallMS, Users: 1})
 	}
 }
 
@@ -156,6 +142,46 @@ func TestQoSTailInflationRule(t *testing.T) {
 	}
 	if !found {
 		srv, _ := h.fl.Server("server-1")
-		t.Fatalf("tail inflation not active after tail burst (quantiles %+v)", srv.Monitor().TailQuantiles())
+		t.Fatalf("tail inflation not active after tail burst (ring walls %v)", srv.FlightRecorder().Summary().Walls)
+	}
+}
+
+// TestModelDriftRulePerReplica runs two replicas of which only the first
+// one's NPC cost is slowed (10× the model's t_npc). model_drift must fire
+// for that replica and stay quiet for the second, whose ticks the model
+// predicts exactly: each replica is judged on its own ring.
+func TestModelDriftRulePerReplica(t *testing.T) {
+	h := newTailHarness(t)
+	if _, err := h.fl.AddReplica(); err != nil {
+		t.Fatal(err)
+	}
+	mdl := tinyModel(t)
+	engine := telemetry.NewAlertEngine(nil, h.fl.AlertRules(fleet.AlertConfig{Model: mdl})...)
+	const l, n, a, m = 2, 2, 1, 40
+	for id, npcScale := range map[string]float64{"server-1": 10, "server-2": 1} {
+		srv, _ := h.fl.Server(id)
+		npcMS := npcScale * mdl.Cost.NPCAt(n, m) * m / l
+		for i := 0; i < 50; i++ {
+			srv.FlightRecorder().Record(telemetry.TickRecord{
+				WallMS: mdl.TickTimeUneven(l, n, m, a) - mdl.Cost.NPCAt(n, m)*m/l + npcMS,
+				Users:  n, ActiveUsers: a, NPCs: m, Replicas: l,
+				Tasks: []telemetry.Span{{Name: "t_npc", DurMS: npcMS, Items: m / l}},
+			})
+		}
+	}
+	for sec := 0; sec < 2; sec++ {
+		engine.Eval(float64(sec))
+	}
+	var fired []string
+	for _, al := range engine.Active() {
+		if al.Rule == fleet.AlertModelDrift {
+			fired = append(fired, al.Key+"/"+al.State.String())
+			if al.Value <= al.Threshold {
+				t.Fatalf("model_drift = %+v, want over threshold", al)
+			}
+		}
+	}
+	if len(fired) != 1 || fired[0] != "server-1/firing" {
+		t.Fatalf("model_drift instances = %v, want [server-1/firing]", fired)
 	}
 }

@@ -6,15 +6,12 @@
 // middleware regardless of the application logic (Section III-C).
 //
 // The calibration pipeline (internal/calibrate) consumes Samples recorded
-// here and fits the model's approximation functions to them.
+// here and fits the model's approximation functions to them. Every other
+// reading of a server's ticks goes through its flight recorder's ring
+// (telemetry.FlightRecorder), which ModelDrift compares with the model.
 package monitor
 
-import (
-	"sync"
-
-	"roia/internal/stats"
-	"roia/internal/telemetry"
-)
+import "sync"
 
 // Task identifies one timed portion of the real-time loop.
 type Task int
@@ -152,25 +149,12 @@ type Sample struct {
 	Y float64
 }
 
-// Monitor aggregates tick breakdowns for one server. It keeps a bounded
-// recent history (for threshold decisions by the resource manager),
-// windowed tick-duration tail quantiles (via /metrics), and a calibration
-// sample log (enabled on demand, capped at SampleLimit).
-// Monitor is safe for concurrent use: the real-time loop records while the
-// resource manager reads.
+// Monitor keeps one server's latest tick breakdown and, while collecting,
+// the calibration sample and traffic logs (capped at SampleLimit). Monitor
+// is safe for concurrent use: the real-time loop records while the
+// calibration and the fleet read.
 type Monitor struct {
 	mu sync.Mutex
-
-	// tickTotals tracks wall-facing tick durations (Breakdown.Wall);
-	// tickCPU tracks the CPU sums (Breakdown.Total). They coincide for
-	// sequential ticks and for synthesized breakdowns without WallMS.
-	tickTotals *stats.Reservoir
-	tickCPU    *stats.Reservoir
-	perTask    [numTasks]*stats.Reservoir
-	// tail tracks windowed wall-duration quantiles (p50…p99.9) over the
-	// recent past — the QoS deadline is a tail constraint, and a cumulative
-	// histogram buries a ten-minute incident under hours of healthy ticks.
-	tail *telemetry.TailTracker
 
 	collect bool
 	samples []Sample
@@ -181,14 +165,7 @@ type Monitor struct {
 	sampleLimit int
 	dropped     uint64
 
-	ticks     uint64
-	lastUsers int
 	lastBreak Breakdown
-
-	// deadlineMS is the QoS contract 1/U in milliseconds; ticks whose
-	// total exceeds it are counted in violations. Zero disables.
-	deadlineMS float64
-	violations uint64
 }
 
 // TrafficSample is one tick's bandwidth observation.
@@ -199,27 +176,15 @@ type TrafficSample struct {
 	BytesIn, BytesOut int
 }
 
-// HistorySize is the bounded per-server tick history.
-const HistorySize = 512
-
 // DefaultSampleLimit caps the calibration sample log (and, separately, the
 // traffic log) while collection is on. Generous: at 25 Hz with all nine
 // tasks active, ~75 minutes of collection — but a long-lived server with
 // collection left on can no longer grow memory without bound.
 const DefaultSampleLimit = 1 << 20
 
-// New returns a Monitor with bounded history.
+// New returns a Monitor that is not collecting.
 func New() *Monitor {
-	m := &Monitor{
-		tickTotals:  stats.NewReservoir(HistorySize),
-		tickCPU:     stats.NewReservoir(HistorySize),
-		tail:        telemetry.NewTailTracker(0),
-		sampleLimit: DefaultSampleLimit,
-	}
-	for i := range m.perTask {
-		m.perTask[i] = stats.NewReservoir(HistorySize)
-	}
-	return m
+	return &Monitor{sampleLimit: DefaultSampleLimit}
 }
 
 // SetCollecting toggles calibration sample collection (off by default: the
@@ -250,61 +215,26 @@ func (m *Monitor) DroppedSamples() uint64 {
 	return m.dropped
 }
 
-// SetDeadline sets the tick QoS deadline in milliseconds — the model's
-// 1/U, the response-time budget every tick must fit in. Ticks recorded
-// with a larger total are counted by DeadlineViolations. A non-positive
-// deadline disables the accounting.
-func (m *Monitor) SetDeadline(ms float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.deadlineMS = ms
-}
-
-// DeadlineMS reports the tick QoS deadline in force (0 when disabled).
-func (m *Monitor) DeadlineMS() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.deadlineMS
-}
-
-// DeadlineViolations reports how many recorded ticks exceeded the
-// deadline. The counter is cumulative.
-func (m *Monitor) DeadlineViolations() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.violations
-}
-
 // RecordTick ingests one tick's breakdown.
 func (m *Monitor) RecordTick(b Breakdown) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ticks++
-	m.lastUsers = b.Users
 	m.lastBreak = b
-	// The deadline, tail, and recent-tick stats are wall-facing:
-	// they must reflect what a parallel tick actually took, not the CPU
-	// it burned across workers. Per-item curves below stay CPU-facing.
-	wall := b.Wall()
-	m.tickTotals.Add(wall)
-	m.tickCPU.Add(b.Total())
-	m.tail.Observe(wall)
-	if m.deadlineMS > 0 && wall > m.deadlineMS {
-		m.violations++
+	if !m.collect {
+		return
 	}
+	// The calibration samples are per-item CPU costs: per-item cost does
+	// not shrink when a parallel tick spreads the work over workers.
 	for t := Task(0); t < numTasks; t++ {
 		if per, ok := b.PerItem(t); ok {
-			m.perTask[t].Add(per)
-			if m.collect {
-				if len(m.samples) < m.sampleLimit {
-					m.samples = append(m.samples, Sample{Task: t, X: float64(b.Users), Y: per})
-				} else {
-					m.dropped++
-				}
+			if len(m.samples) < m.sampleLimit {
+				m.samples = append(m.samples, Sample{Task: t, X: float64(b.Users), Y: per})
+			} else {
+				m.dropped++
 			}
 		}
 	}
-	if m.collect && (b.BytesIn > 0 || b.BytesOut > 0) {
+	if b.BytesIn > 0 || b.BytesOut > 0 {
 		if len(m.traffic) < m.sampleLimit {
 			m.traffic = append(m.traffic, TrafficSample{Users: b.Users, BytesIn: b.BytesIn, BytesOut: b.BytesOut})
 		} else {
@@ -321,51 +251,11 @@ func (m *Monitor) TrafficSamples() []TrafficSample {
 	return append([]TrafficSample(nil), m.traffic...)
 }
 
-// Ticks reports how many ticks have been recorded.
-func (m *Monitor) Ticks() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ticks
-}
-
 // LastBreakdown returns the most recent tick breakdown.
 func (m *Monitor) LastBreakdown() Breakdown {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.lastBreak
-}
-
-// TickSummary summarizes recent tick durations (ms).
-func (m *Monitor) TickSummary() stats.Summary {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tickTotals.Summary()
-}
-
-// MeanTick returns the mean recent tick wall duration (ms), the runtime
-// signal RTF-RMS compares against the provider's thresholds.
-func (m *Monitor) MeanTick() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tickTotals.Mean()
-}
-
-// TickCPUSummary summarizes recent tick CPU sums (ms): the time burned
-// across all workers, which exceeds the wall duration once the parallel
-// executor spreads a tick over several cores. The ratio of its mean to
-// MeanTick is the tick's effective speedup — the live counterpart of the
-// model's USL term S(w).
-func (m *Monitor) TickCPUSummary() stats.Summary {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tickCPU.Summary()
-}
-
-// TaskSummary summarizes the recent per-item cost of one task.
-func (m *Monitor) TaskSummary(t Task) stats.Summary {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.perTask[t].Summary()
 }
 
 // Samples returns a copy of the calibration sample log.
@@ -386,23 +276,4 @@ func (m *Monitor) SamplesFor(t Task) []Sample {
 		}
 	}
 	return out
-}
-
-// TailQuantiles snapshots the windowed tick wall-duration quantiles
-// (p50/p90/p99/p99.9 over the last ~1–2k ticks) — the tail the QoS
-// deadline 1/U is actually governed by.
-func (m *Monitor) TailQuantiles() telemetry.TailQuantiles {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tail.Quantiles()
-}
-
-// TailHistogram returns an independent log-bucketed histogram of the
-// windowed tick wall durations. Histograms from different replicas share
-// the same bucket layout, so the fleet collector merges them into
-// zone-level tail quantiles.
-func (m *Monitor) TailHistogram() *telemetry.LogHistogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tail.Histogram()
 }

@@ -40,26 +40,19 @@ func TestBreakdownTotals(t *testing.T) {
 	}
 }
 
-func TestMonitorRecordAndSummaries(t *testing.T) {
+func TestMonitorRecordTick(t *testing.T) {
 	m := New()
 	for i := 1; i <= 3; i++ {
 		var b Breakdown
 		b.Users = 100 * i
-		b.Add(UA, float64(i), i) // per-item cost always 1.0
-		b.Add(SU, 2*float64(i), i)
+		b.Add(UA, float64(i), i)
 		m.RecordTick(b)
 	}
-	if m.Ticks() != 3 {
-		t.Fatalf("ticks = %d", m.Ticks())
+	if lb := m.LastBreakdown(); lb.Users != 300 || lb.TimeMS[UA] != 3 {
+		t.Fatalf("LastBreakdown = %+v, want the third tick", lb)
 	}
-	if got := m.MeanTick(); got != (3.0+6.0+9.0)/3 {
-		t.Fatalf("MeanTick = %g", got)
-	}
-	if s := m.TaskSummary(UA); s.Count != 3 || s.Mean != 1.0 {
-		t.Fatalf("TaskSummary(UA) = %+v", s)
-	}
-	if lb := m.LastBreakdown(); lb.Users != 300 {
-		t.Fatalf("LastBreakdown.Users = %d", lb.Users)
+	if got := m.Samples(); len(got) != 0 {
+		t.Fatalf("samples recorded while not collecting: %v", got)
 	}
 }
 
@@ -108,15 +101,14 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				_ = m.MeanTick()
-				_ = m.TickSummary()
+				_ = m.Samples()
 				_ = m.LastBreakdown()
 			}
 		}()
 	}
 	wg.Wait()
-	if m.Ticks() != 800 {
-		t.Fatalf("ticks = %d, want 800", m.Ticks())
+	if got := len(m.Samples()); got != 800 {
+		t.Fatalf("samples = %d, want 800", got)
 	}
 }
 
@@ -165,14 +157,14 @@ func TestMonitorSampleLimitDefault(t *testing.T) {
 	}
 }
 
-// TestCPUWallSplit pins the two-axis accounting: wall-facing statistics
-// (recent-tick summary, deadline violations) follow WallMS, per-item
-// curves and the CPU summary follow the TimeMS sums, and a breakdown
-// without WallMS falls back to the CPU sum everywhere (the pre-pipeline
-// behaviour simulations rely on).
+// TestCPUWallSplit pins the two-axis accounting of a Breakdown: the wall
+// time is what the deadline judges, per-item curves follow the TimeMS sums
+// (and so do the calibration samples), and a breakdown without WallMS
+// falls back to the CPU sum (the pre-pipeline behaviour simulations rely
+// on).
 func TestCPUWallSplit(t *testing.T) {
 	m := New()
-	m.SetDeadline(10)
+	m.SetCollecting(true)
 
 	// Parallel-looking tick: 16 ms of CPU across workers, 6 ms of wall.
 	var b Breakdown
@@ -180,28 +172,15 @@ func TestCPUWallSplit(t *testing.T) {
 	b.Add(SU, 4, 4)
 	b.WallMS = 6
 	m.RecordTick(b)
-
-	if got := m.MeanTick(); got != 6 {
-		t.Fatalf("MeanTick = %v, want wall 6", got)
-	}
-	if got := m.TickCPUSummary().Mean; got != 16 {
-		t.Fatalf("TickCPUSummary().Mean = %v, want CPU sum 16", got)
-	}
-	if got := m.DeadlineViolations(); got != 0 {
-		t.Fatalf("violations = %d; a 6 ms wall tick must not violate a 10 ms deadline even at 16 ms CPU", got)
+	if b.Wall() != 6 || b.Total() != 16 {
+		t.Fatalf("Wall = %v, Total = %v, want 6 and 16", b.Wall(), b.Total())
 	}
 	last := m.LastBreakdown()
 	if per, ok := last.PerItem(AOI); !ok || per != 3 {
 		t.Fatalf("PerItem(AOI) = %v, %v; per-item cost must stay CPU-based", per, ok)
 	}
-
-	// Slow wall tick: violates even though CPU is under the deadline.
-	var b2 Breakdown
-	b2.Add(UA, 4, 2)
-	b2.WallMS = 12
-	m.RecordTick(b2)
-	if got := m.DeadlineViolations(); got != 1 {
-		t.Fatalf("violations = %d, want 1 (12 ms wall > 10 ms deadline)", got)
+	if got := m.SamplesFor(AOI); len(got) != 1 || got[0].Y != 3 {
+		t.Fatalf("calibration samples = %+v, want one CPU-based per-item cost of 3", got)
 	}
 
 	// Legacy breakdown without WallMS: Wall() falls back to Total().
@@ -209,10 +188,6 @@ func TestCPUWallSplit(t *testing.T) {
 	b3.Add(NPC, 11, 3)
 	if b3.Wall() != b3.Total() {
 		t.Fatalf("Wall fallback = %v, want Total %v", b3.Wall(), b3.Total())
-	}
-	m.RecordTick(b3)
-	if got := m.DeadlineViolations(); got != 2 {
-		t.Fatalf("violations = %d, want 2 (fallback 11 ms > 10 ms)", got)
 	}
 }
 

@@ -63,13 +63,15 @@ func TestFlightCaptureGCAttribution(t *testing.T) {
 		Seed:        42,
 		Parallelism: 4,
 		FlightRec:   rec,
+		// An hour-long deadline 1/U: exercise the hiccup trigger, not the
+		// deadline.
+		TickInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.exec.clock = clk.Now
 	srv.Start()
-	srv.Monitor().SetDeadline(0) // exercise the hiccup trigger, not the deadline
 
 	clients := make([]*flightClient, 2)
 	for i := range clients {

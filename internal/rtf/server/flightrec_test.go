@@ -109,6 +109,10 @@ func startFlightServer(t *testing.T, rec *telemetry.FlightRecorder, nClients int
 		Seed:        42,
 		Parallelism: 4,
 		FlightRec:   rec,
+		// An hour-long tick interval puts the QoS deadline 1/U out of
+		// reach, so captures here exercise the hiccup detector; the
+		// deadline trigger otherwise wins (it takes precedence).
+		TickInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,9 +172,6 @@ func TestFlightRecorderCapturesInjectedSlowTick(t *testing.T) {
 	})
 	srv, clk, clients, cleanup := startFlightServer(t, rec, 3)
 	defer cleanup()
-	// Disable the QoS deadline so the capture exercises the hiccup
-	// detector; the deadline trigger otherwise wins (it takes precedence).
-	srv.Monitor().SetDeadline(0)
 
 	// Fill the rolling median window with steady ticks.
 	for i := 0; i < window+pre; i++ {

@@ -77,19 +77,22 @@ type Config struct {
 	// avatars would otherwise haunt the zone forever. 0 disables eviction.
 	// At 25 Hz, 250 ticks ≈ 10 s of silence.
 	IdleTimeoutTicks uint64
-	// FlightRec, when set, is the server's one observer: it receives one
-	// telemetry.TickRecord per tick — the per-task span decomposition,
-	// workload gauges, the tick's heap-allocation and GC cost (sampled from
-	// runtime/metrics between the recorder's BeginTick and Record), the
-	// framed bytes sent to users, and the migration phases the tick
-	// executed — into its bounded ring. The ring is read as a tick trace
-	// (telemetry.TraceHandler, see cmd/roiaserver's /debug/ticktrace) and as
-	// this server's side of the cross-replica migration trace
-	// (FlightRecorder.Migrations, telemetry.StitchMigrations); deadline-
-	// violating or hiccup ticks freeze a pre/post window into immutable
-	// captures (telemetry.FlightRecHandler, /debug/flightrec). The record
-	// reuses the Breakdown already timed for the Monitor, so recording adds
-	// no clock reads to the hot loop.
+	// FlightRec is the server's one tick history (nil builds one with the
+	// default thresholds): it receives one telemetry.TickRecord per tick —
+	// the per-task span decomposition, workload gauges, the QoS deadline
+	// (the tick interval, 1/U), the tick's heap-allocation and GC cost
+	// (sampled from runtime/metrics between the recorder's BeginTick and
+	// Record), the framed bytes sent to users, and the migration phases the
+	// tick executed — into its bounded ring. Every observer of the ticks
+	// reads that ring: the resource manager's mean tick and the /metrics
+	// families (FlightRecorder.Summary), the tick trace
+	// (telemetry.TraceHandler, cmd/roiaserver's /debug/ticktrace), model
+	// drift (monitor.ModelDrift), the alert rules, and this server's side of
+	// the cross-replica migration trace (FlightRecorder.Migrations,
+	// telemetry.StitchMigrations); deadline-violating or hiccup ticks freeze
+	// a pre/post window into captures (telemetry.FlightRecHandler,
+	// /debug/flightrec). The record reuses the Breakdown already timed for
+	// the Monitor, so recording adds no clock reads to the hot loop.
 	FlightRec *telemetry.FlightRecorder
 }
 
@@ -134,6 +137,7 @@ type Server struct {
 	users    map[string]*user
 	orders   []migrationOrder
 	mon      *monitor.Monitor
+	rec      *telemetry.FlightRecorder
 	env      *Env
 	tick     uint64
 	nextID   uint32
@@ -152,11 +156,13 @@ type Server struct {
 	exec *executor
 	// tickBytesOut accumulates sent payload bytes within the current tick
 	// for the monitor's traffic counters; tickClientBytes is the share the
-	// publish stage sent to users, and tickMigs the migration phases the
-	// tick executed, both for the tick's record (reused across ticks).
+	// publish stage sent to users, tickMigs the migration phases the tick
+	// executed and tickSpans its task spans, all for the tick's record
+	// (reused across ticks: the recorder copies them).
 	tickBytesOut    int
 	tickClientBytes int
 	tickMigs        []telemetry.MigEvent
+	tickSpans       []telemetry.Span
 	// handoffs lists entities whose ownership was just transferred away;
 	// they ride along in the next shadow update (they are no longer
 	// "active" here, but the new owner must learn of the transfer).
@@ -217,11 +223,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.KeyframeTicks <= 0 {
 		cfg.KeyframeTicks = 32
 	}
+	if cfg.FlightRec == nil {
+		cfg.FlightRec = telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
+	}
 	s := &Server{
 		cfg:           cfg,
 		store:         entity.NewStore(),
 		users:         make(map[string]*user),
 		mon:           monitor.New(),
+		rec:           cfg.FlightRec,
 		w:             wire.NewWriter(4 << 10),
 		exec:          newExecutor(cfg.Parallelism, time.Now),
 		keyframeTicks: uint64(cfg.KeyframeTicks),
@@ -229,9 +239,6 @@ func New(cfg Config) (*Server, error) {
 	s.decodeFn = s.decodeItem
 	s.npcFn = s.npcItem
 	s.publishFn = s.publishItem
-	// The tick interval is the QoS deadline 1/U: a tick that computes
-	// longer than its period cannot deliver every user's update in time.
-	s.mon.SetDeadline(float64(cfg.TickInterval) / float64(time.Millisecond))
 	s.env = &Env{
 		ServerID: cfg.Node.ID(),
 		Store:    s.store,
@@ -249,12 +256,12 @@ func (s *Server) ID() string { return s.cfg.Node.ID() }
 // Zone returns the zone this server processes.
 func (s *Server) Zone() zone.ID { return s.cfg.Zone }
 
-// Monitor exposes the server's timing monitor.
+// Monitor exposes the server's timing monitor: the latest tick breakdown
+// and the calibration logs.
 func (s *Server) Monitor() *monitor.Monitor { return s.mon }
 
-// FlightRecorder exposes the server's tick flight recorder (nil unless
-// configured).
-func (s *Server) FlightRecorder() *telemetry.FlightRecorder { return s.cfg.FlightRec }
+// FlightRecorder exposes the server's tick history.
+func (s *Server) FlightRecorder() *telemetry.FlightRecorder { return s.rec }
 
 // Start registers the server as a replica of its zone. It is idempotent.
 func (s *Server) Start() {

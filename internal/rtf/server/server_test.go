@@ -353,26 +353,22 @@ func TestMonitorRecordsModelParameters(t *testing.T) {
 		a.SendInput(game.Commands.EncodeToBytes(&game.Attack{DirX: 1, DirY: 0}))
 		c.tickAll()
 	}
-	mon := c.servers[0].Monitor()
-	if mon.Ticks() == 0 {
+	sum := c.servers[0].FlightRecorder().Summary()
+	if sum.Ticks == 0 {
 		t.Fatal("no ticks recorded")
 	}
-	lb := mon.LastBreakdown()
+	lb := c.servers[0].Monitor().LastBreakdown()
 	if lb.Users != 2 || lb.ActiveUsers != 1 || lb.Replicas != 2 {
 		t.Fatalf("breakdown workload wrong: %+v", lb)
 	}
-	if s := mon.TaskSummary(monitor.UADeser); s.Count == 0 {
-		t.Fatal("t_ua_dser never measured")
-	}
-	if s := mon.TaskSummary(monitor.UA); s.Count == 0 {
-		t.Fatal("t_ua never measured")
-	}
-	if s := mon.TaskSummary(monitor.SU); s.Count == 0 {
-		t.Fatal("t_su never measured")
+	if n := sum.Newest; n.Users != 2 || n.ActiveUsers != 1 || n.Replicas != 2 {
+		t.Fatalf("tick record workload wrong: %+v", n)
 	}
 	// Shadow traffic from the peer must have been measured as t_fa_dser.
-	if s := mon.TaskSummary(monitor.FADeser); s.Count == 0 {
-		t.Fatal("t_fa_dser never measured")
+	for _, task := range []monitor.Task{monitor.UADeser, monitor.UA, monitor.SU, monitor.FADeser} {
+		if sum.Tasks[task.String()].Count == 0 {
+			t.Fatalf("%s never measured", task)
+		}
 	}
 }
 
@@ -493,12 +489,13 @@ func TestServerAccessorsAndRunLoop(t *testing.T) {
 	}
 
 	// Run drives the tick loop until the context is cancelled.
-	before := srv.Monitor().Ticks()
+	ticks := func() uint64 { return srv.FlightRecorder().Summary().Ticks }
+	before := ticks()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- srv.Run(ctx) }()
 	deadline := time.After(5 * time.Second)
-	for srv.Monitor().Ticks() < before+2 {
+	for ticks() < before+2 {
 		select {
 		case <-deadline:
 			t.Fatal("Run never ticked")

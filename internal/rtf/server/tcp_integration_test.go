@@ -91,7 +91,7 @@ func TestTCPEndToEnd(t *testing.T) {
 		step()
 	}
 	for i, s := range servers {
-		if s.Monitor().MeanTick() <= 0 {
+		if s.FlightRecorder().Summary().Wall.Mean <= 0 {
 			t.Fatalf("server %d measured no tick time", i+1)
 		}
 		if s.Monitor().LastBreakdown().BytesIn == 0 {

@@ -67,9 +67,9 @@ type pubItem struct {
 //  5. publish: area-of-interest filtered state updates to users;
 //  6. replicate: shadow updates to peer replicas, then flush the outbox;
 //  7. record: feed the tick's Breakdown to the Monitor and its TickRecord
-//     to the flight recorder, the server's one observer.
+//     to the flight recorder, the server's one tick history.
 //
-// Every task is timed into the paper's model parameters via the Monitor:
+// Every task is timed into the paper's model parameters via the Breakdown:
 // t_ua_dser/t_ua for user inputs, t_fa_dser/t_fa for forwarded inputs and
 // per-shadow-entity replication traffic, t_npc for NPC updates, t_aoi/t_su
 // for interest management and state updates, and t_mig_ini/t_mig_rcv for
@@ -88,9 +88,7 @@ func (s *Server) Tick() {
 	s.env.Tick = s.tick
 	s.tickBytesOut, s.tickClientBytes = 0, 0
 	var br monitor.Breakdown
-	if fr := s.cfg.FlightRec; fr != nil {
-		fr.BeginTick()
-	}
+	s.rec.BeginTick()
 	// receive, simulate and publish fan out over the executor with s.mu
 	// held: the pool's wake channels are buffered and drained by the
 	// previous run's wg.Wait, so the sends never block, and workers never
@@ -469,52 +467,41 @@ func (s *Server) replicate(br *monitor.Breakdown) {
 
 // record completes the tick's Breakdown with the workload gauges (the
 // entity counts were taken by encodeBodies) and the wall time, feeds it to
-// the Monitor, and hands the tick's TickRecord to the flight recorder.
-// The tick's migration phases are collected whether or not a recorder
-// listens; record is where they are handed on and the buffer reset.
+// the Monitor, and hands the tick's TickRecord to the flight recorder: one
+// span per task that did work, laid out sequentially in loop order so the
+// spans sum exactly to the breakdown total, the QoS deadline 1/U (the tick
+// interval), and the tick's migration phases. It reuses the Breakdown
+// already timed for the Monitor, so recording adds no clock reads to the
+// hot loop; the recorder fills in the tick's GC and allocation cost and
+// copies the span and migration buffers, which the server reuses.
 func (s *Server) record(start time.Time, br *monitor.Breakdown, queueDepth int) {
 	br.ActiveUsers = len(s.users)
 	br.Replicas = s.cfg.Assignment.ReplicaCount(s.cfg.Zone)
 	br.BytesOut = s.tickBytesOut
 	// TimeMS sums CPU time across workers; WallMS is the elapsed tick time.
 	// With Parallelism > 1 the two diverge, and their ratio is the live
-	// speedup reported by Monitor.TickCPUSummary / MeanTick.
+	// speedup (the recorder summary's CPU over Wall).
 	br.WallMS = s.exec.since(start)
 	s.mon.RecordTick(*br)
-	if fr := s.cfg.FlightRec; fr != nil {
-		s.recordFlight(fr, start, br, queueDepth)
-	}
-	s.tickMigs = s.tickMigs[:0]
-}
 
-// recordFlight builds the tick's telemetry.TickRecord — the one per-tick
-// observation every tick observer (captures, /debug/ticktrace, -trace-out)
-// reads from the flight recorder's ring. It reuses the Breakdown already
-// timed for the Monitor, so recording adds no clock reads to the hot loop:
-// one span per task that did work, laid out sequentially in loop order so
-// the spans sum exactly to the breakdown total. The recorder fills in the
-// tick's GC and allocation cost, so a capture can classify GC-caused
-// spikes. Quiet ticks carry no migration slice; a tick with migrations
-// hands the recorder its own copy.
-func (s *Server) recordFlight(fr *telemetry.FlightRecorder, start time.Time, br *monitor.Breakdown, queueDepth int) {
-	tasks := make([]telemetry.Span, 0, len(br.TimeMS))
+	s.tickSpans = s.tickSpans[:0]
 	offset := 0.0
-	for _, t := range monitor.Tasks() {
-		dur := br.TimeMS[t]
-		items := br.Items[t]
+	for t := monitor.Task(0); int(t) < len(br.TimeMS); t++ {
+		dur, items := br.TimeMS[t], br.Items[t]
 		if dur == 0 && items == 0 {
 			continue
 		}
-		tasks = append(tasks, telemetry.Span{Name: t.String(), StartMS: offset, DurMS: dur, Items: items})
+		s.tickSpans = append(s.tickSpans, telemetry.Span{Name: t.String(), StartMS: offset, DurMS: dur, Items: items})
 		offset += dur
 	}
-	deadline := s.mon.DeadlineMS()
-	rec := telemetry.TickRecord{
+	deadline := float64(s.cfg.TickInterval) / float64(time.Millisecond)
+	s.rec.Record(telemetry.TickRecord{
 		Tick:           s.tick,
 		StartUnixMicro: start.UnixMicro(),
 		WallMS:         br.WallMS,
 		CPUMS:          br.Total(),
 		DeadlineMS:     deadline,
+		SlackMS:        deadline - br.WallMS,
 		Users:          br.Users,
 		ActiveUsers:    br.ActiveUsers,
 		NPCs:           br.NPCs,
@@ -524,15 +511,10 @@ func (s *Server) recordFlight(fr *telemetry.FlightRecorder, start time.Time, br 
 		BytesIn:        br.BytesIn,
 		BytesOut:       br.BytesOut,
 		ClientBytesOut: s.tickClientBytes,
-		Tasks:          tasks,
-	}
-	if deadline > 0 {
-		rec.SlackMS = deadline - br.WallMS
-	}
-	if len(s.tickMigs) > 0 {
-		rec.Migrations = slices.Clone(s.tickMigs)
-	}
-	fr.Record(rec)
+		Tasks:          s.tickSpans,
+		Migrations:     s.tickMigs,
+	})
+	s.tickMigs = s.tickMigs[:0]
 }
 
 // decodeItem is the decode-stage body (executor slot discipline: frame i

@@ -62,8 +62,8 @@ func TestTickTraceRecordsSpans(t *testing.T) {
 		t.Fatalf("ring holds %d records, want 10", len(recs))
 	}
 	last := recs[len(recs)-1]
-	if last.Tick != srv.Monitor().Ticks() {
-		t.Fatalf("last record tick = %d, monitor ticks = %d", last.Tick, srv.Monitor().Ticks())
+	if ticks := rec.Summary().Ticks; last.Tick != ticks {
+		t.Fatalf("last record tick = %d, recorded ticks = %d", last.Tick, ticks)
 	}
 	if len(last.Tasks) == 0 {
 		t.Fatal("last record has no task spans")
@@ -98,10 +98,18 @@ func TestTickTraceRecordsSpans(t *testing.T) {
 	}
 }
 
-func TestTickTraceDisabledByDefault(t *testing.T) {
+// TestTickTraceOnByDefault: a server built without a recorder gets one
+// with the default thresholds, and every tick lands in it with the QoS
+// deadline 1/U, the tick interval.
+func TestTickTraceOnByDefault(t *testing.T) {
 	c := newCluster(t, 1)
-	if c.servers[0].FlightRecorder() != nil {
-		t.Fatal("flight recorder set without configuration")
+	rec := c.servers[0].FlightRecorder()
+	if rec == nil {
+		t.Fatal("no flight recorder without configuration")
 	}
-	c.servers[0].Tick() // must not panic with a nil recorder
+	c.servers[0].Tick()
+	recs := rec.Last(0)
+	if len(recs) != 1 || recs[0].DeadlineMS != 40 || recs[0].SlackMS != 40-recs[0].WallMS {
+		t.Fatalf("records after one tick = %+v, want one with the 40 ms default deadline", recs)
+	}
 }

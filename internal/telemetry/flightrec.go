@@ -10,14 +10,17 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"roia/internal/stats"
 )
 
 // TickRecord is the server's one per-tick observation, built once per tick
-// and read by every tick observer through the FlightRecorder's ring: the
-// wall/CPU split, the workload gauges the scalability model is
-// parameterized with (n, a, m, l, w), the receive-queue depth, the QoS
-// deadline and its slack, the runtime's allocation and GC cost, the
-// per-task decomposition and the tick's migration phases. One record is
+// and read by every tick observer through the FlightRecorder's ring, the
+// server's one tick history: the wall/CPU split, the workload gauges the
+// scalability model is parameterized with (n, a, m, l, w), the
+// receive-queue depth, the QoS deadline and its slack, the runtime's
+// allocation and GC cost, the per-task decomposition and the tick's
+// migration phases. One record is
 // everything needed to explain a single slow tick after the fact.
 type TickRecord struct {
 	// Tick is the server's tick counter.
@@ -61,6 +64,9 @@ type TickRecord struct {
 	GCCycles     uint64  `json:"gc_cycles,omitempty"`
 	AllocBytes   uint64  `json:"alloc_bytes,omitempty"`
 	AllocObjects uint64  `json:"alloc_objects,omitempty"`
+	// Hiccup marks a tick the recorder's hiccup detector flagged (wall time
+	// above K× the rolling median); the recorder sets it in Record.
+	Hiccup bool `json:"hiccup,omitempty"`
 	// Tasks is the per-task (t_ua, t_npc, ...) time/item decomposition of
 	// the tick, laid out contiguously from 0 in loop order; tasks that did
 	// no work are omitted.
@@ -94,9 +100,14 @@ type FlightCapture struct {
 }
 
 // flightHistory is how many recent tick records the recorder's ring keeps
-// for Last (and so for /debug/ticktrace) and Migrations: ~82 s of history
-// at 25 Hz.
+// for Last (and so for /debug/ticktrace), Migrations and the tail of
+// Summary: ~82 s of history at 25 Hz.
 const flightHistory = 2048
+
+// SummaryWindow is how many of the newest records Summary's wall, CPU and
+// per-task statistics cover: ~20 s at 25 Hz, the recent past the resource
+// manager compares against the model's thresholds.
+const SummaryWindow = 512
 
 // Flight-recorder defaults: a 16-tick window either side of the trigger
 // (±0.64 s at 25 Hz), a hiccup at 4× the median of the last 64 ticks but
@@ -158,8 +169,9 @@ func (c FlightRecConfig) withDefaults() FlightRecConfig {
 	return c
 }
 
-// FlightRecorder is the tick loop's black box: it keeps the last
-// flightHistory tick records in a ring (read by Last), watches each new
+// FlightRecorder is the tick loop's black box and every server's one tick
+// history: it keeps the last flightHistory tick records in a ring (read by
+// Last, Since and Summary), watches each new
 // record for a deadline violation or a hiccup (wall time above K× the
 // rolling-window median), and on a trigger freezes the surrounding
 // pre/post window into an immutable FlightCapture.
@@ -168,9 +180,11 @@ func (c FlightRecConfig) withDefaults() FlightRecConfig {
 // histogram bucket increment.
 //
 // FlightRecorder is safe for concurrent use: the real-time loop records
-// while HTTP handlers and the fleet collector read. Recording is O(Window)
-// (one insertion into a sorted median window) and allocation-free outside
-// captures, so it can stay enabled in production.
+// while HTTP handlers, the fleet collector, the alert rules and the
+// resource manager read. Recording is O(Window) (one insertion into a
+// sorted median window) and, once the ring has filled, allocation-free
+// outside captures: a record reuses the evicted slot's Tasks and
+// Migrations arrays, and every reader gets copies.
 //
 // The recorder also samples the runtime: BeginTick reads the cumulative
 // heap-allocation and GC counters, and the next Record diffs them into the
@@ -189,9 +203,13 @@ type FlightRecorder struct {
 	began     bool
 
 	// ring holds the most recent records (capacity flightHistory, or Pre+1
-	// if larger), overwritten oldest-first.
-	ring []TickRecord
-	next int
+	// if larger), overwritten oldest-first; next is the oldest record once
+	// the ring is full, and 0 until then. recorded counts every record ever
+	// ingested and violations those whose wall time exceeded their deadline.
+	ring       []TickRecord
+	next       int
+	recorded   uint64
+	violations uint64
 
 	// window is the rolling wall-time window the median is computed over;
 	// sorted is its sorted mirror, maintained incrementally.
@@ -299,8 +317,8 @@ func pauseDeltaMS(h *metrics.Float64Histogram, base []uint64) float64 {
 
 // Record ingests one tick record, runs the trigger checks, and maintains
 // any open capture. After a BeginTick it first fills the record's GC and
-// allocation fields. The recorder takes ownership of rec.Tasks and
-// rec.Migrations.
+// allocation fields. Record copies rec.Tasks and rec.Migrations into the
+// ring, so the caller may reuse both slices for the next tick.
 func (r *FlightRecorder) Record(rec TickRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -314,26 +332,35 @@ func (r *FlightRecorder) Record(rec TickRecord) {
 	reason := ""
 	if rec.DeadlineMS > 0 && rec.WallMS > rec.DeadlineMS {
 		reason = "deadline"
+		r.violations++
 	}
-	if windowFull && median > 0 && rec.WallMS > r.cfg.K*median && rec.WallMS >= r.cfg.MinHiccupMS {
+	rec.Hiccup = windowFull && median > 0 && rec.WallMS > r.cfg.K*median && rec.WallMS >= r.cfg.MinHiccupMS
+	if rec.Hiccup {
 		r.hiccups++
 		if reason == "" {
 			reason = "hiccup"
 		}
 	}
 	r.pushWindowLocked(rec.WallMS)
+	r.recorded++
 
-	// Ring: append until full, then overwrite oldest.
+	// Ring: append until full, then overwrite oldest. The slot keeps its
+	// Tasks and Migrations arrays, so steady-state recording never
+	// allocates.
 	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, rec)
+		r.ring = append(r.ring, TickRecord{})
 	} else {
-		r.ring[r.next] = rec
 		r.next = (r.next + 1) % cap(r.ring)
 	}
+	slot := &r.ring[(r.next+len(r.ring)-1)%len(r.ring)]
+	tasks, migs := slot.Tasks[:0], slot.Migrations[:0]
+	*slot = rec
+	slot.Tasks = append(tasks, rec.Tasks...)
+	slot.Migrations = append(migs, rec.Migrations...)
 
 	switch {
 	case r.open != nil:
-		r.open.Records = append(r.open.Records, rec)
+		r.open.Records = append(r.open.Records, r.lastLocked(1)...)
 		r.postLeft--
 		if r.postLeft <= 0 {
 			r.freezeLocked()
@@ -391,31 +418,61 @@ func (r *FlightRecorder) pushWindowLocked(ms float64) {
 
 // Last returns copies of up to n of the most recent tick records in
 // chronological order (every retained record when n is not positive or
-// exceeds the ring). The copies share their Tasks slices with the ring,
-// which never mutates them.
+// exceeds the ring). The copies own their Tasks and Migrations.
 func (r *FlightRecorder) Last(n int) []TickRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.lastLocked(n)
 }
 
+// Since returns copies of the records ingested after cursor, oldest first,
+// and the cursor to pass next time: the "since the last look" walk of a
+// reader that polls. Records that left the ring in between are skipped.
+// Cursor 0 reads the whole ring.
+func (r *FlightRecorder) Since(cursor uint64) ([]TickRecord, uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cursor >= r.recorded {
+		return nil, r.recorded
+	}
+	return r.lastLocked(int(min(r.recorded-cursor, uint64(len(r.ring))))), r.recorded
+}
+
 // lastLocked copies the newest n ring records (all when n is out of
-// range), oldest first.
+// range), oldest first. Every copy's Tasks and Migrations are cut from one
+// fresh array each, so the ring can reuse its slots' arrays.
 func (r *FlightRecorder) lastLocked(n int) []TickRecord {
 	if n <= 0 || n > len(r.ring) {
 		n = len(r.ring)
 	}
-	// end is one past the newest record; next stays 0 until the ring fills.
-	end := r.next
-	if len(r.ring) < cap(r.ring) {
-		end = len(r.ring)
+	out := make([]TickRecord, n)
+	spans, migs := 0, 0
+	for i := range out {
+		out[i] = r.ring[(r.next+len(r.ring)-n+i)%len(r.ring)]
+		spans += len(out[i].Tasks)
+		migs += len(out[i].Migrations)
 	}
-	out := make([]TickRecord, 0, n)
-	if end >= n {
-		return append(out, r.ring[end-n:end]...)
+	spanBuf := make([]Span, 0, spans)
+	var migBuf []MigEvent
+	if migs > 0 {
+		migBuf = make([]MigEvent, 0, migs)
 	}
-	out = append(out, r.ring[len(r.ring)-(n-end):]...)
-	return append(out, r.ring[:end]...)
+	for i := range out {
+		out[i].Tasks = carve(&spanBuf, out[i].Tasks)
+		out[i].Migrations = carve(&migBuf, out[i].Migrations)
+	}
+	return out
+}
+
+// carve appends src to *buf and returns the appended part with its
+// capacity clipped, or nil for an empty src.
+func carve[T any](buf *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	start := len(*buf)
+	*buf = append(*buf, src...)
+	return (*buf)[start:len(*buf):len(*buf)]
 }
 
 // Migrations returns the migration events of the ring's records, oldest
@@ -425,10 +482,89 @@ func (r *FlightRecorder) Migrations() []MigEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []MigEvent
-	// next is the oldest record once the ring is full, and 0 until then.
 	for i := range r.ring {
 		out = append(out, r.ring[(r.next+i)%len(r.ring)].Migrations...)
 	}
+	return out
+}
+
+// TickSummary is the one read every observer of a server's ticks takes of
+// its recorder: the resource manager's mean tick, the /metrics and fleet
+// families, the report line and the tail alert rules.
+type TickSummary struct {
+	// Ticks counts every record ever ingested and Violations those whose
+	// wall time exceeded their deadline; both are cumulative counters.
+	Ticks, Violations uint64
+	// Newest is the most recent record without its Tasks and Migrations:
+	// the workload gauges (n, a, m, l), the tick's bytes and the deadline
+	// in force.
+	Newest TickRecord
+	// Wall and CPU summarise the wall and CPU times of the newest
+	// SummaryWindow records; Wall.Mean is the mean tick the resource
+	// manager compares against the model's thresholds.
+	Wall, CPU stats.Summary
+	// Tasks summarises each task's per-item cost (span duration over its
+	// items) over the same records, keyed by span name; a span that
+	// processed no items contributes nothing.
+	Tasks map[string]stats.Summary
+	// Walls and GCPauses hold the wall time and GC pause of every record in
+	// the ring, ascending: the tail the QoS deadline is governed by, read
+	// with stats.Percentile.
+	Walls, GCPauses []float64
+}
+
+// Summary summarises the ring. The values are copied out under the lock
+// and summarised after it is released, so a reader holds up the tick loop
+// for one pass over the ring, not for the sorts.
+func (r *FlightRecorder) Summary() TickSummary {
+	r.mu.Lock()
+	n := len(r.ring)
+	k := min(n, SummaryWindow)
+	s := TickSummary{
+		Ticks:      r.recorded,
+		Violations: r.violations,
+		Walls:      make([]float64, n),
+		GCPauses:   make([]float64, n),
+		Tasks:      make(map[string]stats.Summary),
+	}
+	wall, cpu := make([]float64, 0, k), make([]float64, 0, k)
+	perItem := make(map[string][]float64)
+	for i := 0; i < n; i++ {
+		rec := &r.ring[(r.next+i)%n]
+		s.Walls[i], s.GCPauses[i] = rec.WallMS, rec.GCPauseMS
+		if i < n-k {
+			continue
+		}
+		wall = append(wall, rec.WallMS)
+		cpu = append(cpu, rec.CPUMS)
+		for _, sp := range rec.Tasks {
+			if sp.Items > 0 {
+				perItem[sp.Name] = append(perItem[sp.Name], sp.DurMS/float64(sp.Items))
+			}
+		}
+	}
+	if n > 0 {
+		s.Newest = r.ring[(r.next+n-1)%n]
+		s.Newest.Tasks, s.Newest.Migrations = nil, nil
+	}
+	r.mu.Unlock()
+	sort.Float64s(s.Walls)
+	sort.Float64s(s.GCPauses)
+	s.Wall, s.CPU = stats.Summarize(wall), stats.Summarize(cpu)
+	for name, v := range perItem {
+		s.Tasks[name] = stats.Summarize(v)
+	}
+	return s
+}
+
+// PooledWalls merges the ring wall times of several summaries, ascending:
+// a zone's tail, pooled over its replicas.
+func PooledWalls(sums ...TickSummary) []float64 {
+	var out []float64
+	for _, s := range sums {
+		out = append(out, s.Walls...)
+	}
+	sort.Float64s(out)
 	return out
 }
 
@@ -525,26 +661,72 @@ func FlightRecHandler(r *FlightRecorder) http.Handler {
 	})
 }
 
-// WriteMetrics exports the recorder's counters in the Prometheus text
-// exposition format; it matches MetricsWriter.
+// WriteMetrics exports one Summary of the recorder and its capture
+// counters in the Prometheus text exposition format: the per-server
+// /metrics section. It matches MetricsWriter.
 //
 // Exported families:
 //
-//	roia_tick_hiccups_total              counter, detector-flagged ticks
-//	roia_flightrec_captures_total        counter, captures ever opened
+//	roia_ticks_total                      counter, recorded ticks
+//	roia_tick_wall_q_ms{q=...}            tick wall-time quantiles
+//	                                      (p50/p90/p99/p999) over the ring
+//	roia_tick_cpu_stat_ms{stat=...}       mean/p95 of the tick CPU sums
+//	                                      (across workers; ÷ wall = live
+//	                                      pipeline speedup) over the newest
+//	                                      SummaryWindow records
+//	roia_task_ms{task=...,stat=...}       mean/p95 per-item cost of each
+//	                                      task, same window
+//	roia_zone_users / roia_active_users   the model's n and a (newest tick)
+//	roia_npcs / roia_replicas             the model's m and l (newest tick)
+//	roia_tick_bytes{direction=...}        wire bytes of the newest tick
+//	roia_tick_deadline_ms                 QoS tick deadline 1/U in force
+//	roia_tick_deadline_violations_total   counter, ticks past the deadline
+//	roia_tick_hiccups_total               counter, detector-flagged ticks
+//	roia_flightrec_captures_total         counter, captures ever opened
 //	roia_flightrec_captures_dropped_total counter, captures evicted at the cap
 func (r *FlightRecorder) WriteMetrics(w io.Writer, labels string) error {
+	s := r.Summary()
 	r.mu.Lock()
 	hiccups, total, dropped := r.hiccups, r.nextID, r.dropped
 	r.mu.Unlock()
-	lbl := FormatLabels(labels, "")
+	lbl := func(extra string) string { return FormatLabels(labels, extra) }
+	last := s.Newest
 	var b strings.Builder
-	fmt.Fprintf(&b, "# TYPE roia_tick_hiccups_total counter\n")
-	fmt.Fprintf(&b, "roia_tick_hiccups_total%s %d\n", lbl, hiccups)
-	fmt.Fprintf(&b, "# TYPE roia_flightrec_captures_total counter\n")
-	fmt.Fprintf(&b, "roia_flightrec_captures_total%s %d\n", lbl, total)
+	fmt.Fprintf(&b, "# TYPE roia_ticks_total counter\nroia_ticks_total%s %d\n", lbl(""), s.Ticks)
+	fmt.Fprintf(&b, "# TYPE roia_tick_wall_q_ms gauge\n")
+	for _, q := range []struct {
+		name string
+		p    float64
+	}{{"p50", 50}, {"p90", 90}, {"p99", 99}, {"p999", 99.9}} {
+		fmt.Fprintf(&b, "roia_tick_wall_q_ms%s %g\n", lbl(fmt.Sprintf("q=%q", q.name)), stats.Percentile(s.Walls, q.p))
+	}
+	fmt.Fprintf(&b, "# TYPE roia_tick_cpu_stat_ms gauge\n")
+	fmt.Fprintf(&b, "roia_tick_cpu_stat_ms%s %g\n", lbl(`stat="mean"`), s.CPU.Mean)
+	fmt.Fprintf(&b, "roia_tick_cpu_stat_ms%s %g\n", lbl(`stat="p95"`), s.CPU.P95)
+	fmt.Fprintf(&b, "# TYPE roia_task_ms gauge\n")
+	names := make([]string, 0, len(s.Tasks))
+	for name := range s.Tasks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(&b, "roia_task_ms%s %g\n", lbl(fmt.Sprintf("task=%q,stat=\"mean\"", name)), s.Tasks[name].Mean)
+		fmt.Fprintf(&b, "roia_task_ms%s %g\n", lbl(fmt.Sprintf("task=%q,stat=\"p95\"", name)), s.Tasks[name].P95)
+	}
+	fmt.Fprintf(&b, "# TYPE roia_zone_users gauge\nroia_zone_users%s %d\n", lbl(""), last.Users)
+	fmt.Fprintf(&b, "# TYPE roia_active_users gauge\nroia_active_users%s %d\n", lbl(""), last.ActiveUsers)
+	fmt.Fprintf(&b, "# TYPE roia_npcs gauge\nroia_npcs%s %d\n", lbl(""), last.NPCs)
+	fmt.Fprintf(&b, "# TYPE roia_replicas gauge\nroia_replicas%s %d\n", lbl(""), last.Replicas)
+	fmt.Fprintf(&b, "# TYPE roia_tick_bytes gauge\n")
+	fmt.Fprintf(&b, "roia_tick_bytes%s %d\n", lbl(`direction="in"`), last.BytesIn)
+	fmt.Fprintf(&b, "roia_tick_bytes%s %d\n", lbl(`direction="out"`), last.BytesOut)
+	fmt.Fprintf(&b, "# TYPE roia_tick_deadline_ms gauge\nroia_tick_deadline_ms%s %g\n", lbl(""), last.DeadlineMS)
+	fmt.Fprintf(&b, "# TYPE roia_tick_deadline_violations_total counter\n")
+	fmt.Fprintf(&b, "roia_tick_deadline_violations_total%s %d\n", lbl(""), s.Violations)
+	fmt.Fprintf(&b, "# TYPE roia_tick_hiccups_total counter\nroia_tick_hiccups_total%s %d\n", lbl(""), hiccups)
+	fmt.Fprintf(&b, "# TYPE roia_flightrec_captures_total counter\nroia_flightrec_captures_total%s %d\n", lbl(""), total)
 	fmt.Fprintf(&b, "# TYPE roia_flightrec_captures_dropped_total counter\n")
-	fmt.Fprintf(&b, "roia_flightrec_captures_dropped_total%s %d\n", lbl, dropped)
+	fmt.Fprintf(&b, "roia_flightrec_captures_dropped_total%s %d\n", lbl(""), dropped)
 	_, err := io.WriteString(w, b.String())
 	return err
 }

@@ -245,6 +245,9 @@ func TestFlightRecorderWriteMetrics(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
+		`roia_ticks_total{replica="r1"} 5`,
+		`roia_tick_wall_q_ms{replica="r1",q="p50"} 1`,
+		`roia_tick_wall_q_ms{replica="r1",q="p999"} 50`,
 		`roia_tick_hiccups_total{replica="r1"} 1`,
 		`roia_flightrec_captures_total{replica="r1"} 1`,
 		`roia_flightrec_captures_dropped_total{replica="r1"} 0`,
@@ -408,104 +411,42 @@ func TestFlightRecorderMigrations(t *testing.T) {
 // served fleet; run under -race.
 func TestFlightRecorderConcurrentReaders(t *testing.T) {
 	fr := NewFlightRecorder(FlightRecConfig{})
+	const n = flightHistory + 500 // past the fill, so slots are reused
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 1; i <= 500; i++ {
+		tasks := make([]Span, 3)
+		for i := 1; i <= n; i++ {
+			tasks[0].Items = i // the writer reuses its slice, as the server does
 			fr.BeginTick()
-			fr.Record(TickRecord{Tick: uint64(i), Migrations: []MigEvent{{ID: uint64(i)}}})
+			fr.Record(TickRecord{Tick: uint64(i), WallMS: 1, Tasks: tasks, Migrations: []MigEvent{{ID: uint64(i)}}})
 		}
 	}()
+	var cursor uint64
+	check := func(recs []TickRecord) {
+		for _, r := range recs {
+			if r.Tasks[0].Items != int(r.Tick) || r.Migrations[0].ID != r.Tick {
+				t.Fatalf("torn copy: tick %d carries task items %d, migration %d", r.Tick, r.Tasks[0].Items, r.Migrations[0].ID)
+			}
+		}
+	}
 	for {
 		select {
 		case <-done:
-			if n := len(fr.Migrations()); n != 500 {
-				t.Fatalf("migrations = %d, want 500", n)
+			if got := len(fr.Migrations()); got != flightHistory {
+				t.Fatalf("migrations = %d, want %d", got, flightHistory)
+			}
+			if s := fr.Summary(); s.Ticks != n || len(s.Walls) != flightHistory {
+				t.Fatalf("summary after %d records: %d ticks, %d walls", n, s.Ticks, len(s.Walls))
 			}
 			return
 		default:
 			fr.Migrations()
-			fr.Last(8)
+			check(fr.Last(8))
+			var recs []TickRecord
+			recs, cursor = fr.Since(cursor)
+			check(recs)
+			fr.Summary()
 		}
-	}
-}
-
-func TestTailTrackerRotation(t *testing.T) {
-	tr := NewTailTracker(10)
-	for i := 0; i < 10; i++ {
-		tr.Observe(100) // first window: all slow
-	}
-	q := tr.Quantiles()
-	if q.Count != 10 || q.P99 < 90 {
-		t.Fatalf("first window quantiles = %+v", q)
-	}
-	for i := 0; i < 10; i++ {
-		tr.Observe(1) // second window: fast again
-	}
-	q = tr.Quantiles()
-	if q.Count != 20 {
-		t.Fatalf("union count = %d, want 20 (prev + cur)", q.Count)
-	}
-	if q.P99 < 90 {
-		t.Fatalf("p99 = %g should still see the slow window", q.P99)
-	}
-	if q.P50 > 2 {
-		t.Fatalf("p50 = %g should see the fast window", q.P50)
-	}
-	// A third window retires the slow one entirely.
-	for i := 0; i < 10; i++ {
-		tr.Observe(1)
-	}
-	q = tr.Quantiles()
-	if q.P99 > 2 {
-		t.Fatalf("p99 = %g after the slow window aged out", q.P99)
-	}
-	if q.Max > 2 {
-		t.Fatalf("max = %g should be windowed too", q.Max)
-	}
-
-	// Rotation recycles the retired window's histogram instead of
-	// allocating a fresh one, so Observe stays allocation-free across
-	// window boundaries (a one-observation window rotates on every call)...
-	tr = NewTailTracker(1)
-	if allocs := testing.AllocsPerRun(50, func() { tr.Observe(3) }); allocs != 0 {
-		t.Fatalf("Observe allocates %v times per call across rotations, want 0", allocs)
-	}
-	// ...and the windowed quantiles are still those of the union of the
-	// previous full window and the current one.
-	tr = NewTailTracker(7)
-	var seen []float64
-	for i := 0; i < 60; i++ {
-		v := float64(1 + (i*37)%23)
-		tr.Observe(v)
-		seen = append(seen, v)
-		ref := NewLogHistogram()
-		for _, x := range seen[max(0, (len(seen)-1)/7*7-7):] {
-			ref.Observe(x)
-		}
-		got := tr.Quantiles()
-		if got.Count != ref.Count() || got.P50 != ref.Quantile(0.5) || got.P99 != ref.Quantile(0.99) || got.Max != ref.Max() {
-			t.Fatalf("after %d observations quantiles = %+v, want count %d p50 %g p99 %g max %g",
-				i+1, got, ref.Count(), ref.Quantile(0.5), ref.Quantile(0.99), ref.Max())
-		}
-	}
-}
-
-func TestTailTrackerHistogramMergeable(t *testing.T) {
-	a, b := NewTailTracker(100), NewTailTracker(100)
-	for i := 0; i < 50; i++ {
-		a.Observe(1)
-		b.Observe(100)
-	}
-	merged := a.Histogram()
-	merged.Merge(b.Histogram())
-	if merged.Count() != 100 {
-		t.Fatalf("merged count = %d", merged.Count())
-	}
-	if p99 := merged.Quantile(0.99); p99 < 90 {
-		t.Fatalf("merged p99 = %g, want the slow replica visible", p99)
-	}
-	if p50 := merged.Quantile(0.5); p50 > 2 {
-		t.Fatalf("merged p50 = %g, want the fast replica visible", p50)
 	}
 }

@@ -57,12 +57,12 @@ func ReadyHandler(ready func() bool) http.Handler {
 	})
 }
 
-// MetricsWriter writes one Prometheus exposition section. The monitor's
-// WriteMetrics, Drift.WriteMetrics and WriteRuntimeMetrics all match.
+// MetricsWriter writes one Prometheus exposition section.
+// FlightRecorder.WriteMetrics and WriteRuntimeMetrics both match.
 type MetricsWriter func(w io.Writer, labels string) error
 
 // MetricsHandler composes several exposition sections into one /metrics
-// endpoint, so application, model-drift and runtime metrics share a scrape.
+// endpoint, so tick, model-drift and runtime metrics share a scrape.
 func MetricsHandler(labels string, writers ...MetricsWriter) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

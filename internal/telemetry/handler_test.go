@@ -181,9 +181,9 @@ func TestReadyHandler(t *testing.T) {
 }
 
 func TestMetricsHandlerComposes(t *testing.T) {
-	var d Drift
-	d.Observe(5, 4)
-	srv := httptest.NewServer(MetricsHandler(`zone="1"`, d.WriteMetrics, WriteRuntimeMetrics))
+	fr := NewFlightRecorder(FlightRecConfig{})
+	fr.Record(TickRecord{WallMS: 5, DeadlineMS: 40})
+	srv := httptest.NewServer(MetricsHandler(`zone="1"`, fr.WriteMetrics, WriteRuntimeMetrics))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -196,7 +196,7 @@ func TestMetricsHandlerComposes(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	out := string(body)
 	for _, want := range []string{
-		`roia_model_predicted_tick_ms{zone="1"} 5`,
+		`roia_tick_wall_q_ms{zone="1",q="p50"} 5`,
 		`roia_go_goroutines{zone="1"} `,
 		"# TYPE roia_go_gc_runs_total counter",
 	} {

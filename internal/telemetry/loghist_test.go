@@ -295,47 +295,3 @@ func TestLatencyWriteMetrics(t *testing.T) {
 	}
 	assertExposition(t, out)
 }
-
-func TestTaskDrift(t *testing.T) {
-	names := PhaseNames()
-	td := NewTaskDrift(names[:]...)
-	td.Observe("npc_update", 1.0, 2.0) // 100% off
-	td.Observe("user_input", 1.0, 1.05)
-	name, snap, ok := td.Worst()
-	if !ok || name != "npc_update" {
-		t.Fatalf("worst = %q ok=%v, want npc_update", name, ok)
-	}
-	if snap.Samples != 1 {
-		t.Fatalf("worst samples = %d", snap.Samples)
-	}
-	snaps := td.Snapshot()
-	if len(snaps) != NumPhases {
-		t.Fatalf("snapshot has %d tasks, want %d", len(snaps), NumPhases)
-	}
-	if snaps["aoi_su"].Samples != 0 {
-		t.Fatalf("unobserved task has samples")
-	}
-	var sb strings.Builder
-	if err := td.WriteMetrics(&sb, ""); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`roia_model_task_error_ratio_mean{task="npc_update"}`,
-		`roia_model_task_drift_samples_total{task="user_input"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	assertExposition(t, out)
-}
-
-func TestPhaseString(t *testing.T) {
-	if PhaseNPCUpdate.String() != "npc_update" {
-		t.Fatalf("got %q", PhaseNPCUpdate.String())
-	}
-	if got := Phase(99).String(); !strings.Contains(got, "99") {
-		t.Fatalf("out-of-range phase string = %q", got)
-	}
-}

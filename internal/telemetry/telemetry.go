@@ -4,23 +4,22 @@
 // measurements to drive RTF-RMS decisions — and this package turns that
 // legibility into machine-readable exhaust:
 //
-//   - Tracer records per-task spans of every tick into a bounded ring
-//     buffer, exportable as Chrome trace_event JSON (loadable in Perfetto
-//     or chrome://tracing) or JSONL (trace.go, handler.go);
+//   - FlightRecorder keeps every server's one tick history: a bounded
+//     ring of TickRecords (task spans, workload gauges, GC and allocation
+//     cost, egress, migration phases), summarised for the resource
+//     manager, /metrics and the alert rules (Summary), exportable as
+//     Chrome trace_event JSON or JSONL (trace.go), with pre/post captures
+//     around deadline misses and hiccups (flightrec.go);
 //   - DecisionRecord / AuditLog capture every RTF-RMS control-loop step —
 //     its inputs, the model thresholds that gated the choice, and the
 //     resulting actions with reasons — as JSONL (audit.go);
-//   - Drift continuously compares the calibrated model's predicted tick
-//     duration against the measured one, the live version of the paper's
-//     offline validation figures (drift.go);
-//   - Histogram is a cumulative-bucket Prometheus histogram for tick
-//     durations, where tail behaviour (not means) dominates scalability
-//     analysis (histogram.go);
+//   - LogHistogram is a mergeable log-bucketed histogram for the clients'
+//     input→update round trips (loghist.go, latency.go);
 //   - WriteRuntimeMetrics exposes Go runtime health (goroutines, heap, GC)
 //     next to the application metrics (this file).
 //
-// The package depends only on the standard library so that monitor, rms
-// and server can all import it without cycles.
+// The package depends only on the standard library and the leaf package
+// stats, so that monitor, rms and server can all import it without cycles.
 package telemetry
 
 import (
