@@ -90,6 +90,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if res.DroppedSamples > 0 {
+		fmt.Fprintf(os.Stderr, "warning: %d calibration samples dropped at the %d-entry log cap; the fit used the samples collected before it\n",
+			res.DroppedSamples, monitor.DefaultSampleLimit)
+	}
 	report(res)
 	if *validate {
 		if err := validateModel(res, driver, monitors); err != nil {

@@ -25,7 +25,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -39,7 +38,6 @@ import (
 	"roia/internal/rtf/transport"
 	"roia/internal/rtf/zone"
 	"roia/internal/telemetry"
-	"roia/internal/telemetry/tsdb"
 	"roia/internal/workload"
 )
 
@@ -117,34 +115,21 @@ func run() error {
 	}
 	driver.SetLatencyDeadline(rttDeadline)
 
-	// -fleet-metrics: a bounded time-series store retains the per-second
-	// scrape history (12 min at 1 Hz by default), and the SLO engine turns
-	// the tick-deadline and client-RTT counters in it into error-budget
-	// burn rates. Both are built before the alert engine so the burn-rate
-	// rules can join the model-threshold rules.
-	var (
-		store *tsdb.Store
-		slo   *tsdb.SLOEngine
-	)
+	clientRTT := func() telemetry.LatencySnapshot { return driver.ClientLatency().Snapshot() }
+
+	// -fleet-metrics: the cluster-level scrape — per-replica tick/deadline
+	// counters, the merged client RTT distribution, model capacity
+	// ceilings, SLO budget state, the history it records once per control
+	// second at /fleet/query, and (with -alerts) the alert engine's state.
+	// It is built before the alert engine so the SLO burn-rate rules can
+	// join the model-threshold rules.
+	var col *fleet.Collector
 	if *fleetMetFlag != "" {
-		store = tsdb.NewStore(tsdb.Config{})
-		slo = tsdb.NewSLOEngine(store,
-			// QoS contract A: every tick finishes within the deadline 1/U.
-			tsdb.SLO{
-				Name:      "tick_deadline",
-				Objective: 0.99,
-				Total:     tsdb.Selector{Family: "roia_fleet_ticks_total"},
-				Bad:       tsdb.Selector{Family: "roia_fleet_deadline_violations_total"},
-			},
-			// QoS contract B: every client input→update round trip lands
-			// within the RTT deadline.
-			tsdb.SLO{
-				Name:      "client_rtt",
-				Objective: 0.99,
-				Total:     tsdb.Selector{Family: "roia_client_rtt_count"},
-				Bad:       tsdb.Selector{Family: "roia_client_rtt_deadline_violations_total"},
-			},
-		)
+		col = fleet.NewCollector(fleet.CollectorConfig{
+			Fleets:        []*fleet.Fleet{fl},
+			Model:         mdl,
+			ClientLatency: clientRTT,
+		})
 	}
 
 	// -alerts: evaluate the model-threshold rules once per control second,
@@ -165,31 +150,17 @@ func run() error {
 		rules := fl.AlertRules(fleet.AlertConfig{
 			Model:         mdl,
 			MaxReplicas:   *maxRepFlag,
-			ClientLatency: func() telemetry.LatencySnapshot { return driver.ClientLatency().Snapshot() },
+			ClientLatency: clientRTT,
 		})
-		if slo != nil {
-			rules = append(rules, slo.Rules(2)...)
+		if col != nil {
+			rules = append(rules, col.SLORules(2)...)
 		}
 		engine = telemetry.NewAlertEngine(alertLog, rules...)
 	}
 
-	// -fleet-metrics: the cluster-level scrape — per-replica tick/deadline
-	// counters, the merged client RTT distribution, model capacity
-	// ceilings, SLO budget state, the retained history at /fleet/query,
-	// and (with -alerts) the alert engine's state.
-	var col *fleet.Collector
-	if *fleetMetFlag != "" {
+	if col != nil {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		col = fleet.NewCollector(fl)
-		col.SetStore(store)
-		col.SetModel(mdl)
-		col.SetClientLatency(func() telemetry.LatencySnapshot { return driver.ClientLatency().Snapshot() })
-		col.AddMetrics(func(w io.Writer, labels string) error {
-			return driver.ClientLatency().WriteMetrics(w, "roia_client_rtt", labels)
-		})
-		col.AddMetrics(slo.WriteMetrics)
-		col.AddMetrics(store.WriteMetrics)
 		if engine != nil {
 			col.SetAlerts(engine)
 		}
@@ -215,10 +186,11 @@ func run() error {
 		for tick := 0; tick < *tpsFlag; tick++ {
 			driver.Step()
 		}
-		// One history sample per control second, before the manager and the
-		// alert rules look at the world, so the burn rates see this second.
+		// One history sample per control second, stamped with the session
+		// second, before the manager and the alert rules look at the world,
+		// so the burn rates see this second.
 		if col != nil {
-			col.Record()
+			col.Record(float64(sec))
 		}
 		actions := mgr.Step(float64(sec))
 		if engine != nil {

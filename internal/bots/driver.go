@@ -63,8 +63,8 @@ func (d *FleetDriver) SetLatencyDeadline(ms float64) {
 
 // ClientLatency merges every bot's input→update RTT recorder — live swarm
 // plus already-disconnected bots — into one fleet-wide distribution. The
-// returned recorder is a snapshot; it matches telemetry.LatencyMetrics for
-// export. Safe to call concurrently with the session loop (e.g. from a
+// returned recorder is a snapshot (its Snapshot is the fleet collector's
+// ClientLatency source). Safe to call concurrently with the session loop (e.g. from a
 // metrics scrape).
 func (d *FleetDriver) ClientLatency() *telemetry.Latency {
 	d.mu.Lock()

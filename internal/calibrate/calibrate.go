@@ -84,6 +84,10 @@ type Result struct {
 	// Missing lists tasks that had no samples; their curves are zero. The
 	// four real-time-loop tasks are mandatory and cause an error instead.
 	Missing []monitor.Task
+	// DroppedSamples is how many observations the monitors refused because
+	// a log was at monitor.DefaultSampleLimit (FromMonitor only): the fit
+	// saw only the samples collected before the cap.
+	DroppedSamples uint64
 }
 
 // FromSamples fits a full parameter set from a calibration sample log.
@@ -142,13 +146,20 @@ func FromSamples(name string, samples []monitor.Sample, degrees map[monitor.Task
 
 // FromMonitor calibrates from the collected samples of one or more live
 // servers — pooled, as the paper pools both replicas of its testbed — with
-// the live game's degrees.
+// the live game's degrees, and reports the monitors' dropped samples.
 func FromMonitor(name string, ms ...*monitor.Monitor) (*Result, error) {
 	var samples []monitor.Sample
+	var dropped uint64
 	for _, m := range ms {
 		samples = append(samples, m.Samples()...)
+		dropped += m.DroppedSamples()
 	}
-	return FromSamples(name, samples, GameDegrees())
+	res, err := FromSamples(name, samples, GameDegrees())
+	if err != nil {
+		return nil, err
+	}
+	res.DroppedSamples = dropped
+	return res, nil
 }
 
 // Synthesize generates noisy calibration samples from a known ground-truth

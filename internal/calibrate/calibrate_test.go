@@ -169,6 +169,45 @@ func TestFromMonitorEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFromMonitorReportsDroppedSamples fills one monitor's sample log past
+// monitor.DefaultSampleLimit: the result reports the refused observations,
+// summed over the monitors, and the fit is the fit of what was kept.
+func TestFromMonitorReportsDroppedSamples(t *testing.T) {
+	truth := params.RTFDemo()
+	truth.UA = params.Linear(8e-4, 3e-7) // the live game's t_ua (GameDegrees)
+	feed := func(ticks int) *monitor.Monitor {
+		m := monitor.New()
+		m.SetCollecting(true)
+		for i := 0; i < ticks; i++ {
+			n := 20 + i%280
+			var b monitor.Breakdown
+			b.Users = n
+			b.Add(monitor.UADeser, truth.UADeserAt(n, 0)*float64(n), n)
+			b.Add(monitor.UA, truth.UAAt(n, 0)*float64(n), n)
+			b.Add(monitor.AOI, truth.AOIAt(n, 0)*float64(n), n)
+			b.Add(monitor.SU, truth.SUAt(n, 0)*float64(n), n)
+			m.RecordTick(b)
+		}
+		return m
+	}
+	// Four samples per tick: five ticks past the cap drop 20 samples.
+	full := feed(monitor.DefaultSampleLimit/4 + 5)
+	small := feed(50)
+	res, err := FromMonitor("live", full, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DroppedSamples != 20 {
+		t.Fatalf("DroppedSamples = %d, want 20", res.DroppedSamples)
+	}
+	if full.DroppedSamples() != 20 || small.DroppedSamples() != 0 {
+		t.Fatalf("monitor drops = %d, %d, want 20, 0", full.DroppedSamples(), small.DroppedSamples())
+	}
+	if got := res.Set.UAAt(200, 0); math.Abs(got-truth.UAAt(200, 0)) > 1e-6 {
+		t.Fatalf("t_ua(200) = %g, truth %g", got, truth.UAAt(200, 0))
+	}
+}
+
 func TestSynthesizeDeterministic(t *testing.T) {
 	truth := params.RTFDemo()
 	a := Synthesize(truth, []monitor.Task{monitor.UA}, []int{10, 20}, 2, 0.1, 9)

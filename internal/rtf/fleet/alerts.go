@@ -20,32 +20,6 @@ type AlertConfig struct {
 	// MaxReplicas optionally caps l below the model's l_max (mirrors
 	// rms.Config.MaxReplicas). 0 means use the model's l_max alone.
 	MaxReplicas int
-	// DriftTolerance is the |relative error| above which the model_drift
-	// rule is active for a replica (default 0.5, i.e. the prediction is off
-	// by more than 50%).
-	DriftTolerance float64
-	// PendingFor is how many consecutive true evaluations promote a rule
-	// instance from pending to firing (default 1: the second consecutive
-	// breach fires).
-	PendingFor int
-	// QoSViolationRate is the fraction of deadline-violating ticks (per
-	// replica, between evaluations) above which the qos_tick_deadline rule
-	// is active (default 0.05: more than 5% of recent ticks ran long).
-	QoSViolationRate float64
-	// HiccupRate is the fraction of ticks (per replica, between
-	// evaluations) flagged by the flight recorder's hiccup detector above
-	// which the qos_tick_hiccup rule is active (default 0.01: more than 1%
-	// of recent ticks stalled).
-	HiccupRate float64
-	// TailInflation is the p99/p50 tick-wall ratio over a replica's flight
-	// recorder ring above which the qos_tail_inflation rule is active
-	// (default 4: the tail runs 4× the typical tick). Replicas with fewer
-	// than TailMinCount ticks in the ring are skipped so a cold start cannot
-	// fire the rule.
-	TailInflation float64
-	// TailMinCount is the minimum recent-tick count before the tail
-	// inflation rule evaluates a replica (default 64).
-	TailMinCount int
 	// ClientLatency, when set, enables the qos_client_rtt rule: it is
 	// polled each evaluation for the fleet-wide input→update RTT recorder
 	// (e.g. bots.FleetDriver.ClientLatency) and the rule fires when the
@@ -65,6 +39,28 @@ type AlertConfig struct {
 	// deployment bandwidth budget).
 	EgressPerUserCeiling float64
 }
+
+// Rule thresholds. Every rule goes pending on its first breach and fires
+// on the second consecutive one (telemetry.Rule's default PendingFor).
+const (
+	// DriftTolerance is the |relative error| above which the model_drift
+	// rule is active for a replica: the prediction is off by more than 50%.
+	DriftTolerance = 0.5
+	// QoSViolationRate is the fraction of deadline-violating ticks (per
+	// replica, between evaluations) or of late client RTTs above which
+	// qos_tick_deadline and qos_client_rtt are active: more than 5%.
+	QoSViolationRate = 0.05
+	// HiccupRate is the fraction of ticks (per replica, between
+	// evaluations) flagged by the flight recorder's hiccup detector above
+	// which qos_tick_hiccup is active: more than 1% of recent ticks stalled.
+	HiccupRate = 0.01
+	// TailInflation is the p99/p50 tick-wall ratio over a replica's ring
+	// above which qos_tail_inflation is active: the tail runs 4× the
+	// typical tick. Replicas with fewer than TailMinCount ticks in the ring
+	// are skipped so a cold start cannot fire the rule.
+	TailInflation = 4.0
+	TailMinCount  = 64
+)
 
 // Rule names exported by AlertRules.
 const (
@@ -103,7 +99,7 @@ const (
 //   - qos_tick_deadline: more than QoSViolationRate of a replica's ticks
 //     since the previous evaluation exceeded the tick deadline 1/U — the
 //     server-side half of the QoS contract is being broken sustainedly
-//     (PendingFor consecutive breaches), not by a lone outlier tick. One
+//     (two consecutive breaches), not by a lone outlier tick. One
 //     instance per replica.
 //   - qos_client_rtt: the fleet-wide client input→update RTT violation
 //     rate since the previous evaluation exceeds QoSViolationRate — the
@@ -134,29 +130,13 @@ const (
 // records each replica took since the rule's previous evaluation
 // (sinceLast), so a burst resolves once the server steadies.
 func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
-	if cfg.DriftTolerance <= 0 {
-		cfg.DriftTolerance = 0.5
-	}
-	if cfg.QoSViolationRate <= 0 {
-		cfg.QoSViolationRate = 0.05
-	}
-	if cfg.HiccupRate <= 0 {
-		cfg.HiccupRate = 0.01
-	}
-	if cfg.TailInflation <= 0 {
-		cfg.TailInflation = 4
-	}
-	if cfg.TailMinCount <= 0 {
-		cfg.TailMinCount = 64
-	}
 	if cfg.GCPauseBudget <= 0 {
 		cfg.GCPauseBudget = 0.25
 	}
 	zoneKey := fmt.Sprintf("zone-%d", f.cfg.Zone)
 	rules := []telemetry.Rule{
 		{
-			Name:       AlertReplicaOverNMax,
-			PendingFor: cfg.PendingFor,
+			Name: AlertReplicaOverNMax,
 			Eval: func(now float64) []telemetry.RuleResult {
 				servers := f.Servers()
 				l := 0
@@ -191,8 +171,7 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 			},
 		},
 		{
-			Name:       AlertFleetAtLMax,
-			PendingFor: cfg.PendingFor,
+			Name: AlertFleetAtLMax,
 			Eval: func(now float64) []telemetry.RuleResult {
 				l := len(f.IDs())
 				m := f.NPCCount()
@@ -220,8 +199,7 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 			},
 		},
 		{
-			Name:       AlertMigBudgetDry,
-			PendingFor: cfg.PendingFor,
+			Name: AlertMigBudgetDry,
 			Eval: func(now float64) []telemetry.RuleResult {
 				servers := f.Servers()
 				l := 0
@@ -259,21 +237,20 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 	}
 	deadlineSince := f.sinceLast()
 	rules = append(rules, telemetry.Rule{
-		Name:       AlertQoSTickDeadline,
-		PendingFor: cfg.PendingFor,
+		Name: AlertQoSTickDeadline,
 		Eval: func(now float64) []telemetry.RuleResult {
 			var out []telemetry.RuleResult
 			for _, w := range deadlineSince() {
 				rate := float64(w.violations) / float64(w.ticks)
-				if rate <= cfg.QoSViolationRate {
+				if rate <= QoSViolationRate {
 					continue
 				}
 				out = append(out, telemetry.RuleResult{
 					Key:       w.id,
 					Value:     rate,
-					Threshold: cfg.QoSViolationRate,
+					Threshold: QoSViolationRate,
 					Detail: fmt.Sprintf("%.1f%% of the last %d ticks exceeded the %.1fms deadline (QoS budget %.1f%%)",
-						rate*100, w.ticks, w.deadlineMS, cfg.QoSViolationRate*100),
+						rate*100, w.ticks, w.deadlineMS, QoSViolationRate*100),
 				})
 			}
 			return out
@@ -281,55 +258,52 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 	})
 	hiccupSince := f.sinceLast()
 	rules = append(rules, telemetry.Rule{
-		Name:       AlertQoSTickHiccup,
-		PendingFor: cfg.PendingFor,
+		Name: AlertQoSTickHiccup,
 		Eval: func(now float64) []telemetry.RuleResult {
 			var out []telemetry.RuleResult
 			for _, w := range hiccupSince() {
 				rate := float64(w.hiccups) / float64(w.ticks)
-				if rate <= cfg.HiccupRate {
+				if rate <= HiccupRate {
 					continue
 				}
 				out = append(out, telemetry.RuleResult{
 					Key:       w.id,
 					Value:     rate,
-					Threshold: cfg.HiccupRate,
+					Threshold: HiccupRate,
 					Detail: fmt.Sprintf("%.1f%% of the last %d ticks were hiccups (wall over the rolling-median threshold; budget %.1f%%)",
-						rate*100, w.ticks, cfg.HiccupRate*100),
+						rate*100, w.ticks, HiccupRate*100),
 				})
 			}
 			return out
 		},
 	})
 	rules = append(rules, telemetry.Rule{
-		Name:       AlertQoSTailInflation,
-		PendingFor: cfg.PendingFor,
+		Name: AlertQoSTailInflation,
 		Eval: func(now float64) []telemetry.RuleResult {
 			var out []telemetry.RuleResult
 			for _, r := range f.summaries() {
 				walls := r.sum.Walls
 				p50, p99 := stats.Percentile(walls, 50), stats.Percentile(walls, 99)
-				if len(walls) < cfg.TailMinCount || p50 <= 0 {
+				if len(walls) < TailMinCount || p50 <= 0 {
 					continue
 				}
 				ratio := p99 / p50
-				if ratio <= cfg.TailInflation {
+				if ratio <= TailInflation {
 					continue
 				}
 				out = append(out, telemetry.RuleResult{
 					Key:       r.id,
 					Value:     ratio,
-					Threshold: cfg.TailInflation,
+					Threshold: TailInflation,
 					Detail: fmt.Sprintf("tick wall p99 %.2fms is %.1f× p50 %.2fms over the last %d ticks (budget %.1f×)",
-						p99, ratio, p50, len(walls), cfg.TailInflation),
+						p99, ratio, p50, len(walls), TailInflation),
 				})
 			}
 			return out
 		},
 	})
 	rules = append(rules, telemetry.Rule{
-		Name:       AlertQoSGCPause,
-		PendingFor: cfg.PendingFor,
+		Name: AlertQoSGCPause,
 		Eval: func(now float64) []telemetry.RuleResult {
 			var out []telemetry.RuleResult
 			for _, r := range f.summaries() {
@@ -356,8 +330,7 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 	if cfg.EgressPerUserCeiling > 0 {
 		egressSince := f.sinceLast()
 		rules = append(rules, telemetry.Rule{
-			Name:       AlertEgressPerUser,
-			PendingFor: cfg.PendingFor,
+			Name: AlertEgressPerUser,
 			Eval: func(now float64) []telemetry.RuleResult {
 				var out []telemetry.RuleResult
 				for _, w := range egressSince() {
@@ -383,8 +356,7 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 	if cfg.ClientLatency != nil {
 		var prev telemetry.LatencySnapshot
 		rules = append(rules, telemetry.Rule{
-			Name:       AlertQoSClientRTT,
-			PendingFor: cfg.PendingFor,
+			Name: AlertQoSClientRTT,
 			Eval: func(now float64) []telemetry.RuleResult {
 				cur := cfg.ClientLatency()
 				last := prev
@@ -393,23 +365,21 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 					return nil
 				}
 				rate := float64(cur.Violations-last.Violations) / float64(cur.Count-last.Count)
-				if rate <= cfg.QoSViolationRate {
+				if rate <= QoSViolationRate {
 					return nil
 				}
 				return []telemetry.RuleResult{{
 					Key:       zoneKey,
 					Value:     rate,
-					Threshold: cfg.QoSViolationRate,
+					Threshold: QoSViolationRate,
 					Detail: fmt.Sprintf("%.1f%% of the last %d input→update RTTs exceeded the %.1fms deadline (p99 %.1fms)",
 						rate*100, cur.Count-last.Count, cur.DeadlineMS, cur.P99),
 				}}
 			},
 		})
 	}
-	tol := cfg.DriftTolerance
 	rules = append(rules, telemetry.Rule{
-		Name:       AlertModelDrift,
-		PendingFor: cfg.PendingFor,
+		Name: AlertModelDrift,
 		Eval: func(now float64) []telemetry.RuleResult {
 			var out []telemetry.RuleResult
 			for _, id := range f.IDs() {
@@ -419,15 +389,15 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 				}
 				s := monitor.ModelDrift(cfg.Model, srv.FlightRecorder().Last(0)).Tick
 				abs := math.Abs(s.ErrRatio)
-				if s.Samples == 0 || abs <= tol {
+				if s.Samples == 0 || abs <= DriftTolerance {
 					continue
 				}
 				out = append(out, telemetry.RuleResult{
 					Key:       id,
 					Value:     abs,
-					Threshold: tol,
+					Threshold: DriftTolerance,
 					Detail: fmt.Sprintf("model predicts %.2fms vs measured %.2fms over the last %d ticks (|rel err| %.2f > %.2f): calibration is stale",
-						s.PredictedMS, s.MeasuredMS, s.Samples, abs, tol),
+						s.PredictedMS, s.MeasuredMS, s.Samples, abs, DriftTolerance),
 				})
 			}
 			return out

@@ -10,10 +10,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"roia/internal/model"
@@ -22,109 +24,73 @@ import (
 	"roia/internal/telemetry/tsdb"
 )
 
+// CollectorConfig parameterises a Collector.
+type CollectorConfig struct {
+	// Fleets are the scraped fleets, one per zone.
+	Fleets []*Fleet
+	// Model, when set, adds the predicted capacity ceilings n_max(l,m) and
+	// l_max(m) next to the observed n, l, m — the live headroom comparison
+	// the dashboard renders.
+	Model *model.Model
+	// ClientLatency, when set, is the client input→update RTT source
+	// (e.g. bots.FleetDriver.ClientLatency().Snapshot): it adds the
+	// roia_client_rtt_* families, whose counters feed the client_rtt SLO.
+	ClientLatency func() telemetry.LatencySnapshot
+}
+
 // Collector aggregates one or more fleets (one per zone) into a single
 // observability surface: a /fleet/metrics Prometheus exposition with
 // replica and zone labels, a /fleet/migrations endpoint serving the
-// stitched cross-replica migration trace, and — when a time-series store
-// is attached — a /fleet/query range endpoint over the retained history
-// the collector records on every scrape.
+// stitched cross-replica migration trace, and a /fleet/query range
+// endpoint over the history Record keeps. A scrape is built once, as one
+// ordered list of points: WriteMetrics renders it and Record stores it.
 type Collector struct {
-	mu      sync.Mutex
-	fleets  []*Fleet
-	engine  *telemetry.AlertEngine
-	extra   []telemetry.MetricsWriter
+	cfg     CollectorConfig
 	store   *tsdb.Store
-	model   *model.Model
-	rtt     func() telemetry.LatencySnapshot
-	records uint64
+	slo     *tsdb.SLOEngine
+	engine  atomic.Pointer[telemetry.AlertEngine]
+	records atomic.Uint64
 }
 
-// NewCollector returns a collector over the given fleets.
-func NewCollector(fleets ...*Fleet) *Collector {
-	return &Collector{fleets: append([]*Fleet(nil), fleets...)}
+// The fleet's two QoS contracts, judged over the history Record keeps:
+// every tick finishes within the deadline 1/U, and every client
+// input→update round trip lands within the RTT deadline.
+var fleetSLOs = []tsdb.SLO{
+	{
+		Name:      "tick_deadline",
+		Objective: 0.99,
+		Total:     tsdb.Selector{Family: "roia_fleet_ticks_total"},
+		Bad:       tsdb.Selector{Family: "roia_fleet_deadline_violations_total"},
+	},
+	{
+		Name:      "client_rtt",
+		Objective: 0.99,
+		Total:     tsdb.Selector{Family: "roia_client_rtt_count"},
+		Bad:       tsdb.Selector{Family: "roia_client_rtt_deadline_violations_total"},
+	},
 }
 
-// Add registers another fleet.
-func (c *Collector) Add(fl *Fleet) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	//roialint:ignore boundedgrowth registration list, one entry per zone wired at startup
-	c.fleets = append(c.fleets, fl)
+// NewCollector returns a collector over the configured fleets, with an
+// empty history and the fleet's SLOs over it.
+func NewCollector(cfg CollectorConfig) *Collector {
+	st := tsdb.NewStore()
+	return &Collector{cfg: cfg, store: st, slo: tsdb.NewSLOEngine(st, fleetSLOs...)}
 }
 
 // SetAlerts attaches an alert engine whose state is exported with the
-// fleet metrics.
-func (c *Collector) SetAlerts(e *telemetry.AlertEngine) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.engine = e
-}
+// fleet metrics. The engine is built after the collector, because its
+// rules include SLORules.
+func (c *Collector) SetAlerts(e *telemetry.AlertEngine) { c.engine.Store(e) }
 
-// AddMetrics appends an extra exposition section (e.g. a model-drift
-// tracker's WriteMetrics or telemetry.WriteRuntimeMetrics) to the
-// /fleet/metrics scrape.
-func (c *Collector) AddMetrics(w telemetry.MetricsWriter) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	//roialint:ignore boundedgrowth registration list, one exposition section per subsystem wired at startup
-	c.extra = append(c.extra, w)
-}
+// SLORules returns the burn-rate rules of the fleet's SLOs
+// (tsdb.SLOEngine.Rules) for an alert engine.
+func (c *Collector) SLORules(pendingFor int) []telemetry.Rule { return c.slo.Rules(pendingFor) }
 
-// SetStore attaches a bounded time-series store. Once attached, every
-// /fleet/metrics scrape (and every explicit Record call) appends the
-// scrape's replica and zone numbers to the store, and Handler serves the
-// retained history at /fleet/query.
-func (c *Collector) SetStore(st *tsdb.Store) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.store = st
-}
-
-// SetModel attaches the scalability model so the scrape can export the
-// predicted capacity ceilings n_max(l,m) and l_max(m) next to the observed
-// n, l, m — the live headroom comparison the dashboard renders.
-func (c *Collector) SetModel(m *model.Model) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.model = m
-}
-
-// SetClientLatency attaches a client input→update RTT snapshot source
-// (e.g. bots.FleetDriver.ClientLatency().Snapshot); Record then feeds the
-// RTT event/violation counters into the store as the client-side SLI.
-func (c *Collector) SetClientLatency(fn func() telemetry.LatencySnapshot) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rtt = fn
-}
-
-func (c *Collector) snapshot() ([]*Fleet, *telemetry.AlertEngine, []telemetry.MetricsWriter) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*Fleet(nil), c.fleets...), c.engine, append([]telemetry.MetricsWriter(nil), c.extra...)
-}
-
-// replicaRow is one live replica's scrape snapshot.
-type replicaRow struct {
-	zone       uint32
-	id         string
-	ticks      uint64
-	meanMS     float64
-	p95MS      float64
-	users      int
-	draining   bool
-	deadlineMS float64
-	violations uint64
-	hiccups    uint64
-	captures   uint64
-}
-
-// MigEvents merges the migration events of every registered fleet, keyed by
-// replica ID — the collector-level input to telemetry.StitchMigrations.
+// MigEvents merges the migration events of every configured fleet, keyed
+// by replica ID — the collector-level input to telemetry.StitchMigrations.
 func (c *Collector) MigEvents() map[string][]telemetry.MigEvent {
-	fleets, _, _ := c.snapshot()
 	out := make(map[string][]telemetry.MigEvent)
-	for _, fl := range fleets {
+	for _, fl := range c.cfg.Fleets {
 		for id, events := range fl.MigEvents() {
 			out[id] = append(out[id], events...)
 		}
@@ -132,12 +98,25 @@ func (c *Collector) MigEvents() map[string][]telemetry.MigEvent {
 	return out
 }
 
-// WriteMetrics writes the fleet-level exposition: per-replica-labeled tick
-// and user-count families for every live replica, per-zone aggregates,
-// migration-trace completeness counters, and (when attached) the alert
-// engine's state. It matches telemetry.MetricsWriter.
-//
-// Exported families:
+// pointSet collects a scrape's points family by family: a family's points
+// stay together, and the families keep the order they were first added in.
+type pointSet struct {
+	index map[string]int
+	runs  [][]tsdb.Point
+}
+
+func (s *pointSet) add(family string, kind tsdb.Kind, v float64, labels ...string) {
+	i, ok := s.index[family]
+	if !ok {
+		i = len(s.runs)
+		s.index[family] = i
+		s.runs = append(s.runs, nil)
+	}
+	s.runs[i] = append(s.runs[i], tsdb.Point{Family: family, Kind: kind, Labels: labels, V: v})
+}
+
+// scrape walks every fleet once and returns the scrape's points, the
+// shared input of WriteMetrics and Record:
 //
 //	roia_fleet_ticks_total{zone,replica}    counter, processed ticks
 //	roia_fleet_tick_mean_ms{zone,replica}   gauge, mean tick wall over the
@@ -163,45 +142,23 @@ func (c *Collector) MigEvents() map[string][]telemetry.MigEvent {
 //	roia_fleet_npcs{zone}                   gauge, zone-wide NPCs (m)
 //	roia_fleet_replicas{zone}               gauge, running replicas (l)
 //	roia_fleet_nmax{zone}                   gauge, model ceiling n_max(l,m)
-//	                                        (-1 unbounded; only with an
-//	                                        attached model)
+//	                                        (-1 unbounded; with a Model)
 //	roia_fleet_lmax{zone}                   gauge, model ceiling l_max(m)
-//	                                        (-1 unbounded; only with an
-//	                                        attached model)
+//	                                        (-1 unbounded; with a Model)
 //	roia_fleet_migrations{zone,state}       gauge, stitched migrations in
 //	                                        the replicas' flight-recorder
 //	                                        rings (complete / incomplete)
-//
-// zoneRow is one zone's aggregated scrape snapshot.
-type zoneRow struct {
-	zone              uint32
-	users, npcs, l    int
-	complete, incompl int
-	// walls is every tick wall time in the replicas' rings, ascending.
-	walls []float64
-
-	// Model capacity ceilings; modeled is false without an attached model,
-	// and the nmax/lmax families are omitted from the scrape. A false
-	// nmaxOK/lmaxOK means the model reports no finite ceiling at this
-	// configuration (exported as -1).
-	modeled        bool
-	nmax, lmax     int
-	nmaxOK, lmaxOK bool
-}
-
-// collect walks every registered fleet and returns the per-replica and
-// per-zone scrape snapshot — the shared input of the /fleet/metrics
-// exposition (WriteMetrics) and the history feed (Record).
-func (c *Collector) collect() ([]replicaRow, []zoneRow) {
-	c.mu.Lock()
-	fleets := append([]*Fleet(nil), c.fleets...)
-	mdl := c.model
-	c.mu.Unlock()
-	var rows []replicaRow
-	var zones []zoneRow
-	for _, fl := range fleets {
-		z := uint32(fl.Zone())
-		zr := zoneRow{zone: z}
+//	roia_client_rtt_ms{stat}                gauge, client input→update RTT
+//	                                        p50/p95/p99/p999/max/mean (with
+//	                                        a ClientLatency source)
+//	roia_client_rtt_count                   counter, RTTs observed
+//	roia_client_rtt_deadline_ms             gauge, the RTT deadline
+//	roia_client_rtt_deadline_violations_total
+//	                                        counter, RTTs past it
+func (c *Collector) scrape() []tsdb.Point {
+	s := pointSet{index: make(map[string]int)}
+	for _, fl := range c.cfg.Fleets {
+		zone := fmt.Sprint(fl.Zone())
 		var sums []telemetry.TickSummary
 		for _, id := range fl.IDs() {
 			srv, ok := fl.Server(id)
@@ -210,255 +167,150 @@ func (c *Collector) collect() ([]replicaRow, []zoneRow) {
 			}
 			rec := srv.FlightRecorder()
 			sum := rec.Summary()
-			rows = append(rows, replicaRow{
-				zone:       z,
-				id:         id,
-				ticks:      sum.Ticks,
-				meanMS:     sum.Wall.Mean,
-				p95MS:      sum.Wall.P95,
-				users:      srv.UserCount(),
-				draining:   srv.Draining(),
-				deadlineMS: sum.Newest.DeadlineMS,
-				violations: sum.Violations,
-				hiccups:    rec.Hiccups(),
-				captures:   rec.CapturesTotal(),
-			})
 			sums = append(sums, sum)
-		}
-		zr.users, zr.npcs, zr.l, zr.walls = fl.ZoneUsers(), fl.NPCCount(), len(fl.IDs()), telemetry.PooledWalls(sums...)
-		for _, m := range telemetry.StitchMigrations(fl.MigEvents()) {
-			if m.Complete {
-				zr.complete++
-			} else {
-				zr.incompl++
+			draining := 0.0
+			if srv.Draining() {
+				draining = 1
 			}
+			r := []string{"zone", zone, "replica", id}
+			s.add("roia_fleet_ticks_total", tsdb.Counter, float64(sum.Ticks), r...)
+			s.add("roia_fleet_tick_mean_ms", tsdb.Gauge, sum.Wall.Mean, r...)
+			s.add("roia_fleet_tick_p95_ms", tsdb.Gauge, sum.Wall.P95, r...)
+			s.add("roia_fleet_deadline_ms", tsdb.Gauge, sum.Newest.DeadlineMS, r...)
+			s.add("roia_fleet_deadline_violations_total", tsdb.Counter, float64(sum.Violations), r...)
+			s.add("roia_fleet_tick_hiccups_total", tsdb.Counter, float64(rec.Hiccups()), r...)
+			s.add("roia_fleet_flightrec_captures_total", tsdb.Counter, float64(rec.CapturesTotal()), r...)
+			s.add("roia_fleet_users", tsdb.Gauge, float64(srv.UserCount()), r...)
+			s.add("roia_fleet_draining", tsdb.Gauge, draining, r...)
 		}
-		if mdl != nil {
-			zr.modeled = true
-			zr.nmax, zr.nmaxOK = mdl.MaxUsers(zr.l, zr.npcs)
-			zr.lmax, zr.lmaxOK = mdl.MaxReplicas(zr.npcs)
-		}
-		zones = append(zones, zr)
-	}
-	return rows, zones
-}
-
-func (c *Collector) WriteMetrics(w io.Writer, labels string) error {
-	_, engine, extra := c.snapshot()
-	rows, zones := c.collect()
-
-	lbl := func(extra string) string { return telemetry.FormatLabels(labels, extra) }
-	rlbl := func(r replicaRow) string {
-		return lbl(fmt.Sprintf("zone=\"%d\",replica=%q", r.zone, r.id))
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# TYPE roia_fleet_ticks_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "roia_fleet_ticks_total%s %d\n", rlbl(r), r.ticks)
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_tick_mean_ms gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "roia_fleet_tick_mean_ms%s %g\n", rlbl(r), r.meanMS)
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_tick_p95_ms gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "roia_fleet_tick_p95_ms%s %g\n", rlbl(r), r.p95MS)
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_deadline_ms gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "roia_fleet_deadline_ms%s %g\n", rlbl(r), r.deadlineMS)
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_deadline_violations_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "roia_fleet_deadline_violations_total%s %d\n", rlbl(r), r.violations)
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_tick_hiccups_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "roia_fleet_tick_hiccups_total%s %d\n", rlbl(r), r.hiccups)
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_flightrec_captures_total counter\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "roia_fleet_flightrec_captures_total%s %d\n", rlbl(r), r.captures)
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_users gauge\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "roia_fleet_users%s %d\n", rlbl(r), r.users)
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_draining gauge\n")
-	for _, r := range rows {
-		d := 0
-		if r.draining {
-			d = 1
-		}
-		fmt.Fprintf(&b, "roia_fleet_draining%s %d\n", rlbl(r), d)
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_tick_wall_q_ms gauge\n")
-	for _, z := range zones {
+		walls := telemetry.PooledWalls(sums...)
 		for _, q := range []struct {
 			name string
 			p    float64
 		}{
 			{"p50", 50}, {"p90", 90}, {"p99", 99}, {"p999", 99.9},
 		} {
-			fmt.Fprintf(&b, "roia_fleet_tick_wall_q_ms%s %g\n",
-				lbl(fmt.Sprintf("zone=\"%d\",q=%q", z.zone, q.name)), stats.Percentile(z.walls, q.p))
+			s.add("roia_fleet_tick_wall_q_ms", tsdb.Gauge, stats.Percentile(walls, q.p), "zone", zone, "q", q.name)
 		}
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_zone_users gauge\n")
-	for _, z := range zones {
-		fmt.Fprintf(&b, "roia_fleet_zone_users%s %d\n", lbl(fmt.Sprintf("zone=\"%d\"", z.zone)), z.users)
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_npcs gauge\n")
-	for _, z := range zones {
-		fmt.Fprintf(&b, "roia_fleet_npcs%s %d\n", lbl(fmt.Sprintf("zone=\"%d\"", z.zone)), z.npcs)
-	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_replicas gauge\n")
-	for _, z := range zones {
-		fmt.Fprintf(&b, "roia_fleet_replicas%s %d\n", lbl(fmt.Sprintf("zone=\"%d\"", z.zone)), z.l)
-	}
-	anyModel := false
-	for _, z := range zones {
-		if z.modeled {
-			anyModel = true
-			break
+		l, npcs := len(fl.IDs()), fl.NPCCount()
+		z := []string{"zone", zone}
+		s.add("roia_fleet_zone_users", tsdb.Gauge, float64(fl.ZoneUsers()), z...)
+		s.add("roia_fleet_npcs", tsdb.Gauge, float64(npcs), z...)
+		s.add("roia_fleet_replicas", tsdb.Gauge, float64(l), z...)
+		if mdl := c.cfg.Model; mdl != nil {
+			s.add("roia_fleet_nmax", tsdb.Gauge, ceiling(mdl.MaxUsers(l, npcs)), z...)
+			s.add("roia_fleet_lmax", tsdb.Gauge, ceiling(mdl.MaxReplicas(npcs)), z...)
 		}
-	}
-	if anyModel {
-		fmt.Fprintf(&b, "# TYPE roia_fleet_nmax gauge\n")
-		for _, z := range zones {
-			if z.modeled {
-				fmt.Fprintf(&b, "roia_fleet_nmax%s %d\n", lbl(fmt.Sprintf("zone=\"%d\"", z.zone)), capOrMinusOne(z.nmax, z.nmaxOK))
+		var complete, incomplete float64
+		for _, m := range telemetry.StitchMigrations(fl.MigEvents()) {
+			if m.Complete {
+				complete++
+			} else {
+				incomplete++
 			}
 		}
-		fmt.Fprintf(&b, "# TYPE roia_fleet_lmax gauge\n")
-		for _, z := range zones {
-			if z.modeled {
-				fmt.Fprintf(&b, "roia_fleet_lmax%s %d\n", lbl(fmt.Sprintf("zone=\"%d\"", z.zone)), capOrMinusOne(z.lmax, z.lmaxOK))
-			}
-		}
+		s.add("roia_fleet_migrations", tsdb.Gauge, complete, "zone", zone, "state", "complete")
+		s.add("roia_fleet_migrations", tsdb.Gauge, incomplete, "zone", zone, "state", "incomplete")
 	}
-	fmt.Fprintf(&b, "# TYPE roia_fleet_migrations gauge\n")
-	for _, z := range zones {
-		fmt.Fprintf(&b, "roia_fleet_migrations%s %d\n", lbl(fmt.Sprintf("zone=\"%d\",state=\"complete\"", z.zone)), z.complete)
-		fmt.Fprintf(&b, "roia_fleet_migrations%s %d\n", lbl(fmt.Sprintf("zone=\"%d\",state=\"incomplete\"", z.zone)), z.incompl)
+	if c.cfg.ClientLatency != nil {
+		rtt := c.cfg.ClientLatency()
+		for _, st := range []struct {
+			name string
+			v    float64
+		}{
+			{"p50", rtt.P50}, {"p95", rtt.P95}, {"p99", rtt.P99}, {"p999", rtt.P999},
+			{"max", rtt.MaxMS}, {"mean", rtt.MeanMS},
+		} {
+			s.add("roia_client_rtt_ms", tsdb.Gauge, st.v, "stat", st.name)
+		}
+		s.add("roia_client_rtt_count", tsdb.Counter, float64(rtt.Count))
+		s.add("roia_client_rtt_deadline_ms", tsdb.Gauge, rtt.DeadlineMS)
+		s.add("roia_client_rtt_deadline_violations_total", tsdb.Counter, float64(rtt.Violations))
+	}
+	var pts []tsdb.Point
+	for _, run := range s.runs {
+		pts = append(pts, run...)
+	}
+	return pts
+}
+
+// ceiling renders a model ceiling: the value when the model reports a
+// finite cap, -1 when unbounded.
+func ceiling(v int, ok bool) float64 {
+	if !ok {
+		return -1
+	}
+	return float64(v)
+}
+
+// WriteMetrics writes the fleet-level exposition — the scrape's points
+// (see scrape), then the attached alert engine's state, the SLOs' budget
+// and burn gauges (tsdb.SLOEngine.WriteMetrics) and the history's own
+// health (tsdb.Store.WriteMetrics). It matches telemetry.MetricsWriter.
+func (c *Collector) WriteMetrics(w io.Writer, labels string) error {
+	var b strings.Builder
+	family := ""
+	for _, p := range c.scrape() {
+		if p.Family != family {
+			family = p.Family
+			fmt.Fprintf(&b, "# TYPE %s %s\n", family, p.Kind)
+		}
+		pairs := make([]string, 0, len(p.Labels)/2)
+		for i := 0; i+1 < len(p.Labels); i += 2 {
+			pairs = append(pairs, fmt.Sprintf("%s=%q", p.Labels[i], p.Labels[i+1]))
+		}
+		fmt.Fprintf(&b, "%s%s %s\n", family, telemetry.FormatLabels(labels, strings.Join(pairs, ",")), formatValue(p.V))
 	}
 	if _, err := io.WriteString(w, b.String()); err != nil {
 		return err
 	}
-	if engine != nil {
+	if engine := c.engine.Load(); engine != nil {
 		if err := engine.WriteMetrics(w, labels); err != nil {
 			return err
 		}
 	}
-	for _, write := range extra {
-		if err := write(w, labels); err != nil {
-			return err
-		}
+	if err := c.slo.WriteMetrics(w, labels); err != nil {
+		return err
 	}
-	return nil
+	return c.store.WriteMetrics(w, labels)
 }
 
-// capOrMinusOne renders a model ceiling: the value when the model reports
-// a finite cap, -1 when unbounded.
-func capOrMinusOne(v int, ok bool) int {
-	if !ok {
-		return -1
+// formatValue renders a sample value: integers in full, everything else
+// in the shortest %g form.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatFloat(v, 'f', -1, 64)
 	}
-	return v
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Record appends the current scrape snapshot to the attached time-series
-// store (a no-op without one): per-replica tick/violation/user series,
-// per-zone occupancy and tail-quantile series, the model ceilings when a
-// model is attached, and the client RTT SLI counters when a latency source
-// is attached. Each call lands one sample per series, stamped with the
-// store's clock — called once per scrape (or once per session second), the
-// ring retention horizon is capacity × that cadence.
-func (c *Collector) Record() {
-	c.mu.Lock()
-	st, rtt := c.store, c.rtt
-	c.mu.Unlock()
-	if st == nil {
-		// Still count the scrape: readiness means "the collector has walked
-		// the fleet once", with or without retained history.
-		c.mu.Lock()
-		c.records++
-		c.mu.Unlock()
-		return
-	}
-	rows, zones := c.collect()
-	for _, r := range rows {
-		lbl := map[string]string{"zone": fmt.Sprintf("%d", r.zone), "replica": r.id}
-		st.Append("roia_fleet_ticks_total", lbl, tsdb.Counter, float64(r.ticks))
-		st.Append("roia_fleet_tick_mean_ms", lbl, tsdb.Gauge, r.meanMS)
-		st.Append("roia_fleet_tick_p95_ms", lbl, tsdb.Gauge, r.p95MS)
-		st.Append("roia_fleet_deadline_violations_total", lbl, tsdb.Counter, float64(r.violations))
-		st.Append("roia_fleet_tick_hiccups_total", lbl, tsdb.Counter, float64(r.hiccups))
-		st.Append("roia_fleet_users", lbl, tsdb.Gauge, float64(r.users))
-	}
-	for _, z := range zones {
-		lbl := map[string]string{"zone": fmt.Sprintf("%d", z.zone)}
-		st.Append("roia_fleet_zone_users", lbl, tsdb.Gauge, float64(z.users))
-		st.Append("roia_fleet_npcs", lbl, tsdb.Gauge, float64(z.npcs))
-		st.Append("roia_fleet_replicas", lbl, tsdb.Gauge, float64(z.l))
-		if z.modeled {
-			st.Append("roia_fleet_nmax", lbl, tsdb.Gauge, float64(capOrMinusOne(z.nmax, z.nmaxOK)))
-			st.Append("roia_fleet_lmax", lbl, tsdb.Gauge, float64(capOrMinusOne(z.lmax, z.lmaxOK)))
-		}
-		for _, q := range []struct {
-			name string
-			p    float64
-		}{
-			{"p50", 50}, {"p90", 90}, {"p99", 99},
-		} {
-			st.Append("roia_fleet_tick_wall_q_ms",
-				map[string]string{"zone": fmt.Sprintf("%d", z.zone), "q": q.name},
-				tsdb.Gauge, stats.Percentile(z.walls, q.p))
-		}
-	}
-	if rtt != nil {
-		snap := rtt()
-		st.Append("roia_client_rtt_count", nil, tsdb.Counter, float64(snap.Count))
-		st.Append("roia_client_rtt_deadline_violations_total", nil, tsdb.Counter, float64(snap.Violations))
-	}
-	c.mu.Lock()
-	c.records++
-	c.mu.Unlock()
+// Record appends one scrape to the collector's history, every sample
+// stamped t — the session second. It is the history's only writer: call
+// it once per control second, and the retention horizon is
+// tsdb.SeriesCapacity control seconds, however often dashboards scrape.
+func (c *Collector) Record(t float64) {
+	c.store.Append(t, c.scrape()...)
+	c.records.Add(1)
 }
 
 // Recorded reports how many Record calls have landed — the readiness
 // signal for /healthz (503 until the first scrape is retained).
-func (c *Collector) Recorded() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.records
-}
+func (c *Collector) Recorded() uint64 { return c.records.Load() }
 
 // Handler returns the collector's HTTP surface:
 //
-//	/fleet/metrics     the WriteMetrics exposition; with a store attached,
-//	                   every scrape also appends to the retained history
-//	/fleet/query       range queries over the retained history (with a
-//	                   store attached; 404 otherwise)
-//	/healthz           readiness: 503 until the first scrape is recorded,
-//	                   200 after
+//	/fleet/metrics     the WriteMetrics exposition
+//	/fleet/query       range queries over the history Record keeps
+//	                   (tsdb.QueryHandler)
+//	/healthz           readiness: 503 until the first Record, 200 after
 //	/fleet/migrations  the stitched cross-replica migration trace;
 //	                   ?format=chrome (default; one process row per
 //	                   replica, loadable in Perfetto) or ?format=jsonl
 //	                   (one stitched migration per line)
 func (c *Collector) Handler() http.Handler {
 	mux := http.NewServeMux()
-	metrics := telemetry.MetricsHandler("", c.WriteMetrics)
-	mux.HandleFunc("/fleet/metrics", func(w http.ResponseWriter, r *http.Request) {
-		c.Record()
-		metrics.ServeHTTP(w, r)
-	})
-	c.mu.Lock()
-	st := c.store
-	c.mu.Unlock()
-	if st != nil {
-		mux.Handle("/fleet/query", tsdb.QueryHandler(st))
-	}
+	mux.Handle("/fleet/metrics", telemetry.MetricsHandler("", c.WriteMetrics))
+	mux.Handle("/fleet/query", tsdb.QueryHandler(c.store))
 	mux.Handle("/healthz", telemetry.ReadyHandler(func() bool { return c.Recorded() > 0 }))
 	mux.HandleFunc("/fleet/migrations", func(w http.ResponseWriter, r *http.Request) {
 		events := c.MigEvents()

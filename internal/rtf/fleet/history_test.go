@@ -8,34 +8,62 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"roia/internal/model"
 	"roia/internal/rtf/fleet"
 	"roia/internal/telemetry"
-	"roia/internal/telemetry/tsdb"
 )
 
-// testClock is a settable store clock for deterministic history tests.
-type testClock struct {
-	mu  sync.Mutex
-	sec float64
+// queryLine is one decoded /fleet/query JSONL line.
+type queryLine struct {
+	Family string            `json:"family"`
+	Labels map[string]string `json:"labels"`
+	Kind   string            `json:"kind"`
+	T      float64           `json:"t"`
+	V      float64           `json:"v"`
 }
 
-func (c *testClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Unix(0, int64(c.sec*1e9))
+// query GETs /fleet/query with the given parameters and decodes the lines.
+func query(t *testing.T, base, params string) []queryLine {
+	t.Helper()
+	resp, err := http.Get(base + "/fleet/query?" + params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query %s: status = %d: %s", params, resp.StatusCode, body)
+	}
+	var out []queryLine
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		if line == "" {
+			continue
+		}
+		var ql queryLine
+		if err := json.Unmarshal([]byte(line), &ql); err != nil {
+			t.Fatalf("bad JSONL %q: %v", line, err)
+		}
+		out = append(out, ql)
+	}
+	return out
 }
 
-func (c *testClock) Set(sec float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sec = sec
+// status GETs path and returns the response status.
+func status(t *testing.T, base, path string) int {
+	t.Helper()
+	resp, err := http.Get(base + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
-// TestCollectorRecordsHistory drives the collector with an injected-clock
-// store: every /fleet/metrics scrape must land one sample per series, and
-// /fleet/query must serve the retained range with aggregates.
+// TestCollectorRecordsHistory drives the collector's one history writer:
+// /fleet/metrics scrapes append nothing, every Record(t) lands one sample
+// per point stamped with the session second t, and /fleet/query serves
+// every family the scrape carries.
 func TestCollectorRecordsHistory(t *testing.T) {
 	h := newObsHarness(t)
 	for i := 0; i < 3; i++ {
@@ -45,149 +73,175 @@ func TestCollectorRecordsHistory(t *testing.T) {
 		h.step()
 	}
 
-	clk := &testClock{}
-	st := tsdb.NewStore(tsdb.Config{SeriesCapacity: 64, Now: clk.Now})
-	col := fleet.NewCollector(h.fl)
-	col.SetStore(st)
-	col.SetModel(tinyModel(t))
-	col.SetClientLatency(func() telemetry.LatencySnapshot {
-		return telemetry.LatencySnapshot{Count: 100, Violations: 2}
+	col := fleet.NewCollector(fleet.CollectorConfig{
+		Fleets: []*fleet.Fleet{h.fl},
+		Model:  tinyModel(t),
+		ClientLatency: func() telemetry.LatencySnapshot {
+			return telemetry.LatencySnapshot{Count: 100, Violations: 2}
+		},
 	})
 	ts := httptest.NewServer(col.Handler())
 	t.Cleanup(ts.Close)
 
-	// healthz must refuse before the first scrape is recorded.
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("healthz before first record: status = %d, want 503", resp.StatusCode)
-	}
-
-	// Three scrapes at t=1,2,3: each must append to the retained history.
-	for sec := 1; sec <= 3; sec++ {
-		clk.Set(float64(sec))
+	// Scrapes serve the model ceilings but do not record.
+	for i := 0; i < 2; i++ {
 		resp, err := http.Get(ts.URL + "/fleet/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if sec == 1 {
-			out := string(body)
-			for _, want := range []string{
-				"# TYPE roia_fleet_nmax gauge",
-				`roia_fleet_nmax{zone="1"}`,
-				`roia_fleet_lmax{zone="1"}`,
-			} {
-				if !strings.Contains(out, want) {
-					t.Fatalf("scrape with model attached missing %q:\n%s", want, out)
-				}
+		for _, want := range []string{
+			"# TYPE roia_fleet_nmax gauge",
+			`roia_fleet_nmax{zone="1"}`,
+			`roia_fleet_lmax{zone="1"}`,
+		} {
+			if !strings.Contains(string(body), want) {
+				t.Fatalf("scrape with a model missing %q:\n%s", want, body)
 			}
 		}
+	}
+	if got := col.Recorded(); got != 0 {
+		t.Fatalf("Recorded after two scrapes = %d, want 0: only Record writes history", got)
+	}
+	if got := query(t, ts.URL, "family=roia_fleet_ticks_total"); len(got) != 0 {
+		t.Fatalf("history after two scrapes = %+v, want none", got)
+	}
+	// healthz refuses before the first Record.
+	if code := status(t, ts.URL, "/healthz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz before the first record: status = %d, want 503", code)
+	}
+
+	// Three control seconds, session seconds 7, 8, 9.
+	for sec := 7; sec <= 9; sec++ {
+		col.Record(float64(sec))
 	}
 	if got := col.Recorded(); got != 3 {
 		t.Fatalf("Recorded = %d, want 3", got)
 	}
-
-	// healthz flips to ready after the first recorded scrape.
-	resp, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz after record: status = %d, want 200", resp.StatusCode)
+	if code := status(t, ts.URL, "/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after record: status = %d, want 200", code)
 	}
 
-	// The retained history serves range queries per replica.
-	resp, err = http.Get(ts.URL + "/fleet/query?family=roia_fleet_ticks_total&label=replica=server-1&since=10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query status = %d: %s", resp.StatusCode, body)
-	}
+	// The history serves range queries per replica, on the session clock.
 	var times []float64
-	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
-		var ql struct {
-			Labels map[string]string `json:"labels"`
-			Kind   string            `json:"kind"`
-			T      *float64          `json:"t"`
-			V      *float64          `json:"v"`
+	for _, ql := range query(t, ts.URL, "family=roia_fleet_ticks_total&label=replica=server-1&since=10") {
+		if ql.Labels["replica"] != "server-1" || ql.Labels["zone"] != "1" || ql.Kind != "counter" {
+			t.Fatalf("line = %+v, want counter {zone=1, replica=server-1}", ql)
 		}
-		if err := json.Unmarshal([]byte(line), &ql); err != nil {
-			t.Fatalf("bad JSONL %q: %v", line, err)
-		}
-		if ql.Labels["replica"] != "server-1" || ql.Labels["zone"] != "1" {
-			t.Fatalf("labels = %v", ql.Labels)
-		}
-		if ql.Kind != "counter" {
-			t.Fatalf("kind = %q, want counter", ql.Kind)
-		}
-		if ql.T != nil {
-			times = append(times, *ql.T)
-		}
+		times = append(times, ql.T)
 	}
-	if len(times) != 3 || times[0] != 1 || times[2] != 3 {
-		t.Fatalf("retained scrape timestamps = %v, want [1 2 3]", times)
+	if len(times) != 3 || times[0] != 7 || times[2] != 9 {
+		t.Fatalf("retained timestamps = %v, want the session seconds [7 8 9]", times)
+	}
+	// since counts back from the newest stamp, not from the wall clock.
+	if got := query(t, ts.URL, "family=roia_fleet_ticks_total&since=1"); len(got) != 2 {
+		t.Fatalf("since=1 back from second 9 = %d samples, want 2 (seconds 8, 9)", len(got))
 	}
 
-	// The client RTT SLI counters landed too.
-	if got := st.Query("roia_client_rtt_count", nil, 0, 0); len(got) != 1 || len(got[0].Samples) != 3 {
-		t.Fatalf("roia_client_rtt_count history = %+v, want 1 series with 3 samples", got)
-	}
-	// Model ceilings are recorded as gauges per zone.
-	if got := st.Query("roia_fleet_nmax", map[string]string{"zone": "1"}, 0, 0); len(got) != 1 {
-		t.Fatalf("roia_fleet_nmax history missing: %+v", got)
+	// Every family of the scrape is stored, the ones the old second list
+	// left out included.
+	for _, q := range []struct{ params, want string }{
+		{"family=roia_client_rtt_count", `"roia_client_rtt_count"`},
+		{"family=roia_fleet_nmax&label=zone=1", `"roia_fleet_nmax"`},
+		{"family=roia_fleet_tick_wall_q_ms&label=q=p999", "p999"},
+		{"family=roia_fleet_deadline_ms&label=replica=server-1", "server-1"},
+		{"family=roia_fleet_flightrec_captures_total", "server-1"},
+		{"family=roia_fleet_draining", "server-1"},
+		{"family=roia_fleet_migrations&label=state=incomplete", "incomplete"},
+		{"family=roia_client_rtt_ms&label=stat=p99", "p99"},
+	} {
+		got := query(t, ts.URL, q.params)
+		if len(got) != 3 {
+			t.Fatalf("%s: %d samples, want 3", q.params, len(got))
+		}
+		line, _ := json.Marshal(got[0])
+		if !strings.Contains(string(line), q.want) {
+			t.Fatalf("%s: %s, want %s", q.params, line, q.want)
+		}
 	}
 
-	// Bad query parameters are rejected, not served.
-	resp, err = http.Get(ts.URL + "/fleet/query?family=roia_fleet_ticks_total&since=-1")
-	if err != nil {
-		t.Fatal(err)
+	// Bad query parameters are rejected, not served; step is gone.
+	for _, params := range []string{"family=roia_fleet_ticks_total&since=-1", "family=roia_fleet_ticks_total&since=60&step=10"} {
+		if code := status(t, ts.URL, "/fleet/query?"+params); code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", params, code)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative since: status = %d, want 400", resp.StatusCode)
+
+	// Dashboards scrape and query while the control loop records, as in
+	// roiarms (run under -race).
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if err := col.WriteMetrics(io.Discard, ""); err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Get(ts.URL + "/fleet/query?family=roia_fleet_users")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("query during Record: status = %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	for sec := 10; sec < 30; sec++ {
+		col.Record(float64(sec))
+	}
+	wg.Wait()
+	if got := col.Recorded(); got != 23 {
+		t.Fatalf("Recorded = %d, want 23", got)
 	}
 }
 
-// TestCollectorWithoutStore pins the degraded surface: no /fleet/query
-// route, but scrapes still serve and still flip readiness.
-func TestCollectorWithoutStore(t *testing.T) {
-	h := newObsHarness(t)
-	col := fleet.NewCollector(h.fl)
-	ts := httptest.NewServer(col.Handler())
-	t.Cleanup(ts.Close)
+// TestSLOBurnOnSessionClock runs 400 control seconds of one replica in a
+// fraction of a wall second: every tick of the first minute misses the
+// deadline, none after it. On the session clock the 5 m burn window
+// (seconds 100..400) is clean while the 1 h window still holds the bad
+// minute; stamped with the wall clock, both windows would span the run.
+func TestSLOBurnOnSessionClock(t *testing.T) {
+	h := newTailHarness(t)
+	srv, _ := h.fl.Server("server-1")
+	col := fleet.NewCollector(fleet.CollectorConfig{Fleets: []*fleet.Fleet{h.fl}})
+	for sec := 0; sec < 400; sec++ {
+		wall := 2.0
+		if sec < 60 {
+			wall = 50
+		}
+		for tick := 0; tick < 25; tick++ {
+			srv.FlightRecorder().Record(telemetry.TickRecord{WallMS: wall, DeadlineMS: 40, Users: 1})
+		}
+		col.Record(float64(sec))
+	}
+	var b strings.Builder
+	if err := col.WriteMetrics(&b, ""); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if burn := metricValue(t, out, "roia_slo_burn_rate", `slo="tick_deadline",window="5m"`); burn != 0 {
+		t.Fatalf("5m burn = %g, want 0: the last 300 session seconds were clean", burn)
+	}
+	if burn := metricValue(t, out, "roia_slo_burn_rate", `slo="tick_deadline",window="1h"`); burn <= 0 {
+		t.Fatalf("1h burn = %g, want > 0: the bad first minute is inside the hour", burn)
+	}
+}
 
-	resp, err := http.Get(ts.URL + "/fleet/query?family=roia_fleet_ticks_total")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("query without store: status = %d, want 404", resp.StatusCode)
-	}
-	// Scrapes still work and still count as records for readiness.
-	resp, err = http.Get(ts.URL + "/fleet/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics status = %d", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz after a scrape: status = %d, want 200", resp.StatusCode)
-	}
+// newSessionCollector wires a collector the way roiarms -fleet-metrics
+// does: the model ceilings, the client RTT source, the retained history
+// and its two SLOs.
+func newSessionCollector(fl *fleet.Fleet, mdl *model.Model, rtt *telemetry.Latency) *fleet.Collector {
+	return fleet.NewCollector(fleet.CollectorConfig{
+		Fleets:        []*fleet.Fleet{fl},
+		Model:         mdl,
+		ClientLatency: rtt.Snapshot,
+	})
 }

@@ -130,9 +130,9 @@ func TestClientRTTAndDeadlinesOnFleetMetrics(t *testing.T) {
 		t.Fatal("no RTTs measured under 30% loss")
 	}
 
-	col := fleet.NewCollector(fl)
-	col.AddMetrics(func(w io.Writer, labels string) error {
-		return clientRTT().WriteMetrics(w, "roia_client_rtt", labels)
+	col := fleet.NewCollector(fleet.CollectorConfig{
+		Fleets:        []*fleet.Fleet{fl},
+		ClientLatency: func() telemetry.LatencySnapshot { return clientRTT().Snapshot() },
 	})
 	ts := httptest.NewServer(col.Handler())
 	t.Cleanup(ts.Close)
@@ -297,18 +297,12 @@ func TestTaskDriftFlagsInjectedNPCSlowdown(t *testing.T) {
 		t.Fatalf("t_npc drift = %+v, want it saturated low (the model underpredicts)", s)
 	}
 
-	// And the per-task drift gauges export through the fleet scrape.
-	col := fleet.NewCollector(fl)
-	col.AddMetrics(drift.WriteMetrics)
-	ts := httptest.NewServer(col.Handler())
-	t.Cleanup(ts.Close)
-	resp, err := http.Get(ts.URL + "/fleet/metrics")
-	if err != nil {
+	// And the per-task drift gauges export what the rows hold.
+	var b strings.Builder
+	if err := drift.WriteMetrics(&b, ""); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	out := string(body)
+	out := b.String()
 	meas := metricValue(t, out, "roia_model_task_measured_ms", `task="t_npc"`)
 	pred := metricValue(t, out, "roia_model_task_predicted_ms", `task="t_npc"`)
 	if meas <= 8*pred {

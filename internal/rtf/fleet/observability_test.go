@@ -341,7 +341,7 @@ func TestCollectorServesFleetMetrics(t *testing.T) {
 		h.step()
 	}
 
-	col := fleet.NewCollector(h.fl)
+	col := fleet.NewCollector(fleet.CollectorConfig{Fleets: []*fleet.Fleet{h.fl}})
 	ts := httptest.NewServer(col.Handler())
 	t.Cleanup(ts.Close)
 
@@ -405,7 +405,7 @@ func TestCollectorServesFleetMetrics(t *testing.T) {
 
 func TestCollectorServeGracefulShutdown(t *testing.T) {
 	h := newObsHarness(t)
-	col := fleet.NewCollector(h.fl)
+	col := fleet.NewCollector(fleet.CollectorConfig{Fleets: []*fleet.Fleet{h.fl}})
 	ctx, cancel := context.WithCancel(context.Background())
 	addr, err := col.Serve(ctx, "127.0.0.1:0")
 	if err != nil {

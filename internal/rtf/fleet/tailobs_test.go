@@ -45,7 +45,7 @@ func TestFleetTailMetricsExposition(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		h.step()
 	}
-	c := fleet.NewCollector(h.fl)
+	c := fleet.NewCollector(fleet.CollectorConfig{Fleets: []*fleet.Fleet{h.fl}})
 	var b strings.Builder
 	if err := c.WriteMetrics(&b, ""); err != nil {
 		t.Fatal(err)

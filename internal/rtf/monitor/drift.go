@@ -44,13 +44,18 @@ type Drift struct {
 // span that processed items at (n, m) against its per-item cost. Because
 // no record is compared with the model at another record's workload, a
 // model that is exactly right reads zero drift while n changes. Records of
-// several replicas may be pooled. A record without a replica count l is
-// not compared in total.
+// several replicas may be pooled. An idle record (n = 0 and m = 0, where
+// the model predicts T = 0) is not compared, so an empty zone cannot read
+// as −100 % drift; a record without a replica count l is not compared in
+// total.
 func ModelDrift(mdl *model.Model, recs []telemetry.TickRecord) Drift {
 	var tick driftAcc
 	var tasks [numTasks]driftAcc
 	for i := range recs {
 		r := &recs[i]
+		if r.Users == 0 && r.NPCs == 0 {
+			continue
+		}
 		if r.Replicas > 0 {
 			tick.add(mdl.TickTimeUneven(r.Replicas, r.Users, r.NPCs, r.ActiveUsers), r.WallMS)
 		}

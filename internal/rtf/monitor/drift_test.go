@@ -76,6 +76,40 @@ func TestModelDriftExactModelWhileUsersRamp(t *testing.T) {
 	}
 }
 
+// TestModelDriftSkipsIdleRecords: an empty zone (n = 0, m = 0) predicts
+// T = 0, so its ticks would read −100 % drift against any measured wall.
+// 25 idle records ahead of records that match the model read zero drift,
+// and a ring of idle records alone compares nothing.
+func TestModelDriftSkipsIdleRecords(t *testing.T) {
+	mdl, err := model.New(params.RTFDemo(), 40, params.CDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []telemetry.TickRecord
+	for i := 0; i < 25; i++ {
+		recs = append(recs, telemetry.TickRecord{Replicas: 1, WallMS: 0.01,
+			Tasks: []telemetry.Span{{Name: "t_su", DurMS: 0.001, Items: 1}}})
+	}
+	if d := ModelDrift(mdl, recs); d.Tick.Samples != 0 || d.Tasks[SU].Samples != 0 {
+		t.Fatalf("idle records compared: tick %+v, t_su %+v", d.Tick, d.Tasks[SU])
+	}
+	const l, m = 1, 20
+	for n := 10; n <= 200; n += 10 {
+		recs = append(recs, telemetry.TickRecord{Users: n, ActiveUsers: n, NPCs: m, Replicas: l,
+			WallMS: mdl.TickTimeUneven(l, n, m, n),
+			Tasks:  []telemetry.Span{{Name: "t_su", DurMS: SU.cost(mdl.Cost, n, m) * 3, Items: 3}}})
+	}
+	d := ModelDrift(mdl, recs)
+	for name, s := range map[string]DriftStat{"tick": d.Tick, "t_su": d.Tasks[SU]} {
+		if s.Samples != 20 {
+			t.Fatalf("%s compared %d records, want the 20 busy ones", name, s.Samples)
+		}
+		if math.Abs(s.ErrRatio) > 1e-9 || s.WorstRatio > 1e-9 {
+			t.Fatalf("%s drift = %+v, want 0 for records that match the model", name, s)
+		}
+	}
+}
+
 func TestModelDriftComparesEachRecord(t *testing.T) {
 	d := seededDrift(t)
 	if want := (DriftStat{Samples: 2, PredictedMS: 4, MeasuredMS: 5, ErrRatio: -0.2, MeanAbsRatio: 0.75, WorstRatio: 1}); d.Tick != want {

@@ -150,7 +150,8 @@ type Sample struct {
 }
 
 // Monitor keeps one server's latest tick breakdown and, while collecting,
-// the calibration sample and traffic logs (capped at SampleLimit). Monitor
+// the calibration sample and traffic logs (capped at DefaultSampleLimit
+// entries each). Monitor
 // is safe for concurrent use: the real-time loop records while the
 // calibration and the fleet read.
 type Monitor struct {
@@ -160,10 +161,9 @@ type Monitor struct {
 	samples []Sample
 	// traffic holds (users, bytesIn, bytesOut) per tick while collecting.
 	traffic []TrafficSample
-	// sampleLimit caps samples and traffic; excess observations are counted
-	// in dropped instead of growing memory without bound.
-	sampleLimit int
-	dropped     uint64
+	// dropped counts the observations refused because their log was at
+	// DefaultSampleLimit, instead of growing memory without bound.
+	dropped uint64
 
 	lastBreak Breakdown
 }
@@ -184,27 +184,15 @@ const DefaultSampleLimit = 1 << 20
 
 // New returns a Monitor that is not collecting.
 func New() *Monitor {
-	return &Monitor{sampleLimit: DefaultSampleLimit}
+	return &Monitor{}
 }
 
 // SetCollecting toggles calibration sample collection (off by default: the
-// sample log grows up to the configured SampleLimit while enabled).
+// sample log grows up to DefaultSampleLimit while enabled).
 func (m *Monitor) SetCollecting(on bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.collect = on
-}
-
-// SetSampleLimit caps the calibration sample and traffic logs at limit
-// entries each; observations beyond the cap are counted by DroppedSamples
-// instead of stored. A non-positive limit restores DefaultSampleLimit.
-func (m *Monitor) SetSampleLimit(limit int) {
-	if limit <= 0 {
-		limit = DefaultSampleLimit
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sampleLimit = limit
 }
 
 // DroppedSamples reports how many calibration observations were discarded
@@ -227,7 +215,7 @@ func (m *Monitor) RecordTick(b Breakdown) {
 	// not shrink when a parallel tick spreads the work over workers.
 	for t := Task(0); t < numTasks; t++ {
 		if per, ok := b.PerItem(t); ok {
-			if len(m.samples) < m.sampleLimit {
+			if len(m.samples) < DefaultSampleLimit {
 				m.samples = append(m.samples, Sample{Task: t, X: float64(b.Users), Y: per})
 			} else {
 				m.dropped++
@@ -235,7 +223,7 @@ func (m *Monitor) RecordTick(b Breakdown) {
 		}
 	}
 	if b.BytesIn > 0 || b.BytesOut > 0 {
-		if len(m.traffic) < m.sampleLimit {
+		if len(m.traffic) < DefaultSampleLimit {
 			m.traffic = append(m.traffic, TrafficSample{Users: b.Users, BytesIn: b.BytesIn, BytesOut: b.BytesOut})
 		} else {
 			m.dropped++
@@ -263,17 +251,4 @@ func (m *Monitor) Samples() []Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]Sample(nil), m.samples...)
-}
-
-// SamplesFor returns a copy of the calibration samples of one task.
-func (m *Monitor) SamplesFor(t Task) []Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Sample
-	for _, s := range m.samples {
-		if s.Task == t {
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -74,12 +74,6 @@ func TestMonitorSampleCollection(t *testing.T) {
 	if s := samples[0]; s.Task != UA || s.X != 50 || s.Y != 0.5 {
 		t.Fatalf("sample = %+v", s)
 	}
-	if got := m.SamplesFor(SU); len(got) != 0 {
-		t.Fatal("SamplesFor returned wrong task samples")
-	}
-	if got := m.SamplesFor(UA); len(got) != 1 {
-		t.Fatal("SamplesFor missed UA sample")
-	}
 }
 
 func TestMonitorConcurrentAccess(t *testing.T) {
@@ -112,39 +106,43 @@ func TestMonitorConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestMonitorSampleLimit fills both logs to DefaultSampleLimit: what
+// arrives after is counted by DroppedSamples, not stored.
 func TestMonitorSampleLimit(t *testing.T) {
 	m := New()
 	m.SetCollecting(true)
-	m.SetSampleLimit(5)
-	for i := 0; i < 10; i++ {
-		var b Breakdown
-		b.Users = i
-		b.Add(UA, 1, 1) // one calibration sample per tick
+	// Nine calibration samples per tick, one per task.
+	var b Breakdown
+	for task := Task(0); task < numTasks; task++ {
+		b.Add(task, 1, 1)
+	}
+	ticks := DefaultSampleLimit/int(numTasks) + 2
+	for i := 0; i < ticks; i++ {
 		m.RecordTick(b)
 	}
-	if got := len(m.Samples()); got != 5 {
-		t.Fatalf("samples = %d, want 5 (capped)", got)
+	if got := len(m.Samples()); got != DefaultSampleLimit {
+		t.Fatalf("samples = %d, want %d (capped)", got, DefaultSampleLimit)
 	}
-	if got := m.DroppedSamples(); got != 5 {
-		t.Fatalf("dropped = %d, want 5", got)
+	wantDropped := uint64(ticks*int(numTasks) - DefaultSampleLimit)
+	if got := m.DroppedSamples(); got != wantDropped {
+		t.Fatalf("dropped = %d, want %d", got, wantDropped)
 	}
-	// Traffic log shares the limit but counts separately against it.
-	for i := 0; i < 8; i++ {
-		var b Breakdown
-		b.BytesIn = 100
-		m.RecordTick(b)
+	// The traffic log has its own cap at the same limit.
+	var tb Breakdown
+	tb.BytesIn = 100
+	for i := 0; i < DefaultSampleLimit+3; i++ {
+		m.RecordTick(tb)
 	}
-	if got := len(m.TrafficSamples()); got != 5 {
-		t.Fatalf("traffic samples = %d, want 5 (capped)", got)
+	if got := len(m.TrafficSamples()); got != DefaultSampleLimit {
+		t.Fatalf("traffic samples = %d, want %d (capped)", got, DefaultSampleLimit)
 	}
-	if got := m.DroppedSamples(); got != 8 {
-		t.Fatalf("dropped = %d, want 8 (5 task + 3 traffic)", got)
+	if got := m.DroppedSamples(); got != wantDropped+3 {
+		t.Fatalf("dropped = %d, want %d (task + 3 traffic)", got, wantDropped+3)
 	}
 }
 
 func TestMonitorSampleLimitDefault(t *testing.T) {
 	m := New()
-	m.SetSampleLimit(0) // restores the default
 	m.SetCollecting(true)
 	var b Breakdown
 	b.Add(UA, 1, 1)
@@ -179,8 +177,8 @@ func TestCPUWallSplit(t *testing.T) {
 	if per, ok := last.PerItem(AOI); !ok || per != 3 {
 		t.Fatalf("PerItem(AOI) = %v, %v; per-item cost must stay CPU-based", per, ok)
 	}
-	if got := m.SamplesFor(AOI); len(got) != 1 || got[0].Y != 3 {
-		t.Fatalf("calibration samples = %+v, want one CPU-based per-item cost of 3", got)
+	if got := m.Samples(); len(got) != 2 || got[0].Task != AOI || got[0].Y != 3 || got[1].Task != SU || got[1].Y != 1 {
+		t.Fatalf("calibration samples = %+v, want CPU-based per-item costs AOI 3 and SU 1", got)
 	}
 
 	// Legacy breakdown without WallMS: Wall() falls back to Total().

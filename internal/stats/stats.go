@@ -1,7 +1,7 @@
 // Package stats provides the lightweight measurement plumbing used across
-// the repository: summaries of float samples, fixed-capacity sample
-// reservoirs for per-tick monitoring, time series for experiment output,
-// and CSV / ASCII-chart rendering for the figure reproductions.
+// the repository: summaries and nearest-rank percentiles of float samples,
+// time series for experiment output, and CSV / ASCII-chart rendering for
+// the figure reproductions.
 package stats
 
 import (
@@ -74,57 +74,4 @@ func Percentile(sorted []float64, p float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d min=%.3f mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f sd=%.3f",
 		s.Count, s.Min, s.Mean, s.P50, s.P95, s.P99, s.Max, s.StdDev)
-}
-
-// Reservoir is a fixed-capacity ring buffer of float64 samples. Once full,
-// new samples overwrite the oldest ones. It is what the per-tick monitor
-// uses to keep a bounded history of task timings. Reservoir is not safe for
-// concurrent use; callers synchronize externally.
-type Reservoir struct {
-	buf  []float64
-	next int
-	full bool
-}
-
-// NewReservoir returns a reservoir that keeps the last capacity samples.
-// Capacity must be positive.
-func NewReservoir(capacity int) *Reservoir {
-	if capacity <= 0 {
-		panic("stats: reservoir capacity must be positive")
-	}
-	return &Reservoir{buf: make([]float64, 0, capacity)}
-}
-
-// Add records a sample, evicting the oldest if the reservoir is full.
-func (r *Reservoir) Add(v float64) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, v)
-		return
-	}
-	r.full = true
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % cap(r.buf)
-}
-
-// Len reports the number of stored samples.
-func (r *Reservoir) Len() int { return len(r.buf) }
-
-// Snapshot returns a copy of the stored samples in unspecified order.
-func (r *Reservoir) Snapshot() []float64 {
-	return append([]float64(nil), r.buf...)
-}
-
-// Summary summarizes the stored samples.
-func (r *Reservoir) Summary() Summary { return Summarize(r.buf) }
-
-// Mean returns the mean of the stored samples (0 when empty).
-func (r *Reservoir) Mean() float64 {
-	if len(r.buf) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range r.buf {
-		sum += v
-	}
-	return sum / float64(len(r.buf))
 }

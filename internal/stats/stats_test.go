@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -72,52 +71,6 @@ func TestSummaryPercentileOrderProperty(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestReservoirBasics(t *testing.T) {
-	r := NewReservoir(3)
-	if r.Len() != 0 || r.Mean() != 0 {
-		t.Fatal("fresh reservoir not empty")
-	}
-	r.Add(1)
-	r.Add(2)
-	if r.Len() != 2 || r.Mean() != 1.5 {
-		t.Fatalf("len=%d mean=%g", r.Len(), r.Mean())
-	}
-	r.Add(3)
-	r.Add(4) // evicts 1
-	got := r.Snapshot()
-	sort.Float64s(got)
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("snapshot = %v, want %v", got, want)
-		}
-	}
-	if r.Summary().Count != 3 {
-		t.Fatal("summary count wrong")
-	}
-}
-
-func TestReservoirEvictionOrder(t *testing.T) {
-	r := NewReservoir(2)
-	for i := 1; i <= 10; i++ {
-		r.Add(float64(i))
-	}
-	got := r.Snapshot()
-	sort.Float64s(got)
-	if got[0] != 9 || got[1] != 10 {
-		t.Fatalf("kept %v, want the two most recent [9 10]", got)
-	}
-}
-
-func TestReservoirPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for capacity 0")
-		}
-	}()
-	NewReservoir(0)
 }
 
 func TestSeriesAndTableCSV(t *testing.T) {

@@ -1,11 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-	"io"
-	"strings"
-	"sync"
-)
+import "sync"
 
 // Latency is a concurrent-safe latency recorder: a LogHistogram plus QoS
 // deadline accounting. The deadline is the response-time contract of the
@@ -101,40 +96,4 @@ func (l *Latency) Merge(o *Latency) {
 	defer l.mu.Unlock()
 	l.hist.Merge(hist)
 	l.violations += violations
-}
-
-// WriteMetrics writes the recorder's state as one Prometheus family group
-// under the given name:
-//
-//	<name>_ms{stat="p50"|"p95"|"p99"|"p999"|"max"|"mean"}  quantile gauges
-//	<name>_count                                           observations
-//	<name>_deadline_ms                                     QoS deadline
-//	<name>_deadline_violations_total                       observations past it
-func (l *Latency) WriteMetrics(w io.Writer, name, labels string) error {
-	s := l.Snapshot()
-	lbl := FormatLabels(labels, "")
-	var b strings.Builder
-	fmt.Fprintf(&b, "# TYPE %s_ms gauge\n", name)
-	for _, st := range []struct {
-		name string
-		v    float64
-	}{
-		{"p50", s.P50}, {"p95", s.P95}, {"p99", s.P99}, {"p999", s.P999},
-		{"max", s.MaxMS}, {"mean", s.MeanMS},
-	} {
-		fmt.Fprintf(&b, "%s_ms%s %g\n", name, FormatLabels(labels, fmt.Sprintf("stat=%q", st.name)), st.v)
-	}
-	fmt.Fprintf(&b, "# TYPE %s_count counter\n%s_count%s %d\n", name, name, lbl, s.Count)
-	fmt.Fprintf(&b, "# TYPE %s_deadline_ms gauge\n%s_deadline_ms%s %g\n", name, name, lbl, s.DeadlineMS)
-	fmt.Fprintf(&b, "# TYPE %s_deadline_violations_total counter\n%s_deadline_violations_total%s %d\n", name, name, lbl, s.Violations)
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// LatencyMetrics adapts a Latency to the MetricsWriter shape under the
-// given family name, for composition into /metrics or /fleet/metrics.
-func LatencyMetrics(name string, l *Latency) MetricsWriter {
-	return func(w io.Writer, labels string) error {
-		return l.WriteMetrics(w, name, labels)
-	}
 }

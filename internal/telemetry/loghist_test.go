@@ -273,25 +273,3 @@ func TestLatencyMerge(t *testing.T) {
 		t.Fatalf("merged count=%d violations=%d, want 3/2", s.Count, s.Violations)
 	}
 }
-
-func TestLatencyWriteMetrics(t *testing.T) {
-	l := NewLatency(40)
-	l.Observe(10)
-	l.Observe(90)
-	var sb strings.Builder
-	if err := l.WriteMetrics(&sb, "roia_client_rtt", `zone="0"`); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`roia_client_rtt_ms{zone="0",stat="p99"}`,
-		`roia_client_rtt_count{zone="0"} 2`,
-		`roia_client_rtt_deadline_ms{zone="0"} 40`,
-		`roia_client_rtt_deadline_violations_total{zone="0"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	assertExposition(t, out)
-}

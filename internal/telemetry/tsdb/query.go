@@ -22,15 +22,13 @@ const (
 // touches the store.
 var familyPattern = regexp.MustCompile(`^(roia|fleet)_[a-z0-9_]+$`)
 
-// queryLine is one JSONL line of a /fleet/query response: either a raw
-// sample (T/V set) or, when step > 0, a windowed aggregate (Agg set).
+// queryLine is one JSONL line of a /fleet/query response: one raw sample.
 type queryLine struct {
 	Family string            `json:"family"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Kind   string            `json:"kind"`
-	T      *float64          `json:"t,omitempty"`
-	V      *float64          `json:"v,omitempty"`
-	Agg    *WindowAgg        `json:"agg,omitempty"`
+	T      float64           `json:"t"`
+	V      float64           `json:"v"`
 }
 
 // QueryHandler serves range queries over the store as JSONL (the
@@ -38,16 +36,14 @@ type queryLine struct {
 //
 //	family  required; the metric family to read (roia_/fleet_ grammar)
 //	label   repeatable k=v matchers; a series must carry every pair
-//	since   lookback window in seconds from the store clock's now
-//	        (default 300, max 86400)
-//	step    aggregation window in seconds; when > 0 each series
-//	        additionally gets windowed aggregate lines (rate and increase
-//	        for counters; avg/max and LogHistogram p50/p90/p99 for gauges)
+//	since   lookback window in seconds back from the store's now, the
+//	        newest stamp (default 300, max 86400)
 //
 // Every parameter is validated with the shared telemetry helpers: a
-// malformed value is a 400, never a silent default. One JSON object per
-// line: raw samples first (chronological per series), then the aggregate
-// lines, series ordered by canonical label key.
+// malformed value is a 400, never a silent default, and so is step — the
+// endpoint serves raw samples only, there are no windowed aggregates. One
+// JSON object per sample, chronological per series, series ordered by
+// canonical label key.
 func QueryHandler(st *Store) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -78,40 +74,21 @@ func QueryHandler(st *Store) http.Handler {
 			http.Error(w, fmt.Sprintf("query: since must be in (0, %d] seconds", MaxQuerySinceSec), http.StatusBadRequest)
 			return
 		}
-		step, err := telemetry.QueryFloatParam(q, "step", 0)
-		if err != nil {
-			http.Error(w, "query: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if step > since {
-			http.Error(w, "query: step must not exceed since", http.StatusBadRequest)
+		if q.Has("step") {
+			http.Error(w, "query: step is not supported; /fleet/query serves raw samples", http.StatusBadRequest)
 			return
 		}
 
-		now := st.NowSec()
-		from := now - since
-		series := st.Query(family, match, from, now)
+		now := st.Now()
+		series := st.Query(family, match, now-since, now)
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc := json.NewEncoder(w)
 		for _, sd := range series {
 			for _, s := range sd.Samples {
-				t, v := s.T, s.V
 				if err := enc.Encode(queryLine{
-					Family: sd.Family, Labels: sd.Labels, Kind: sd.Kind.String(), T: &t, V: &v,
+					Family: sd.Family, Labels: sd.Labels, Kind: sd.Kind.String(), T: s.T, V: s.V,
 				}); err != nil {
 					return // client went away; nothing useful to report
-				}
-			}
-		}
-		if step > 0 {
-			for _, sd := range series {
-				for _, agg := range Aggregate(sd, from, now, step) {
-					a := agg
-					if err := enc.Encode(queryLine{
-						Family: sd.Family, Labels: sd.Labels, Kind: sd.Kind.String(), Agg: &a,
-					}); err != nil {
-						return
-					}
 				}
 			}
 		}

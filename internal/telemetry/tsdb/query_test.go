@@ -9,26 +9,26 @@ import (
 )
 
 func TestQueryHandlerValidation(t *testing.T) {
-	st, clk := newTestStore(16)
-	clk.Set(100)
+	st := NewStore()
+	appendAt(st, 100, "roia_x", Gauge, 1)
 	h := QueryHandler(st)
 	cases := []struct {
 		url  string
 		code int
 	}{
-		{"/fleet/query", http.StatusBadRequest},                                     // family required
-		{"/fleet/query?family=Robots;DROP", http.StatusBadRequest},                  // grammar
-		{"/fleet/query?family=http_requests", http.StatusBadRequest},                // wrong prefix
-		{"/fleet/query?family=roia_x&since=abc", http.StatusBadRequest},             // non-numeric
-		{"/fleet/query?family=roia_x&since=-5", http.StatusBadRequest},              // negative
-		{"/fleet/query?family=roia_x&since=1e300", http.StatusBadRequest},           // over the cap
-		{"/fleet/query?family=roia_x&since=NaN", http.StatusBadRequest},             // NaN
-		{"/fleet/query?family=roia_x&step=nope", http.StatusBadRequest},             // bad step
-		{"/fleet/query?family=roia_x&since=10&step=20", http.StatusBadRequest},      // step > since
-		{"/fleet/query?family=roia_x&label=broken", http.StatusBadRequest},          // label not k=v
-		{"/fleet/query?family=roia_x", http.StatusOK},                               // empty result is fine
-		{"/fleet/query?family=roia_x&since=60&step=10&label=zone=1", http.StatusOK}, // fully specified
-		{"/fleet/query?family=fleet_y&since=0.5", http.StatusOK},                    // fleet_ prefix ok
+		{"/fleet/query", http.StatusBadRequest},                                // family required
+		{"/fleet/query?family=Robots;DROP", http.StatusBadRequest},             // grammar
+		{"/fleet/query?family=http_requests", http.StatusBadRequest},           // wrong prefix
+		{"/fleet/query?family=roia_x&since=abc", http.StatusBadRequest},        // non-numeric
+		{"/fleet/query?family=roia_x&since=-5", http.StatusBadRequest},         // negative
+		{"/fleet/query?family=roia_x&since=1e300", http.StatusBadRequest},      // over the cap
+		{"/fleet/query?family=roia_x&since=NaN", http.StatusBadRequest},        // NaN
+		{"/fleet/query?family=roia_x&step=nope", http.StatusBadRequest},        // step is gone
+		{"/fleet/query?family=roia_x&since=60&step=10", http.StatusBadRequest}, // step is gone
+		{"/fleet/query?family=roia_x&label=broken", http.StatusBadRequest},     // label not k=v
+		{"/fleet/query?family=roia_y", http.StatusOK},                          // empty result is fine
+		{"/fleet/query?family=roia_x&since=60&label=zone=1", http.StatusOK},    // fully specified
+		{"/fleet/query?family=fleet_y&since=0.5", http.StatusOK},               // fleet_ prefix ok
 	}
 	for _, tc := range cases {
 		req := httptest.NewRequest("GET", tc.url, nil)
@@ -40,28 +40,17 @@ func TestQueryHandlerValidation(t *testing.T) {
 	}
 }
 
-// TestQueryHandlerRangeAggregates is the acceptance fixture: an
-// injected-clock store with known samples, whose /fleet/query aggregates
-// must match hand-computed values.
-func TestQueryHandlerRangeAggregates(t *testing.T) {
-	st, clk := newTestStore(64)
-	// Gauge: tick p99 per zone, 1 Hz for 20 s. Zone 1 is flat 4 ms then
-	// spikes to 12 ms for the last 10 s; zone 2 stays at 2 ms.
+// TestQueryHandlerRawSamples pins /fleet/query's JSONL: one line per raw
+// sample, chronological per series, selected by label and by a lookback
+// measured back from the store's newest stamp.
+func TestQueryHandlerRawSamples(t *testing.T) {
+	st := NewStore()
 	for i := 1; i <= 20; i++ {
-		v := 4.0
-		if i > 10 {
-			v = 12.0
-		}
-		st.AppendAt(float64(i), "roia_fleet_tick_wall_q_ms", map[string]string{"zone": "1", "q": "p99"}, Gauge, v)
-		st.AppendAt(float64(i), "roia_fleet_tick_wall_q_ms", map[string]string{"zone": "2", "q": "p99"}, Gauge, 2.0)
+		appendAt(st, float64(i), "roia_fleet_tick_wall_q_ms", Gauge, float64(i), "zone", "1", "q", "p99")
+		appendAt(st, float64(i), "roia_fleet_tick_wall_q_ms", Gauge, 2, "zone", "2", "q", "p99")
 	}
-	// Counter: ticks per replica, +25/s.
-	for i := 0; i <= 20; i++ {
-		st.AppendAt(float64(i), "roia_fleet_ticks_total", map[string]string{"zone": "1", "replica": "r1"}, Counter, float64(25*i))
-	}
-	clk.Set(20)
 
-	req := httptest.NewRequest("GET", "/fleet/query?family=roia_fleet_tick_wall_q_ms&label=zone=1&since=20&step=10", nil)
+	req := httptest.NewRequest("GET", "/fleet/query?family=roia_fleet_tick_wall_q_ms&label=zone=1&since=5", nil)
 	rec := httptest.NewRecorder()
 	QueryHandler(st).ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -70,73 +59,31 @@ func TestQueryHandlerRangeAggregates(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	var samples int
-	var aggs []WindowAgg
+	var times []float64
 	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
 		var ql struct {
 			Family string            `json:"family"`
 			Labels map[string]string `json:"labels"`
 			Kind   string            `json:"kind"`
 			T      *float64          `json:"t"`
-			Agg    *WindowAgg        `json:"agg"`
+			V      *float64          `json:"v"`
 		}
 		if err := json.Unmarshal([]byte(line), &ql); err != nil {
 			t.Fatalf("bad JSONL line %q: %v", line, err)
 		}
-		if ql.Labels["zone"] != "1" {
-			t.Fatalf("zone filter leaked: %q", line)
+		if ql.Family != "roia_fleet_tick_wall_q_ms" || ql.Labels["zone"] != "1" || ql.Labels["q"] != "p99" {
+			t.Fatalf("series filter leaked: %q", line)
 		}
 		if ql.Kind != "gauge" {
 			t.Errorf("kind = %q, want gauge", ql.Kind)
 		}
-		switch {
-		case ql.T != nil:
-			samples++
-		case ql.Agg != nil:
-			aggs = append(aggs, *ql.Agg)
+		if ql.T == nil || ql.V == nil || *ql.T != *ql.V {
+			t.Fatalf("line %q: want a raw sample with v = t", line)
 		}
+		times = append(times, *ql.T)
 	}
-	if samples != 20 {
-		t.Errorf("raw samples = %d, want 20", samples)
-	}
-	if len(aggs) != 2 {
-		t.Fatalf("aggregate windows = %d, want 2", len(aggs))
-	}
-	// Window (0,10]: ten 4 ms samples → avg 4, max 4. Window (10,20]: ten
-	// 12 ms samples → avg 12, max 12.
-	if aggs[0].Count != 10 || aggs[0].Avg != 4 || aggs[0].Max != 4 {
-		t.Errorf("window 1 = %+v, want count=10 avg=4 max=4", aggs[0])
-	}
-	if aggs[1].Count != 10 || aggs[1].Avg != 12 || aggs[1].Max != 12 {
-		t.Errorf("window 2 = %+v, want count=10 avg=12 max=12", aggs[1])
-	}
-
-	// Counter rate: 25 ticks/s in every full window.
-	req = httptest.NewRequest("GET", "/fleet/query?family=roia_fleet_ticks_total&since=20&step=5", nil)
-	rec = httptest.NewRecorder()
-	QueryHandler(st).ServeHTTP(rec, req)
-	var rates []float64
-	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
-		var ql struct {
-			Kind string     `json:"kind"`
-			Agg  *WindowAgg `json:"agg"`
-		}
-		if err := json.Unmarshal([]byte(line), &ql); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
-		}
-		if ql.Agg != nil {
-			if ql.Kind != "counter" {
-				t.Errorf("kind = %q, want counter", ql.Kind)
-			}
-			rates = append(rates, ql.Agg.Rate)
-		}
-	}
-	if len(rates) != 4 {
-		t.Fatalf("counter windows = %d, want 4", len(rates))
-	}
-	for i, r := range rates {
-		if r != 25 {
-			t.Errorf("window %d rate = %g, want 25 ticks/s", i, r)
-		}
+	// since=5 back from the newest stamp 20 covers [15, 20].
+	if len(times) != 6 || times[0] != 15 || times[5] != 20 {
+		t.Fatalf("sample times = %v, want 15..20", times)
 	}
 }

@@ -11,7 +11,6 @@ package tsdb
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"roia/internal/telemetry"
@@ -36,24 +35,24 @@ type SLO struct {
 	Objective float64
 	// Total and Bad select the event and violation counters.
 	Total, Bad Selector
-	// BudgetWindowSec is the rolling window the error budget is accounted
-	// over (default 6h — the slow burn rule's long window, so "budget
-	// exhausted" and "slow burn at 1×" agree).
-	BudgetWindowSec float64
 }
 
-// Burn-rate rule defaults: the Google SRE workbook's two-window pairs,
-// scaled to a 6h budget horizon. The fast pair pages on a budget-destroying
-// burst (14.4× burn: a 30-day budget gone in 2 days, or here a 6h budget
-// gone in 25 minutes); the slow pair warns on a sustained bleed.
+// Burn-rate windows and thresholds: the Google SRE workbook's two-window
+// pairs, scaled to a 6h budget horizon. The fast pair pages on a
+// budget-destroying burst (14.4× burn: a 30-day budget gone in 2 days, or
+// here a 6h budget gone in 25 minutes); the slow pair warns on a sustained
+// bleed. The error budget is accounted over BudgetWindowSec, the slow
+// rule's long window, so "budget exhausted" and "slow burn at 1×" agree.
+// Windows are in seconds of the store's clock; a window longer than the
+// retained history (SeriesCapacity samples) reads all of it.
 const (
-	DefaultFastShortSec  = 5 * 60
-	DefaultFastLongSec   = 3600
-	DefaultFastThreshold = 14.4
-	DefaultSlowShortSec  = 30 * 60
-	DefaultSlowLongSec   = 6 * 3600
-	DefaultSlowThreshold = 6
-	DefaultBudgetWindow  = 6 * 3600
+	FastShortSec    = 5 * 60
+	FastLongSec     = 3600
+	FastThreshold   = 14.4
+	SlowShortSec    = 30 * 60
+	SlowLongSec     = 6 * 3600
+	SlowThreshold   = 6
+	BudgetWindowSec = SlowLongSec
 )
 
 // Rule names exported by SLOEngine.Rules.
@@ -64,40 +63,16 @@ const (
 
 // SLOEngine evaluates SLOs against the store's retained counter history.
 // It is stateless between calls — every number is recomputed from the
-// store, so the engine inherits the store's bounded retention and injected
-// clock.
+// store, so the engine inherits the store's bounded retention and clock.
 type SLOEngine struct {
 	store *Store
 	slos  []SLO
-
-	// Burn windows and thresholds; zero fields take the defaults above.
-	FastShortSec, FastLongSec, FastThreshold float64
-	SlowShortSec, SlowLongSec, SlowThreshold float64
 }
 
-// NewSLOEngine returns an engine over the given SLOs (burn windows at the
-// defaults; override the exported fields before first use to tune them).
+// NewSLOEngine returns an engine over the given SLOs.
 func NewSLOEngine(st *Store, slos ...SLO) *SLOEngine {
-	e := &SLOEngine{
-		store:         st,
-		FastShortSec:  DefaultFastShortSec,
-		FastLongSec:   DefaultFastLongSec,
-		FastThreshold: DefaultFastThreshold,
-		SlowShortSec:  DefaultSlowShortSec,
-		SlowLongSec:   DefaultSlowLongSec,
-		SlowThreshold: DefaultSlowThreshold,
-	}
-	for _, s := range slos {
-		if s.BudgetWindowSec <= 0 {
-			s.BudgetWindowSec = DefaultBudgetWindow
-		}
-		e.slos = append(e.slos, s)
-	}
-	return e
+	return &SLOEngine{store: st, slos: slos}
 }
-
-// SLOs returns the declared objectives.
-func (e *SLOEngine) SLOs() []SLO { return append([]SLO(nil), e.slos...) }
 
 // IncreaseOver computes the reset-aware increase summed over every series
 // matching sel in the window (now-windowSec, now]. The sample at or before
@@ -124,6 +99,28 @@ func (e *SLOEngine) IncreaseOver(sel Selector, windowSec, now float64) float64 {
 	return total
 }
 
+// Increase computes the reset-aware increase of a cumulative counter over
+// the given chronological samples: the sum of the positive deltas, with a
+// decrease read as a restart contributing the new value (the Prometheus
+// increase() convention). Fewer than two samples yield 0 — no
+// extrapolation is attempted.
+func Increase(samples []Sample) float64 {
+	if len(samples) < 2 {
+		return 0
+	}
+	var inc float64
+	prev := samples[0].V
+	for _, s := range samples[1:] {
+		if s.V >= prev {
+			inc += s.V - prev
+		} else {
+			inc += s.V // counter reset: the new value is all growth
+		}
+		prev = s.V
+	}
+	return inc
+}
+
 // BurnRate reports how fast the SLO consumes its error budget over the
 // trailing window: the bad-event fraction divided by the budget fraction
 // 1-Objective. 1.0 means "exactly sustainable"; 14.4 means the budget
@@ -142,10 +139,10 @@ func (e *SLOEngine) BurnRate(s SLO, windowSec, now float64) float64 {
 }
 
 // BudgetRemaining reports the unburned fraction of the SLO's error budget
-// over its BudgetWindowSec: 1 means untouched, 0 exhausted, negative
+// over BudgetWindowSec: 1 means untouched, 0 exhausted, negative
 // overspent. (This is 1 minus the burn rate over the budget window.)
 func (e *SLOEngine) BudgetRemaining(s SLO, now float64) float64 {
-	return 1 - e.BurnRate(s, s.BudgetWindowSec, now)
+	return 1 - e.BurnRate(s, BudgetWindowSec, now)
 }
 
 // Rules returns the multi-window burn-rate rules for the alert engine, new
@@ -161,13 +158,13 @@ func (e *SLOEngine) BudgetRemaining(s SLO, now float64) float64 {
 //     long (6h) windows exceeds SlowThreshold (6×) — a sustained bleed
 //     that will exhaust the budget within the day; warn-worthy.
 //
-// One instance per SLO (key = SLO name). The windows read the store clock,
-// so the rules stay deterministic under an injected clock regardless of
-// the evaluation timestamps the alert engine passes.
+// One instance per SLO (key = SLO name). The windows end at the store's
+// now, the newest stamp, so the rules judge the history as its writer
+// timed it, whatever timestamps the alert engine passes.
 func (e *SLOEngine) Rules(pendingFor int) []telemetry.Rule {
 	burn := func(shortSec, longSec, threshold float64) func(float64) []telemetry.RuleResult {
 		return func(_ float64) []telemetry.RuleResult {
-			now := e.store.NowSec()
+			now := e.store.Now()
 			var out []telemetry.RuleResult
 			for _, s := range e.slos {
 				short := e.BurnRate(s, shortSec, now)
@@ -188,8 +185,8 @@ func (e *SLOEngine) Rules(pendingFor int) []telemetry.Rule {
 		}
 	}
 	return []telemetry.Rule{
-		{Name: RuleSLOBurnFast, PendingFor: pendingFor, Eval: burn(e.FastShortSec, e.FastLongSec, e.FastThreshold)},
-		{Name: RuleSLOBurnSlow, PendingFor: pendingFor, Eval: burn(e.SlowShortSec, e.SlowLongSec, e.SlowThreshold)},
+		{Name: RuleSLOBurnFast, PendingFor: pendingFor, Eval: burn(FastShortSec, FastLongSec, FastThreshold)},
+		{Name: RuleSLOBurnSlow, PendingFor: pendingFor, Eval: burn(SlowShortSec, SlowLongSec, SlowThreshold)},
 	}
 }
 
@@ -214,10 +211,10 @@ func fmtWindow(sec float64) string {
 //	roia_slo_objective{slo}          gauge, the declared good fraction
 //	roia_slo_budget_remaining{slo}   gauge, unburned budget over the
 //	                                 budget window (1 full … <0 overspent)
-//	roia_slo_burn_rate{slo,window}   gauge, burn rate over each rule window
+//	roia_slo_burn_rate{slo,window}   gauge, burn rate over each rule
+//	                                 window, shortest first
 func (e *SLOEngine) WriteMetrics(w io.Writer, labels string) error {
-	now := e.store.NowSec()
-	windows := e.metricWindows()
+	now := e.store.Now()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# TYPE roia_slo_objective gauge\n")
 	for _, s := range e.slos {
@@ -231,7 +228,7 @@ func (e *SLOEngine) WriteMetrics(w io.Writer, labels string) error {
 	}
 	fmt.Fprintf(&b, "# TYPE roia_slo_burn_rate gauge\n")
 	for _, s := range e.slos {
-		for _, win := range windows {
+		for _, win := range []float64{FastShortSec, SlowShortSec, FastLongSec, SlowLongSec} {
 			fmt.Fprintf(&b, "roia_slo_burn_rate%s %g\n",
 				telemetry.FormatLabels(labels, fmt.Sprintf("slo=%q,window=%q", s.Name, fmtWindow(win))),
 				e.BurnRate(s, win, now))
@@ -239,18 +236,4 @@ func (e *SLOEngine) WriteMetrics(w io.Writer, labels string) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// metricWindows returns the distinct rule windows, ascending.
-func (e *SLOEngine) metricWindows() []float64 {
-	seen := map[float64]bool{}
-	var out []float64
-	for _, w := range []float64{e.FastShortSec, e.SlowShortSec, e.FastLongSec, e.SlowLongSec} {
-		if w > 0 && !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	sort.Float64s(out)
-	return out
 }

@@ -14,9 +14,10 @@ func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 // feedTicks appends one scrape of the tick counters: cumulative ticks and
 // cumulative deadline violations at time t.
 func feedTicks(st *Store, t, ticks, violations float64) {
-	lbl := map[string]string{"zone": "1", "replica": "r1"}
-	st.AppendAt(t, "roia_fleet_ticks_total", lbl, Counter, ticks)
-	st.AppendAt(t, "roia_fleet_deadline_violations_total", lbl, Counter, violations)
+	lbl := []string{"zone", "1", "replica", "r1"}
+	st.Append(t,
+		Point{Family: "roia_fleet_ticks_total", Kind: Counter, Labels: lbl, V: ticks},
+		Point{Family: "roia_fleet_deadline_violations_total", Kind: Counter, Labels: lbl, V: violations})
 }
 
 func tickSLO() SLO {
@@ -29,11 +30,10 @@ func tickSLO() SLO {
 }
 
 func TestBurnRateHandComputed(t *testing.T) {
-	// Store big enough to retain the whole synthetic session.
-	clk := &fakeClock{}
-	st := NewStore(Config{SeriesCapacity: 8192, Now: clk.Now})
-	e := NewSLOEngine(st, tickSLO())
-	s := e.SLOs()[0]
+	// The whole synthetic session fits in the rings.
+	st := NewStore()
+	s := tickSLO()
+	e := NewSLOEngine(st, s)
 
 	// 25 ticks/s for 600 s; violations appear only in (300, 600]: 5 of the
 	// 25 ticks each second miss the deadline → bad fraction 0.2.
@@ -54,7 +54,7 @@ func TestBurnRateHandComputed(t *testing.T) {
 	if burn := e.BurnRate(s, 600, now); !approx(burn, 10) {
 		t.Errorf("BurnRate(10m) = %g, want 10", burn)
 	}
-	// Budget over the default 6 h window: only 600 s of history exists, so
+	// Budget over the 6 h window: only 600 s of history exists, so
 	// the increase-based accounting sees the same 1500/15000 → burn 10 →
 	// remaining 1-10 = -9 (overspent).
 	if rem := e.BudgetRemaining(s, now); !approx(rem, -9) {
@@ -69,15 +69,12 @@ func TestBurnRateHandComputed(t *testing.T) {
 
 // TestSLOBurstLifecycle drives a synthetic deadline-violation burst
 // through the alert engine and asserts the burn rules pass pending →
-// firing → resolved at both the fast and slow windows.
+// firing → resolved at both the fast and slow windows. The rings retain
+// SeriesCapacity (720) seconds at 1 Hz, so the 1h, 30m and 6h windows read
+// the whole retained history and the 5m window is the only one shorter.
 func TestSLOBurstLifecycle(t *testing.T) {
-	clk := &fakeClock{}
-	st := NewStore(Config{SeriesCapacity: 65536, Now: clk.Now})
+	st := NewStore()
 	e := NewSLOEngine(st, tickSLO())
-	// Shrink the windows so the test stays fast while keeping the
-	// short/long pairing: fast 10s/60s at 14.4×, slow 30s/120s at 6×.
-	e.FastShortSec, e.FastLongSec = 10, 60
-	e.SlowShortSec, e.SlowLongSec = 30, 120
 
 	sink := &telemetry.MemoryAlerts{}
 	engine := telemetry.NewAlertEngine(sink, e.Rules(1)...)
@@ -87,7 +84,6 @@ func TestSLOBurstLifecycle(t *testing.T) {
 		ticks += 25
 		viol += badPerSec
 		feedTicks(st, float64(sec), ticks, viol)
-		clk.Set(float64(sec))
 		engine.Eval(float64(sec))
 	}
 
@@ -101,9 +97,9 @@ func TestSLOBurstLifecycle(t *testing.T) {
 	}
 
 	// Phase 2 — burst: every second 10 of 25 ticks violate (fraction 0.4 →
-	// burn 40× ≫ 14.4 and 6). Run long enough to saturate both long
-	// windows (120 s), so fast AND slow fire.
-	for ; sec < 340; sec++ {
+	// burn 40× ≫ 14.4 and 6). Run long enough to fill the retained
+	// history (720 s), so fast AND slow fire.
+	for ; sec < 940; sec++ {
 		step(sec, 10)
 	}
 	active := engine.Active()
@@ -124,9 +120,9 @@ func TestSLOBurstLifecycle(t *testing.T) {
 	}
 
 	// Phase 3 — recovery: no further violations. The fast rule must
-	// resolve once the 60 s long window drains; the slow rule once the
-	// 120 s window drains.
-	for ; sec < 600; sec++ {
+	// resolve once the 5 m window drains below 14.4× (about 190 s); the
+	// slow rule once the retained 720 s drain below 6× (about 610 s).
+	for ; sec < 1740; sec++ {
 		step(sec, 0)
 	}
 	if n := len(engine.Active()); n != 0 {
@@ -152,7 +148,7 @@ func TestSLOBurstLifecycle(t *testing.T) {
 			}
 		}
 	}
-	// The fast rule must have resolved before the slow one (its long
+	// The fast rule must have resolved before the slow one (its short
 	// window is shorter), pinning the multi-window semantics.
 	var fastResolved, slowResolved float64
 	for _, ev := range sink.Snapshot() {
@@ -171,8 +167,7 @@ func TestSLOBurstLifecycle(t *testing.T) {
 }
 
 func TestSLOWriteMetrics(t *testing.T) {
-	clk := &fakeClock{}
-	st := NewStore(Config{SeriesCapacity: 1024, Now: clk.Now})
+	st := NewStore()
 	// Objective 0.5 and a 0.25 bad fraction keep every division exact in
 	// binary floating point, so the exposition values are byte-predictable.
 	slo := tickSLO()
@@ -181,7 +176,6 @@ func TestSLOWriteMetrics(t *testing.T) {
 	for sec := 0; sec <= 100; sec++ {
 		feedTicks(st, float64(sec), float64(16*sec), float64(4*sec)) // 25% bad
 	}
-	clk.Set(100)
 	var b strings.Builder
 	if err := e.WriteMetrics(&b, `zone="1"`); err != nil {
 		t.Fatalf("WriteMetrics: %v", err)

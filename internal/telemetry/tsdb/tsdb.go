@@ -2,10 +2,12 @@
 // the fleet's observability surface. Every scrape the collector takes is a
 // point-in-time snapshot; QoS — sustaining the update rate U — is a
 // property over *time*, so judging it needs retained history: burn rates
-// over minutes, tail quantiles over a session, capacity headroom trends.
-// The store keeps that history without any external dependency: a
-// fixed-capacity ring of samples per {family, label set}, drop-oldest with
-// dropped counters, and an injected clock so simulations and tests stay
+// over minutes and tail quantiles over a session. The store keeps that
+// history without any external dependency: a fixed-capacity ring of
+// samples per {family, label set}, drop-oldest with dropped counters. It
+// has no clock of its own: its writer stamps every sample (the fleet
+// collector stamps the session second), and the store's now is the newest
+// stamp, so a simulated session runs on its own timeline and stays
 // deterministic (the repo-wide tickclock invariant).
 package tsdb
 
@@ -15,15 +17,14 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"roia/internal/telemetry"
 )
 
 // Kind is a sample family's semantic: gauges are instantaneous values,
 // counters are cumulative monotone values whose information is in their
-// deltas (queries report reset-aware rates and increases, never the raw
-// running total).
+// deltas (the SLOs read their reset-aware increases). String gives the
+// Prometheus type name.
 type Kind uint8
 
 // The sample kinds.
@@ -44,9 +45,26 @@ func (k Kind) String() string {
 	}
 }
 
-// Sample is one timestamped observation. T is in seconds on the store's
-// clock (Unix seconds under the default clock, session seconds under an
-// injected one).
+// Retention bounds: 720 samples per series (12 minutes at the 1 Hz
+// control cadence) and 4096 series. Appends to new series beyond
+// MaxSeries are dropped and counted, so a label cardinality explosion
+// degrades to a counter, not OOM.
+const (
+	SeriesCapacity = 720
+	MaxSeries      = 4096
+)
+
+// Point is one observation of a scrape: its family, type, label pairs and
+// value. Labels holds name, value, name, value, … in exposition order.
+type Point struct {
+	Family string
+	Kind   Kind
+	Labels []string
+	V      float64
+}
+
+// Sample is one timestamped observation. T is in seconds on the writer's
+// clock.
 type Sample struct {
 	T float64 `json:"t"`
 	V float64 `json:"v"`
@@ -62,18 +80,17 @@ type Series struct {
 	kind    Kind
 	buf     []Sample
 	next    int
-	cap     int
 	dropped uint64
 }
 
 // append adds one sample, overwriting the oldest when the ring is full.
 func (s *Series) append(smp Sample) {
-	if len(s.buf) < s.cap {
+	if len(s.buf) < SeriesCapacity {
 		s.buf = append(s.buf, smp)
 		return
 	}
 	s.buf[s.next] = smp
-	s.next = (s.next + 1) % s.cap
+	s.next = (s.next + 1) % SeriesCapacity
 	s.dropped++
 }
 
@@ -88,38 +105,10 @@ func (s *Series) samples() []Sample {
 // SeriesData is one series' query result: identity plus the retained
 // samples in the requested range, chronological.
 type SeriesData struct {
-	Family  string            `json:"family"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Kind    Kind              `json:"-"`
-	Samples []Sample          `json:"-"`
-}
-
-// Config parameterises a Store. The zero value selects every default.
-type Config struct {
-	// SeriesCapacity is the per-series ring size (default 720 samples: 12
-	// minutes of 1 Hz scrapes, or 12 hours at one per minute).
-	SeriesCapacity int
-	// MaxSeries bounds the number of distinct {family, label set} series;
-	// appends to new series beyond it are dropped and counted (default
-	// 4096). Label cardinality explosions degrade to a counter, not OOM.
-	MaxSeries int
-	// Now is the store's clock, used to stamp Append samples and to resolve
-	// relative query windows (default time.Now). Inject a fake clock for
-	// deterministic fixtures.
-	Now func() time.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.SeriesCapacity <= 0 {
-		c.SeriesCapacity = 720
-	}
-	if c.MaxSeries <= 0 {
-		c.MaxSeries = 4096
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
+	Family  string
+	Labels  map[string]string
+	Kind    Kind
+	Samples []Sample
 }
 
 // Store holds bounded time series keyed by {family, label set}. It is safe
@@ -127,25 +116,23 @@ func (c Config) withDefaults() Config {
 // the SLO engine read.
 type Store struct {
 	mu            sync.Mutex
-	cfg           Config
 	series        map[string]*Series
+	now           float64
 	droppedSeries uint64
 	appends       uint64
 }
 
-// NewStore returns an empty store (zero cfg fields take the defaults).
-func NewStore(cfg Config) *Store {
-	cfg = cfg.withDefaults()
-	return &Store{cfg: cfg, series: make(map[string]*Series)}
+// NewStore returns an empty store.
+func NewStore() *Store {
+	return &Store{series: make(map[string]*Series)}
 }
 
-// NowSec reports the store clock's current time in seconds.
-func (st *Store) NowSec() float64 {
+// Now reports the store's clock: the newest stamp appended (0 while
+// empty). Query windows and burn rates are measured back from it.
+func (st *Store) Now() float64 {
 	st.mu.Lock()
-	now := st.cfg.Now
-	st.mu.Unlock()
-	t := now()
-	return float64(t.UnixNano()) / 1e9
+	defer st.mu.Unlock()
+	return st.now
 }
 
 // seriesKey renders the canonical identity of a series: the family plus
@@ -170,32 +157,30 @@ func seriesKey(family string, labels map[string]string) string {
 	return b.String()
 }
 
-// Append records one sample stamped with the store clock.
-func (st *Store) Append(family string, labels map[string]string, kind Kind, v float64) {
-	st.AppendAt(st.NowSec(), family, labels, kind, v)
-}
-
-// AppendAt records one sample with an explicit timestamp (seconds on the
-// store's time base) — the fixture and replay path.
-func (st *Store) AppendAt(t float64, family string, labels map[string]string, kind Kind, v float64) {
-	key := seriesKey(family, labels)
+// Append records one sample per point, every one stamped t (seconds on the
+// writer's clock).
+func (st *Store) Append(t float64, pts ...Point) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	sr := st.series[key]
-	if sr == nil {
-		if len(st.series) >= st.cfg.MaxSeries {
-			st.droppedSeries++
-			return
+	st.now = max(st.now, t)
+	for _, p := range pts {
+		lbl := make(map[string]string, len(p.Labels)/2)
+		for i := 0; i+1 < len(p.Labels); i += 2 {
+			lbl[p.Labels[i]] = p.Labels[i+1]
 		}
-		lbl := make(map[string]string, len(labels))
-		for k, v := range labels {
-			lbl[k] = v
+		key := seriesKey(p.Family, lbl)
+		sr := st.series[key]
+		if sr == nil {
+			if len(st.series) >= MaxSeries {
+				st.droppedSeries++
+				continue
+			}
+			sr = &Series{family: p.Family, labels: lbl, kind: p.Kind}
+			st.series[key] = sr
 		}
-		sr = &Series{family: family, labels: lbl, kind: kind, cap: st.cfg.SeriesCapacity}
-		st.series[key] = sr
+		sr.append(Sample{T: t, V: p.V})
+		st.appends++
 	}
-	sr.append(Sample{T: t, V: v})
-	st.appends++
 }
 
 // Query returns every series of the given family whose labels include all
@@ -241,54 +226,6 @@ func (st *Store) Query(family string, match map[string]string, since, until floa
 		res[i] = k.sd
 	}
 	return res
-}
-
-// Families returns the distinct family names with retained series, sorted.
-func (st *Store) Families() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	seen := make(map[string]bool)
-	for _, sr := range st.series {
-		seen[sr.family] = true
-	}
-	out := make([]string, 0, len(seen))
-	for f := range seen {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SeriesCount reports the number of retained series.
-func (st *Store) SeriesCount() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.series)
-}
-
-// DroppedSamples reports how many samples ring eviction discarded.
-func (st *Store) DroppedSamples() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var n uint64
-	for _, sr := range st.series {
-		n += sr.dropped
-	}
-	return n
-}
-
-// DroppedSeries reports how many appends were refused at the series cap.
-func (st *Store) DroppedSeries() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.droppedSeries
-}
-
-// Appends reports how many samples were ever accepted.
-func (st *Store) Appends() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.appends
 }
 
 // labelsMatch reports whether have includes every want pair.

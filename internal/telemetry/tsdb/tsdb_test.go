@@ -2,74 +2,74 @@ package tsdb
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
-// fakeClock is an injectable, settable store clock.
-type fakeClock struct {
-	mu  sync.Mutex
-	sec float64
+// appendAt appends one sample of family at time t.
+func appendAt(st *Store, t float64, family string, kind Kind, v float64, labels ...string) {
+	st.Append(t, Point{Family: family, Kind: kind, Labels: labels, V: v})
 }
 
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Unix(0, int64(c.sec*1e9))
-}
-
-func (c *fakeClock) Set(sec float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sec = sec
-}
-
-func newTestStore(capacity int) (*Store, *fakeClock) {
-	clk := &fakeClock{}
-	return NewStore(Config{SeriesCapacity: capacity, Now: clk.Now}), clk
+// storeMetric returns the value of one roia_tsdb_* family on the store's
+// own exposition.
+func storeMetric(t *testing.T, st *Store, family string) string {
+	t.Helper()
+	var b strings.Builder
+	if err := st.WriteMetrics(&b, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, family+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("%s missing from:\n%s", family, b.String())
+	return ""
 }
 
 func TestSeriesRingRetention(t *testing.T) {
-	st, _ := newTestStore(4)
-	for i := 0; i < 10; i++ {
-		st.AppendAt(float64(i), "roia_x_total", nil, Counter, float64(i))
+	st := NewStore()
+	const n = SeriesCapacity + 10
+	for i := 0; i < n; i++ {
+		appendAt(st, float64(i), "roia_x_total", Counter, float64(i))
 	}
 	got := st.Query("roia_x_total", nil, 0, 0)
 	if len(got) != 1 {
 		t.Fatalf("series = %d, want 1", len(got))
 	}
 	s := got[0].Samples
-	if len(s) != 4 {
-		t.Fatalf("retained = %d, want 4 (ring capacity)", len(s))
+	if len(s) != SeriesCapacity {
+		t.Fatalf("retained = %d, want %d (ring capacity)", len(s), SeriesCapacity)
 	}
 	for i, smp := range s {
-		if want := float64(6 + i); smp.T != want || smp.V != want {
-			t.Errorf("sample %d = (%g,%g), want (%g,%g): newest must survive, oldest drop", i, smp.T, smp.V, want, want)
+		if want := float64(10 + i); smp.T != want || smp.V != want {
+			t.Fatalf("sample %d = (%g,%g), want (%g,%g): newest must survive, oldest drop", i, smp.T, smp.V, want, want)
 		}
 	}
-	if st.DroppedSamples() != 6 {
-		t.Errorf("DroppedSamples = %d, want 6", st.DroppedSamples())
+	if got := storeMetric(t, st, "roia_tsdb_dropped_samples_total"); got != "10" {
+		t.Errorf("dropped samples = %s, want 10", got)
 	}
-	if st.Appends() != 10 {
-		t.Errorf("Appends = %d, want 10", st.Appends())
+	if got := storeMetric(t, st, "roia_tsdb_samples_total"); got != fmt.Sprint(n) {
+		t.Errorf("samples = %s, want %d", got, n)
 	}
 }
 
 func TestStoreSeriesCap(t *testing.T) {
-	st := NewStore(Config{SeriesCapacity: 8, MaxSeries: 3, Now: (&fakeClock{}).Now})
-	for i := 0; i < 5; i++ {
-		st.AppendAt(1, "roia_x", map[string]string{"id": fmt.Sprint(i)}, Gauge, 1)
+	st := NewStore()
+	for i := 0; i < MaxSeries+2; i++ {
+		appendAt(st, 1, "roia_x", Gauge, 1, "id", fmt.Sprint(i))
 	}
-	if st.SeriesCount() != 3 {
-		t.Errorf("SeriesCount = %d, want 3 (MaxSeries)", st.SeriesCount())
+	if got := storeMetric(t, st, "roia_tsdb_series"); got != fmt.Sprint(MaxSeries) {
+		t.Errorf("series = %s, want %d (MaxSeries)", got, MaxSeries)
 	}
-	if st.DroppedSeries() != 2 {
-		t.Errorf("DroppedSeries = %d, want 2", st.DroppedSeries())
+	if got := storeMetric(t, st, "roia_tsdb_dropped_series_total"); got != "2" {
+		t.Errorf("dropped series = %s, want 2", got)
 	}
 	// Existing series still accept samples at the cap.
-	st.AppendAt(2, "roia_x", map[string]string{"id": "0"}, Gauge, 2)
+	appendAt(st, 2, "roia_x", Gauge, 2, "id", "0")
 	got := st.Query("roia_x", map[string]string{"id": "0"}, 0, 0)
 	if len(got) != 1 || len(got[0].Samples) != 2 {
 		t.Fatalf("existing series must keep accepting samples at the series cap: %+v", got)
@@ -77,10 +77,13 @@ func TestStoreSeriesCap(t *testing.T) {
 }
 
 func TestQueryRangeAndMatch(t *testing.T) {
-	st, _ := newTestStore(16)
+	st := NewStore()
 	for i := 0; i < 10; i++ {
-		st.AppendAt(float64(i), "roia_g", map[string]string{"zone": "1", "replica": "a"}, Gauge, float64(10*i))
-		st.AppendAt(float64(i), "roia_g", map[string]string{"zone": "2", "replica": "b"}, Gauge, float64(100*i))
+		appendAt(st, float64(i), "roia_g", Gauge, float64(10*i), "zone", "1", "replica", "a")
+		appendAt(st, float64(i), "roia_g", Gauge, float64(100*i), "zone", "2", "replica", "b")
+	}
+	if now := st.Now(); now != 9 {
+		t.Errorf("Now = %g, want 9 (the newest stamp)", now)
 	}
 	got := st.Query("roia_g", map[string]string{"zone": "1"}, 3, 6)
 	if len(got) != 1 {
@@ -107,17 +110,18 @@ func TestQueryRangeAndMatch(t *testing.T) {
 // goroutines under -race: the acceptance gate for ring retention/eviction
 // being safe while readers iterate.
 func TestConcurrentAppendQuery(t *testing.T) {
-	st, _ := newTestStore(32)
-	const writers, readers, per = 4, 4, 500
+	st := NewStore()
+	const writers, readers, per = 4, 4, SeriesCapacity + 280
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			labels := map[string]string{"writer": fmt.Sprint(w)}
+			labels := []string{"writer", fmt.Sprint(w)}
 			for i := 0; i < per; i++ {
-				st.AppendAt(float64(i), "roia_conc_total", labels, Counter, float64(i))
-				st.AppendAt(float64(i), "roia_conc_ms", labels, Gauge, float64(i%7))
+				st.Append(float64(i),
+					Point{Family: "roia_conc_total", Kind: Counter, Labels: labels, V: float64(i)},
+					Point{Family: "roia_conc_ms", Kind: Gauge, Labels: labels, V: float64(i % 7)})
 			}
 		}(w)
 	}
@@ -127,7 +131,7 @@ func TestConcurrentAppendQuery(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				for _, sd := range st.Query("roia_conc_total", nil, 0, 0) {
-					if len(sd.Samples) > 32 {
+					if len(sd.Samples) > SeriesCapacity {
 						t.Errorf("series over ring capacity: %d", len(sd.Samples))
 						return
 					}
@@ -139,13 +143,13 @@ func TestConcurrentAppendQuery(t *testing.T) {
 						}
 					}
 				}
-				_ = st.DroppedSamples()
+				_ = st.WriteMetrics(io.Discard, "")
 			}
 		}()
 	}
 	wg.Wait()
-	if st.SeriesCount() != 2*writers {
-		t.Errorf("SeriesCount = %d, want %d", st.SeriesCount(), 2*writers)
+	if got := storeMetric(t, st, "roia_tsdb_series"); got != fmt.Sprint(2*writers) {
+		t.Errorf("series = %s, want %d", got, 2*writers)
 	}
 	var sb strings.Builder
 	if err := st.WriteMetrics(&sb, `zone="1"`); err != nil {
@@ -180,59 +184,5 @@ func TestIncrease(t *testing.T) {
 		if got := Increase(samples); got != tc.want {
 			t.Errorf("%s: Increase = %g, want %g", tc.name, got, tc.want)
 		}
-	}
-}
-
-func TestAggregateGaugeHandComputed(t *testing.T) {
-	sd := SeriesData{Family: "roia_g", Kind: Gauge}
-	// Samples at t=1..10, value = t (ms-ish magnitudes).
-	for i := 1; i <= 10; i++ {
-		sd.Samples = append(sd.Samples, Sample{T: float64(i), V: float64(i)})
-	}
-	aggs := Aggregate(sd, 0, 10, 5)
-	if len(aggs) != 2 {
-		t.Fatalf("windows = %d, want 2", len(aggs))
-	}
-	// Window (0,5]: samples 1..5 → avg 3, max 5. Window (5,10]: 6..10 → avg 8, max 10.
-	if aggs[0].Count != 5 || aggs[0].Avg != 3 || aggs[0].Max != 5 {
-		t.Errorf("window 1 = %+v, want count=5 avg=3 max=5", aggs[0])
-	}
-	if aggs[1].Count != 5 || aggs[1].Avg != 8 || aggs[1].Max != 10 {
-		t.Errorf("window 2 = %+v, want count=5 avg=8 max=10", aggs[1])
-	}
-	// Quantiles go through the LogHistogram: p99 of window 2 must sit in
-	// the top bucket (resolution ~6%), and never exceed the exact max.
-	if p := aggs[1].P99; p < 9 || p > 10 {
-		t.Errorf("window 2 p99 = %g, want within bucket resolution of 10", p)
-	}
-}
-
-func TestAggregateCounterHandComputed(t *testing.T) {
-	sd := SeriesData{Family: "roia_c_total", Kind: Counter}
-	// Counter grows by 2 per second: t=0..10, v=2t.
-	for i := 0; i <= 10; i++ {
-		sd.Samples = append(sd.Samples, Sample{T: float64(i), V: float64(2 * i)})
-	}
-	aggs := Aggregate(sd, 0, 10, 5)
-	if len(aggs) != 2 {
-		t.Fatalf("windows = %d, want 2", len(aggs))
-	}
-	// Window (5,10] has samples t=6..10 plus baseline t=5 (v=10): increase
-	// = 20-10 = 10, rate = 2/s.
-	if aggs[1].Increase != 10 || aggs[1].Rate != 2 {
-		t.Errorf("window 2 = %+v, want increase=10 rate=2", aggs[1])
-	}
-	// Window (0,5] has samples t=1..5 plus baseline t=0 (v=0): increase 10.
-	if aggs[0].Increase != 10 || aggs[0].Rate != 2 {
-		t.Errorf("window 1 = %+v, want increase=10 rate=2", aggs[0])
-	}
-	// Empty-window omission: a sparse series skips windows with no samples.
-	sparse := SeriesData{Family: "roia_c_total", Kind: Counter, Samples: []Sample{{T: 9, V: 1}, {T: 10, V: 3}}}
-	aggs = Aggregate(sparse, 0, 10, 5)
-	if len(aggs) != 1 {
-		t.Fatalf("sparse windows = %d, want 1 (empty windows omitted)", len(aggs))
-	}
-	if aggs[0].Increase != 2 {
-		t.Errorf("sparse increase = %g, want 2", aggs[0].Increase)
 	}
 }
