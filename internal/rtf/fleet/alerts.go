@@ -56,8 +56,10 @@ const (
 	HiccupRate = 0.01
 	// TailInflation is the p99/p50 tick-wall ratio over a replica's ring
 	// above which qos_tail_inflation is active: the tail runs 4× the
-	// typical tick. Replicas with fewer than TailMinCount ticks in the ring
-	// are skipped so a cold start cannot fire the rule.
+	// typical tick, and has grown past 1/TailInflation of the replica's own
+	// tick deadline (below that, the tail leaves the deadline 4× headroom
+	// however small the median). Replicas with fewer than TailMinCount
+	// ticks in the ring are skipped so a cold start cannot fire the rule.
 	TailInflation = 4.0
 	TailMinCount  = 64
 )
@@ -111,9 +113,10 @@ const (
 //     bursts even if mean tick time looks healthy. One instance per
 //     replica.
 //   - qos_tail_inflation: a replica's p99 tick wall over its ring runs
-//     more than TailInflation× its p50 — sustained tail-latency inflation, the
-//     regime where mean-based capacity numbers (n_max from mean task
-//     costs) stop protecting the QoS deadline. One instance per replica.
+//     more than TailInflation× its p50 and more than 1/TailInflation of its
+//     tick deadline — sustained tail-latency inflation, the regime where
+//     mean-based capacity numbers (n_max from mean task costs) stop
+//     protecting the QoS deadline. One instance per replica.
 //   - qos_gc_pause: the p99 of a replica's per-tick GC pause over its
 //     flight recorder's ring (the last 2048 ticks) exceeds GCPauseBudget
 //     of the tick deadline 1/U — the runtime, not the workload, is eating
@@ -288,7 +291,7 @@ func (f *Fleet) AlertRules(cfg AlertConfig) []telemetry.Rule {
 					continue
 				}
 				ratio := p99 / p50
-				if ratio <= TailInflation {
+				if ratio <= TailInflation || p99 <= r.sum.Newest.DeadlineMS/TailInflation {
 					continue
 				}
 				out = append(out, telemetry.RuleResult{

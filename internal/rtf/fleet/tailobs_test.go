@@ -146,6 +146,30 @@ func TestQoSTailInflationRule(t *testing.T) {
 	}
 }
 
+// TestQoSTailInflationNeedsATailThatMatters: on a near-idle replica a
+// sub-millisecond stall is a large multiple of a 0.01 ms median, but it is
+// 1 % of the 40 ms deadline, which is what the tail is judged against.
+func TestQoSTailInflationNeedsATailThatMatters(t *testing.T) {
+	h := newTailHarness(t)
+	engine := telemetry.NewAlertEngine(nil, h.fl.AlertRules(fleet.AlertConfig{Model: tinyModel(t)})...)
+	srv, _ := h.fl.Server("server-1")
+	for i := 0; i < 100; i++ {
+		wall := 0.01
+		if i%20 == 0 {
+			wall = 0.42 // p99 0.42 ms over p50 0.01 ms: 42×
+		}
+		srv.FlightRecorder().Record(telemetry.TickRecord{WallMS: wall, DeadlineMS: 40, Users: 1})
+	}
+	for sec := 0; sec < 2; sec++ {
+		engine.Eval(float64(sec))
+	}
+	for _, a := range engine.Active() {
+		if a.Rule == fleet.AlertQoSTailInflation {
+			t.Fatalf("tail inflation active on a 0.42 ms tail under a 40 ms deadline: %+v", a)
+		}
+	}
+}
+
 // TestModelDriftRulePerReplica runs two replicas of which only the first
 // one's NPC cost is slowed (10× the model's t_npc). model_drift must fire
 // for that replica and stay quiet for the second, whose ticks the model

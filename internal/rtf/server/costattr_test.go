@@ -7,17 +7,12 @@ package server
 // flight recorder tests) to swap the executor's injected clock.
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"roia/internal/rtf/entity"
-	"roia/internal/rtf/proto"
-	"roia/internal/rtf/transport"
-	"roia/internal/rtf/wire"
-	"roia/internal/rtf/zone"
 	"roia/internal/telemetry"
 )
 
@@ -47,53 +42,8 @@ func TestFlightCaptureGCAttribution(t *testing.T) {
 	})
 	app := &gcApp{}
 
-	clk := newStepClock(20 * time.Microsecond)
-	net := transport.NewLoopback()
-	defer net.Close()
-	node, err := net.Attach("s1", 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{
-		Node:        node,
-		Zone:        1,
-		Assignment:  zone.NewAssignment(),
-		App:         app,
-		IDPrefix:    1,
-		Seed:        42,
-		Parallelism: 4,
-		FlightRec:   rec,
-		// An hour-long deadline 1/U: exercise the hiccup trigger, not the
-		// deadline.
-		TickInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.exec.clock = clk.Now
-	srv.Start()
-
-	clients := make([]*flightClient, 2)
-	for i := range clients {
-		cn, err := net.Attach(fmt.Sprintf("c%d", i+1), 1<<16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &flightClient{node: cn, w: wire.NewWriter(256), srv: srv.ID()}
-		join := &proto.Join{
-			UserName: fmt.Sprintf("c%d", i+1),
-			Zone:     1,
-			Pos:      entity.Vec2{X: float64(100 + 10*i), Y: 100},
-		}
-		_ = cn.Send(c.srv, proto.Registry.Encode(c.w, join))
-		clients[i] = c
-	}
-	for i := 0; i < 3; i++ {
-		srv.Tick()
-		for _, c := range clients {
-			transport.Drain(c.node, 0)
-		}
-	}
+	srv, clk, clients, cleanup := startFlightServer(t, rec, app, 2)
+	defer cleanup()
 
 	for i := 0; i < window+pre; i++ {
 		steadyTick(srv, clients)

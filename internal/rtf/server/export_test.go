@@ -20,3 +20,14 @@ func (env *Env) Moved(e *entity.Entity, was entity.Vec2) { env.moved(e, was) }
 
 // NearIndexed reports whether the server's Env answers Near from an index.
 func (s *Server) NearIndexed() bool { return s.env.index != nil }
+
+// Entities returns a copy of every entity the server holds, in ID order.
+func (s *Server) Entities() []entity.Entity {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]entity.Entity, 0, s.store.Len())
+	for _, e := range s.store.All() {
+		out = append(out, *e)
+	}
+	return out
+}

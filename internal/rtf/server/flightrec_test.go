@@ -92,7 +92,7 @@ func (c *flightClient) input() {
 // with the given flight recorder and a step clock swapped in for the
 // executor's time source, joins nClients users, and runs a few settle ticks
 // so the per-tick clock-read count is steady before measurement starts.
-func startFlightServer(t *testing.T, rec *telemetry.FlightRecorder, nClients int) (*Server, *stepClock, []*flightClient, func()) {
+func startFlightServer(t *testing.T, rec *telemetry.FlightRecorder, app Application, nClients int) (*Server, *stepClock, []*flightClient, func()) {
 	t.Helper()
 	clk := newStepClock(20 * time.Microsecond)
 	net := transport.NewLoopback()
@@ -104,7 +104,7 @@ func startFlightServer(t *testing.T, rec *telemetry.FlightRecorder, nClients int
 		Node:        node,
 		Zone:        1,
 		Assignment:  zone.NewAssignment(),
-		App:         flightApp{},
+		App:         app,
 		IDPrefix:    1,
 		Seed:        42,
 		Parallelism: 4,
@@ -145,7 +145,7 @@ func startFlightServer(t *testing.T, rec *telemetry.FlightRecorder, nClients int
 			transport.Drain(c.node, 0)
 		}
 	}
-	cleanup := func() { net.Close() }
+	cleanup := func() { _ = srv.Stop(); net.Close() }
 	return srv, clk, clients, cleanup
 }
 
@@ -170,7 +170,7 @@ func TestFlightRecorderCapturesInjectedSlowTick(t *testing.T) {
 		Pre: pre, Post: post, K: 4, Window: window,
 		MinHiccupMS: -1, // wall times here are synthetic µs-scale values
 	})
-	srv, clk, clients, cleanup := startFlightServer(t, rec, 3)
+	srv, clk, clients, cleanup := startFlightServer(t, rec, flightApp{}, 3)
 	defer cleanup()
 
 	// Fill the rolling median window with steady ticks.
@@ -248,7 +248,7 @@ func TestFlightRecorderNoFalsePositivesUnderSteadyLoad(t *testing.T) {
 		Pre: 4, Post: 3, K: 4, Window: 8,
 		MinHiccupMS: -1,
 	})
-	srv, _, clients, cleanup := startFlightServer(t, rec, 3)
+	srv, _, clients, cleanup := startFlightServer(t, rec, flightApp{}, 3)
 	defer cleanup()
 
 	for i := 0; i < 200; i++ {

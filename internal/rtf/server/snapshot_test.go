@@ -6,30 +6,38 @@ import (
 	"roia/internal/game"
 	"roia/internal/rtf/entity"
 	"roia/internal/rtf/server"
+	"roia/internal/rtf/zone"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	c := newCluster(t, 2)
-	cl := c.addClient(t, 0, entity.Vec2{X: 50, Y: 60})
-	npc := c.servers[0].SpawnNPC(entity.Vec2{X: 200, Y: 200})
-	c.tickAll()
-	c.tickAll()
-	cl.SendInput(game.Commands.EncodeToBytes(&game.Move{DX: 3, DY: 4}))
-	c.tickAll()
-	c.tickAll()
+	h := build(t, &plan{name: "snapshot", zones: []zone.ID{1, 1}, game: game.DefaultConfig(), seed: 1000, keyframe: 8,
+		members: []member{{pos: entity.Vec2{X: 50, Y: 60}, leave: never}},
+		inputs: func(t, i int) [][]byte {
+			if t == 1 {
+				return [][]byte{move(3, 4)}
+			}
+			return nil
+		},
+	}, ref)
+	defer h.finish()
+	cl := h.users[0]
+	npc := h.servers[0].SpawnNPC(entity.Vec2{X: 200, Y: 200})
+	for tick := range 4 {
+		h.step(tick)
+	}
 
-	snap := c.servers[0].Snapshot()
+	snap := h.servers[0].Snapshot()
 
 	// A fresh server (s3) restores the snapshot and adopts s1's entities,
 	// simulating s1's crash.
-	node, err := c.net.Attach("s3", 1<<16)
+	node, err := h.net.Attach("s3", 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s3, err := server.New(server.Config{
 		Node:       node,
 		Zone:       1,
-		Assignment: c.assignment,
+		Assignment: h.asg,
 		App:        game.New(game.DefaultConfig()),
 		IDPrefix:   3,
 		Seed:       3,
@@ -49,7 +57,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("avatar missing after restore")
 	}
-	orig, _ := c.servers[0].Entity(cl.Avatar())
+	orig, _ := h.servers[0].Entity(cl.Avatar())
 	if avatar.Pos != orig.Pos || avatar.Health != orig.Health {
 		t.Fatalf("restored avatar diverged: %+v vs %+v", avatar, orig)
 	}
@@ -58,6 +66,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// The restored server resumes ticking and processes the adopted NPC.
 	s3.Start()
+	defer s3.Stop()
 	before, ok := s3.Entity(npc)
 	if !ok {
 		t.Fatal("NPC missing after restore")
@@ -71,19 +80,19 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 func TestRestoreGuards(t *testing.T) {
-	c := newCluster(t, 1)
-	c.addClient(t, 0, entity.Vec2{X: 1, Y: 1})
-	c.tickAll()
-	snap := c.servers[0].Snapshot()
+	h := build(t, duo(0, 0), ref)
+	defer h.finish()
+	h.step(0)
+	snap := h.servers[0].Snapshot()
 
 	// Restore into a non-empty server is refused.
-	if err := c.servers[0].RestoreSnapshot(snap); err == nil {
+	if err := h.servers[0].RestoreSnapshot(snap); err == nil {
 		t.Fatal("restored into a populated server")
 	}
 
-	node, _ := c.net.Attach("fresh", 1<<14)
+	node, _ := h.net.Attach("fresh", 1<<14)
 	fresh, err := server.New(server.Config{
-		Node: node, Zone: 2, Assignment: c.assignment,
+		Node: node, Zone: 2, Assignment: h.asg,
 		App: game.New(game.DefaultConfig()), IDPrefix: 9, Seed: 9,
 	})
 	if err != nil {
@@ -103,10 +112,10 @@ func TestRestoreGuards(t *testing.T) {
 }
 
 func TestAdoptEntitiesSelfNoop(t *testing.T) {
-	c := newCluster(t, 1)
-	c.addClient(t, 0, entity.Vec2{X: 1, Y: 1})
-	c.tickAll()
-	if got := c.servers[0].AdoptEntities("s1"); got != 0 {
+	h := build(t, duo(0, 0), ref)
+	defer h.finish()
+	h.step(0)
+	if got := h.servers[0].AdoptEntities("s1"); got != 0 {
 		t.Fatalf("self-adoption moved %d entities", got)
 	}
 }

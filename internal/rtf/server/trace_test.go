@@ -3,59 +3,18 @@ package server_test
 import (
 	"testing"
 
-	"roia/internal/game"
-	"roia/internal/rtf/client"
 	"roia/internal/rtf/entity"
-	"roia/internal/rtf/server"
-	"roia/internal/rtf/transport"
-	"roia/internal/rtf/zone"
-	"roia/internal/telemetry"
 )
 
-// tracedServer builds a single-replica server with a flight recorder (the
-// tick trace's ring) and one connected client driving load.
-func tracedServer(t *testing.T) (*server.Server, *client.Client, *telemetry.FlightRecorder) {
-	t.Helper()
-	net := transport.NewLoopback()
-	t.Cleanup(func() { net.Close() })
-	node, err := net.Attach("s1", 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := telemetry.NewFlightRecorder(telemetry.FlightRecConfig{})
-	srv, err := server.New(server.Config{
-		Node:       node,
-		Zone:       1,
-		Assignment: zone.NewAssignment(),
-		App:        game.New(game.DefaultConfig()),
-		IDPrefix:   1,
-		Seed:       7,
-		FlightRec:  rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	cnode, err := net.Attach("c1", 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := client.New(cnode, "s1")
-	if err := cl.Join(1, entity.Vec2{X: 10, Y: 10}, "c1"); err != nil {
-		t.Fatal(err)
-	}
-	return srv, cl, rec
-}
-
 func TestTickTraceRecordsSpans(t *testing.T) {
-	srv, cl, rec := tracedServer(t)
+	p := duo(0, 0)
+	p.inputs = func(int, int) [][]byte { return [][]byte{{0, 1}} } // rejected by the game, timed all the same
+	h := build(t, p, ref)
+	defer h.finish()
+	srv, rec := h.servers[0], h.servers[0].FlightRecorder()
 	srv.SpawnNPC(entity.Vec2{X: 12, Y: 12})
-	for i := 0; i < 10; i++ {
-		srv.Tick()
-		cl.Poll()
-		if err := cl.SendInput([]byte{0, 1}); err != nil {
-			t.Fatal(err)
-		}
+	for tick := range 10 {
+		h.step(tick)
 	}
 	recs := rec.Last(0)
 	if len(recs) != 10 {
@@ -102,12 +61,13 @@ func TestTickTraceRecordsSpans(t *testing.T) {
 // with the default thresholds, and every tick lands in it with the QoS
 // deadline 1/U, the tick interval.
 func TestTickTraceOnByDefault(t *testing.T) {
-	c := newCluster(t, 1)
-	rec := c.servers[0].FlightRecorder()
+	h := build(t, duo(0, 0), ref)
+	defer h.finish()
+	rec := h.servers[0].FlightRecorder()
 	if rec == nil {
 		t.Fatal("no flight recorder without configuration")
 	}
-	c.servers[0].Tick()
+	h.servers[0].Tick()
 	recs := rec.Last(0)
 	if len(recs) != 1 || recs[0].DeadlineMS != 40 || recs[0].SlackMS != 40-recs[0].WallMS {
 		t.Fatalf("records after one tick = %+v, want one with the 40 ms default deadline", recs)

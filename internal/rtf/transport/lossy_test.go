@@ -56,3 +56,42 @@ func TestLossyAlwaysDropsAtRateOne(t *testing.T) {
 		t.Fatalf("stats = %d/%d, want 100/0", dropped, sent)
 	}
 }
+
+func TestLossyDropAccounting(t *testing.T) {
+	net := NewLoopback()
+	defer net.Close()
+	raw, _ := net.Attach("a", 16)
+	_, _ = net.Attach("b", 1<<12)
+	l := NewLossy(raw, 0.5, 42)
+	for i := 0; i < 200; i++ {
+		if err := l.Send("b", []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dropped, sent := l.Stats()
+	if dropped+sent != 200 {
+		t.Fatalf("accounting broken: %d + %d", dropped, sent)
+	}
+	if dropped < 60 || dropped > 140 {
+		t.Fatalf("drop rate implausible for p=0.5: %d/200", dropped)
+	}
+}
+
+func TestLossyRateClamping(t *testing.T) {
+	for _, tc := range []struct {
+		rate                  float64
+		wantDropped, wantSent int
+	}{{-1, 0, 50}, {2, 50, 0}} {
+		net := NewLoopback()
+		raw, _ := net.Attach("a", 16)
+		_, _ = net.Attach("b", 1<<12)
+		l := NewLossy(raw, tc.rate, 1)
+		for i := 0; i < 50; i++ {
+			_ = l.Send("b", []byte{1})
+		}
+		if d, s := l.Stats(); d != tc.wantDropped || s != tc.wantSent {
+			t.Fatalf("rate %g: dropped %d, sent %d", tc.rate, d, s)
+		}
+		net.Close()
+	}
+}

@@ -66,8 +66,9 @@ var (
 	ErrUnknownTarget = errors.New("transport: unknown target")
 	// ErrDuplicateID is returned when attaching an already-taken ID.
 	ErrDuplicateID = errors.New("transport: duplicate node id")
-	// ErrInboxFull is returned when the receiver's queue is saturated and
-	// the network is configured to reject rather than block.
+	// ErrInboxFull is returned when the receiver's queue is saturated:
+	// sends never block, as RTF's asynchronous sends must not stall the
+	// real-time loop.
 	ErrInboxFull = errors.New("transport: inbox full")
 )
 
@@ -77,12 +78,6 @@ type Loopback struct {
 	mu     sync.RWMutex
 	nodes  map[string]*loopNode
 	closed bool
-	// Block controls back-pressure: when true, Send blocks until the
-	// receiver drains its inbox; when false, Send fails with ErrInboxFull.
-	// RTF's asynchronous sends never block the real-time loop, so the
-	// default (false) models the paper's middleware; tests that need strict
-	// delivery can opt in to blocking.
-	Block bool
 }
 
 // NewLoopback returns an empty in-process network.
@@ -147,21 +142,12 @@ func (n *loopNode) Send(to string, payload []byte) error {
 	}
 	n.net.mu.RLock()
 	target, ok := n.net.nodes[to]
-	block := n.net.Block
 	n.net.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTarget, to)
 	}
 	// Copy the payload: senders reuse their serialization buffers.
 	frame := Frame{From: n.id, To: to, Payload: append([]byte(nil), payload...)}
-	if block {
-		select {
-		case target.inbox <- frame:
-			return nil
-		case <-target.closed:
-			return ErrClosed
-		}
-	}
 	select {
 	case target.inbox <- frame:
 		return nil

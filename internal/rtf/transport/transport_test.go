@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -142,11 +143,12 @@ func TestDrain(t *testing.T) {
 
 func TestLoopbackConcurrentSenders(t *testing.T) {
 	net := NewLoopback()
-	net.Block = true
 	defer net.Close()
 	dst, _ := net.Attach("dst", 16)
 	const senders, perSender = 8, 100
 
+	// Sends never block: a sender that finds the inbox full retries, and
+	// every frame still arrives exactly once.
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		node, err := net.Attach(fmt.Sprintf("s%d", s), 1)
@@ -154,30 +156,42 @@ func TestLoopbackConcurrentSenders(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(n Node) {
+		go func(s int, n Node) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				if err := n.Send("dst", []byte{1}); err != nil {
+				err := n.Send("dst", []byte{byte(s), byte(i)})
+				for errors.Is(err, ErrInboxFull) {
+					runtime.Gosched()
+					err = n.Send("dst", []byte{byte(s), byte(i)})
+				}
+				if err != nil {
 					t.Errorf("send: %v", err)
 					return
 				}
 			}
-		}(node)
+		}(s, node)
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 
-	got := 0
+	seen := map[[2]byte]bool{}
 	timeout := time.After(5 * time.Second)
-	for got < senders*perSender {
+	for len(seen) < senders*perSender {
 		select {
-		case <-dst.Inbox():
-			got++
+		case f := <-dst.Inbox():
+			key := [2]byte{f.Payload[0], f.Payload[1]}
+			if seen[key] {
+				t.Fatalf("frame %v arrived twice", key)
+			}
+			seen[key] = true
 		case <-timeout:
-			t.Fatalf("received %d of %d frames", got, senders*perSender)
+			t.Fatalf("received %d of %d frames", len(seen), senders*perSender)
 		}
 	}
 	<-done
+	if extra := Drain(dst, 0); len(extra) > 0 {
+		t.Fatalf("%d frames beyond the %d sent", len(extra), senders*perSender)
+	}
 }
 
 func TestTCPRoundTrip(t *testing.T) {
