@@ -8,7 +8,7 @@ import (
 
 func testProvider() *Provider {
 	return NewProvider(
-		Class{Name: "std", Power: 1, StartupDelay: 30, CostPerSecond: 0.01, Capacity: 3},
+		Class{Name: "std", Power: 1, StartupDelay: 30, CostPerSecond: 0.01},
 		Class{Name: "big", Power: 2, StartupDelay: 60, CostPerSecond: 0.05},
 		Class{Name: "huge", Power: 4, StartupDelay: 60, CostPerSecond: 0.02},
 	)
@@ -26,14 +26,8 @@ func TestLeaseLifecycle(t *testing.T) {
 	if !r.Ready(130) {
 		t.Fatal("resource not ready after startup delay")
 	}
-	if p.ActiveCount() != 1 {
-		t.Fatalf("active = %d", p.ActiveCount())
-	}
 	if err := p.Release(r.ID, 200); err != nil {
 		t.Fatal(err)
-	}
-	if p.ActiveCount() != 0 {
-		t.Fatal("release did not free the resource")
 	}
 	if r.Ready(300) {
 		t.Fatal("released resource still ready")
@@ -47,41 +41,6 @@ func TestLeaseUnknownClass(t *testing.T) {
 	p := testProvider()
 	if _, err := p.Lease("nope", 0); !errors.Is(err, ErrUnknownClass) {
 		t.Fatalf("err = %v, want ErrUnknownClass", err)
-	}
-}
-
-func TestCapacityEnforced(t *testing.T) {
-	p := testProvider()
-	for i := 0; i < 3; i++ {
-		if _, err := p.Lease("std", 0); err != nil {
-			t.Fatalf("lease %d: %v", i, err)
-		}
-	}
-	if _, err := p.Lease("std", 0); !errors.Is(err, ErrCapacity) {
-		t.Fatalf("err = %v, want ErrCapacity", err)
-	}
-	// Unlimited class keeps leasing.
-	for i := 0; i < 10; i++ {
-		if _, err := p.Lease("big", 0); err != nil {
-			t.Fatalf("unlimited lease %d: %v", i, err)
-		}
-	}
-	if p.TotalLeases() != 13 {
-		t.Fatalf("total leases = %d", p.TotalLeases())
-	}
-}
-
-func TestCapacityFreedByRelease(t *testing.T) {
-	p := testProvider()
-	var last *Resource
-	for i := 0; i < 3; i++ {
-		last, _ = p.Lease("std", 0)
-	}
-	if err := p.Release(last.ID, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Lease("std", 20); err != nil {
-		t.Fatalf("lease after release: %v", err)
 	}
 }
 
@@ -117,10 +76,11 @@ func TestStrongerClassPicksCheapest(t *testing.T) {
 }
 
 func TestDefaultClassesSane(t *testing.T) {
-	p := NewProvider(DefaultClasses()...)
-	if len(p.Classes()) != 3 {
-		t.Fatalf("classes = %d", len(p.Classes()))
+	classes := DefaultClasses()
+	if len(classes) != 3 || classes[0].Power != 1 {
+		t.Fatalf("classes = %+v, want three with a power-1 base", classes)
 	}
+	p := NewProvider(classes...)
 	if _, err := p.StrongerClass("standard"); err != nil {
 		t.Fatalf("no substitution path from standard: %v", err)
 	}
@@ -136,8 +96,11 @@ func TestDuplicateClassPanics(t *testing.T) {
 }
 
 func TestZeroPowerDefaultsToOne(t *testing.T) {
-	p := NewProvider(Class{Name: "weird"})
-	if got := p.Classes()[0].Power; got != 1 {
+	r, err := NewProvider(Class{Name: "weird"}).Lease("weird", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Class.Power; got != 1 {
 		t.Fatalf("power = %g, want default 1", got)
 	}
 }

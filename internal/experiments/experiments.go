@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"roia/internal/calibrate"
-	"roia/internal/fit"
 	"roia/internal/model"
 	"roia/internal/params"
 	"roia/internal/rms"
@@ -50,8 +49,6 @@ type Fig4Result struct {
 	Table *stats.Table
 	// Recovered is the parameter set fitted from the measurements.
 	Recovered *params.Set
-	// Fits reports per-task goodness of fit.
-	Fits map[monitor.Task]fit.Result
 	// MaxRelErr is the worst relative deviation of a fitted curve from
 	// the generating truth over the measured range.
 	MaxRelErr float64
@@ -101,7 +98,7 @@ func Fig4(seed int64) (*Fig4Result, error) {
 			}
 		}
 	}
-	return &Fig4Result{Table: table, Recovered: res.Set, Fits: res.Fits, MaxRelErr: maxRel}, nil
+	return &Fig4Result{Table: table, Recovered: res.Set, MaxRelErr: maxRel}, nil
 }
 
 func taskEval(s *params.Set) map[monitor.Task]func(n int) float64 {

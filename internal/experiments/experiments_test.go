@@ -157,65 +157,6 @@ func TestBaselineComparison(t *testing.T) {
 	}
 }
 
-func TestHeavyLoadSubstitutionPath(t *testing.T) {
-	res, err := HeavyLoad(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The capped zone cannot carry 700 users on baseline machines; the
-	// manager must upgrade through both stronger classes.
-	if res.Substitutions < 3 {
-		t.Fatalf("substitutions = %d, want the full upgrade path", res.Substitutions)
-	}
-	for class := range res.FinalClasses {
-		if class == "standard" {
-			t.Fatalf("standard machines remain at session end: %v", res.FinalClasses)
-		}
-	}
-	// After the upgrades the plateau is served cleanly.
-	plateauViolations := 0
-	for _, s := range res.Session.Stats {
-		if s.Time >= 1000 && s.Time < 1500 {
-			plateauViolations += s.Violations
-		}
-	}
-	if plateauViolations != 0 {
-		t.Fatalf("plateau violations = %d after upgrades", plateauViolations)
-	}
-	// The ultimate ceiling is reported: the strongest class is in use and
-	// the group is within 80% of its power-aware capacity.
-	if res.SaturationAlerts == 0 {
-		t.Fatal("no saturation alert despite running near the ceiling")
-	}
-	// Alerts are cooldown-limited, not one per second.
-	if res.SaturationAlerts > len(res.Session.Stats)/10 {
-		t.Fatalf("saturation alert spam: %d alerts", res.SaturationAlerts)
-	}
-}
-
-func TestFlashCrowdAdmissionPreventsViolations(t *testing.T) {
-	res, err := FlashCrowd(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	open, queued := res.Rows[0], res.Rows[1]
-	if open.Violations == 0 {
-		t.Fatal("open-doors arm never violated — spike too soft")
-	}
-	if queued.Violations != 0 {
-		t.Fatalf("admission arm violated %d times", queued.Violations)
-	}
-	if queued.PeakTickMS >= 40 {
-		t.Fatalf("admission arm peak tick = %.2f", queued.PeakTickMS)
-	}
-	if queued.PeakQueue == 0 {
-		t.Fatal("queue never formed — spike absorbed implausibly")
-	}
-	if queued.QueueClearedAt == 0 {
-		t.Fatal("queue never drained")
-	}
-}
-
 func TestPacingAblationIsolatesContribution(t *testing.T) {
 	rows, err := PacingAblation(1)
 	if err != nil {
@@ -236,47 +177,6 @@ func TestPacingAblationIsolatesContribution(t *testing.T) {
 	if paced.MaxMigrationsPerSecond*2 >= unpaced.MaxMigrationsPerSecond {
 		t.Fatalf("pacing did not bound burst rate: %d vs %d",
 			paced.MaxMigrationsPerSecond, unpaced.MaxMigrationsPerSecond)
-	}
-}
-
-func TestCSweepMonotoneAndAnchored(t *testing.T) {
-	rows := CSweep()
-	prevL := 1 << 30
-	for _, r := range rows {
-		// Larger required improvement → fewer useful replicas.
-		if r.LMax > prevL {
-			t.Fatalf("l_max not monotone in c: %+v", rows)
-		}
-		prevL = r.LMax
-		if r.NMaxLMax <= 0 {
-			t.Fatalf("no capacity at c=%g", r.C)
-		}
-	}
-	byC := make(map[float64]int, len(rows))
-	for _, r := range rows {
-		byC[r.C] = r.LMax
-	}
-	// The paper's three quoted points.
-	if byC[0.05] != 48 || byC[0.15] != 8 || byC[1.00] != 1 {
-		t.Fatalf("paper anchors broken: %v", byC)
-	}
-}
-
-func TestNPCSweepShape(t *testing.T) {
-	rows := NPCSweep()
-	if rows[0].NPCs != 0 || rows[0].NMax1 != 235 {
-		t.Fatalf("baseline row wrong: %+v", rows[0])
-	}
-	for i := 1; i < len(rows); i++ {
-		// NPCs consume capacity...
-		if rows[i].NMax1 >= rows[i-1].NMax1 {
-			t.Fatalf("capacity did not fall with more NPCs: %+v", rows)
-		}
-		// ...and replication recovers some of it (the m/l term), so the
-		// useful replica count does not fall.
-		if rows[i].LMax < rows[i-1].LMax {
-			t.Fatalf("l_max fell with more NPCs: %+v", rows)
-		}
 	}
 }
 

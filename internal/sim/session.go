@@ -34,14 +34,6 @@ func (r SessionResult) MaxAvgCPU() float64 {
 	return max
 }
 
-// ReplicasAt returns the ready-replica count at the given second.
-func (r SessionResult) ReplicasAt(t int) int {
-	if t < 0 || t >= len(r.Stats) {
-		return 0
-	}
-	return r.Stats[t].ReadyReplicas
-}
-
 // RunSession drives the cluster through the workload trace under the
 // given controller, one control-loop step per simulated second — the
 // procedure of the paper's dynamic load-balancing experiment (Fig. 8).
@@ -53,16 +45,16 @@ func RunSession(c *Cluster, ctrl rms.Controller, trace workload.Trace) SessionRe
 	for t := 0; t < dur; t++ {
 		c.SetTargetUsers(trace.UsersAt(float64(t)))
 		if ctrl != nil {
-			ctrl.Step(c.Now())
+			ctrl.Step(c.now)
 		}
 		st := c.EndSecond()
 		res.Stats = append(res.Stats, st)
 		res.ServerSeconds += float64(st.Replicas)
 	}
-	res.TotalMigrations = c.TotalMigrations()
-	res.TotalViolations = c.TotalViolations()
-	res.PeakTickMS = c.PeakTickMS()
-	res.PeakReplicas = c.PeakReplicas()
-	res.Cost = c.Provider().Cost(c.Now())
+	res.TotalMigrations = c.totalMigrations
+	res.TotalViolations = c.totalViolations
+	res.PeakTickMS = c.peakTick
+	res.PeakReplicas = c.peakReplicas
+	res.Cost = c.provider.Cost(c.now)
 	return res
 }

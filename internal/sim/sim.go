@@ -42,10 +42,15 @@ const (
 	// JoinRandom connects arrivals uniformly at random, leaving imbalance
 	// for user migration to repair.
 	JoinRandom
-	// JoinFirst sends every arrival to the oldest replica, the worst case
-	// for migration load.
-	JoinFirst
 )
+
+// baseClass is the resource class of every new replica: the power-1
+// class of cloud.DefaultClasses. Substitution leases the stronger ones.
+const baseClass = "standard"
+
+// tickPeriodMS is the tick period the CPU load is measured against
+// (25 Hz).
+const tickPeriodMS = 40
 
 // Config assembles a simulated cluster.
 type Config struct {
@@ -53,19 +58,9 @@ type Config struct {
 	Params *params.Set
 	// Model is the scalability model over those parameters (supplies U).
 	Model *model.Model
-	// TickMS is the tick period (default 40 ms — 25 Hz).
-	TickMS float64
-	// Provider leases server resources; nil creates a provider with
-	// cloud.DefaultClasses.
-	Provider *cloud.Provider
-	// BaseClass is the resource class for new replicas (default
-	// "standard").
-	BaseClass string
 	// InitialServers is the number of replicas provisioned (and
 	// immediately ready) at session start; default 1.
 	InitialServers int
-	// NPCs is the zone-wide NPC count m.
-	NPCs int
 	// Join picks the arrival policy.
 	Join JoinPolicy
 	// Seed drives the deterministic random source.
@@ -132,19 +127,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Params == nil || cfg.Model == nil {
 		return nil, errors.New("sim: Config.Params and Config.Model must be set")
 	}
-	if cfg.TickMS <= 0 {
-		cfg.TickMS = 40
-	}
-	if cfg.BaseClass == "" {
-		cfg.BaseClass = "standard"
-	}
 	if cfg.InitialServers <= 0 {
 		cfg.InitialServers = 1
 	}
-	provider := cfg.Provider
-	if provider == nil {
-		provider = cloud.NewProvider(cloud.DefaultClasses()...)
-	}
+	provider := cloud.NewProvider(cloud.DefaultClasses()...)
 	c := &Cluster{
 		cfg:      cfg,
 		provider: provider,
@@ -152,7 +138,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
 	for i := 0; i < cfg.InitialServers; i++ {
-		res, err := provider.LeaseReady(cfg.BaseClass, 0)
+		res, err := provider.LeaseReady(baseClass, 0)
 		if err != nil {
 			return nil, fmt.Errorf("sim: initial lease: %w", err)
 		}
@@ -168,24 +154,6 @@ func (c *Cluster) attach(res *cloud.Resource) *simServer {
 	c.byID[s.id] = s
 	return s
 }
-
-// Now returns the session clock in seconds.
-func (c *Cluster) Now() float64 { return c.now }
-
-// TotalMigrations reports the users migrated since session start.
-func (c *Cluster) TotalMigrations() int { return c.totalMigrations }
-
-// TotalViolations reports server-seconds above the threshold U.
-func (c *Cluster) TotalViolations() int { return c.totalViolations }
-
-// PeakTickMS reports the worst tick duration ever evaluated.
-func (c *Cluster) PeakTickMS() float64 { return c.peakTick }
-
-// PeakReplicas reports the largest concurrently-leased replica count.
-func (c *Cluster) PeakReplicas() int { return c.peakReplicas }
-
-// Provider exposes the cloud provider (for cost queries).
-func (c *Cluster) Provider() *cloud.Provider { return c.provider }
 
 // ready lists serving servers (provisioned, not draining, not removed).
 func (c *Cluster) ready() []*simServer {
@@ -243,8 +211,9 @@ func (c *Cluster) ZoneUsers() int {
 	return n
 }
 
-// NPCCount implements rms.Cluster.
-func (c *Cluster) NPCCount() int { return c.cfg.NPCs }
+// NPCCount implements rms.Cluster: simulated sessions carry no NPCs
+// (m = 0, as in Fig. 8).
+func (c *Cluster) NPCCount() int { return 0 }
 
 // Migrate implements rms.Cluster: it moves users instantly and charges
 // both ends the model's migration overhead for this second.
@@ -281,7 +250,7 @@ func (c *Cluster) Migrate(src, dst string, count int) error {
 
 // AddReplica implements rms.Cluster.
 func (c *Cluster) AddReplica() (string, error) {
-	res, err := c.provider.Lease(c.cfg.BaseClass, c.now)
+	res, err := c.provider.Lease(baseClass, c.now)
 	if err != nil {
 		return "", err
 	}
@@ -387,8 +356,6 @@ func (c *Cluster) pickJoinServer() *simServer {
 	switch c.cfg.Join {
 	case JoinRandom:
 		return ready[c.rng.Intn(len(ready))]
-	case JoinFirst:
-		return ready[0]
 	default: // JoinLeastLoaded
 		sort.SliceStable(ready, func(i, j int) bool { return ready[i].users < ready[j].users })
 		return ready[0]
@@ -432,7 +399,7 @@ func (c *Cluster) EndSecond() SecondStats {
 	}
 	cpuSum := 0.0
 	for _, s := range serving {
-		tick := c.cfg.Model.TickTimeUneven(l, n, c.cfg.NPCs, s.users)/s.res.Class.Power + s.migCharge
+		tick := c.cfg.Model.TickTimeUneven(l, n, 0, s.users)/s.res.Class.Power + s.migCharge
 		s.lastTick = tick
 		s.migCharge = 0
 		s.users += s.inbound
@@ -446,7 +413,7 @@ func (c *Cluster) EndSecond() SecondStats {
 		if tick > c.cfg.Model.U {
 			st.Violations++
 		}
-		cpu := tick / c.cfg.TickMS * 100
+		cpu := tick / tickPeriodMS * 100
 		if cpu > 100 {
 			cpu = 100
 		}

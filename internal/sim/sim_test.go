@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"roia/internal/cloud"
 	"roia/internal/model"
 	"roia/internal/params"
 	"roia/internal/rms"
@@ -76,25 +75,16 @@ func TestSetTargetUsersLeastLoaded(t *testing.T) {
 	}
 }
 
-func TestSetTargetUsersJoinFirst(t *testing.T) {
-	c := testCluster(t, Config{InitialServers: 2, Join: JoinFirst})
-	c.SetTargetUsers(10)
-	s := c.Servers()
-	if s[0].Users != 10 || s[1].Users != 0 {
-		t.Fatalf("join-first distribution: %d/%d", s[0].Users, s[1].Users)
-	}
-}
-
 func TestMigrateMovesAndCharges(t *testing.T) {
 	p, mdl := testModel(t)
-	c := testCluster(t, Config{Params: p, Model: mdl, InitialServers: 2, Join: JoinFirst})
-	c.SetTargetUsers(100)
+	c := testCluster(t, Config{Params: p, Model: mdl, InitialServers: 2})
+	c.SetTargetUsers(100) // least-loaded joins: 50/50
 	ids := []string{c.Servers()[0].ID, c.Servers()[1].ID}
 	if err := c.Migrate(ids[0], ids[1], 30); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Servers()
-	if s[0].Users != 70 || s[1].Users != 30 {
+	if s[0].Users != 20 || s[1].Users != 80 {
 		t.Fatalf("post-migration users: %d/%d", s[0].Users, s[1].Users)
 	}
 	if c.ZoneUsers() != 100 {
@@ -105,10 +95,10 @@ func TestMigrateMovesAndCharges(t *testing.T) {
 		t.Fatalf("migrations = %d", st.Migrations)
 	}
 	// Source tick: Eq.(4) at its post-initiation load plus 30·t_mig_ini.
-	wantSrc := mdl.TickTimeUneven(2, 100, 0, 70) + 30*p.MigIniAt(100)
+	wantSrc := mdl.TickTimeUneven(2, 100, 0, 20) + 30*p.MigIniAt(100)
 	// Receiver tick: Eq.(4) at its PRE-migration load plus 30·t_mig_rcv
 	// (the migrated users join the load next second).
-	wantDst := mdl.TickTimeUneven(2, 100, 0, 0) + 30*p.MigRcvAt(100)
+	wantDst := mdl.TickTimeUneven(2, 100, 0, 50) + 30*p.MigRcvAt(100)
 	got := c.Servers()
 	if math.Abs(got[0].TickMS-wantSrc) > 1e-9 {
 		t.Fatalf("source tick = %g, want %g", got[0].TickMS, wantSrc)
@@ -124,7 +114,7 @@ func TestMigrateMovesAndCharges(t *testing.T) {
 }
 
 func TestMigrateErrors(t *testing.T) {
-	c := testCluster(t, Config{InitialServers: 1, Join: JoinFirst})
+	c := testCluster(t, Config{InitialServers: 1})
 	c.SetTargetUsers(10)
 	id := c.Servers()[0].ID
 	if err := c.Migrate("ghost", id, 1); err == nil {
@@ -146,7 +136,7 @@ func TestMigrateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Count clamps at the source's population.
-	for c.Now() < 100 {
+	for c.now < 100 {
 		c.EndSecond()
 	}
 	if err := c.Migrate(id, nid, 99); err != nil {
@@ -184,8 +174,8 @@ func TestAddReplicaProvisioningDelay(t *testing.T) {
 }
 
 func TestRemoveReplicaGuards(t *testing.T) {
-	c := testCluster(t, Config{InitialServers: 2, Join: JoinFirst})
-	c.SetTargetUsers(5)
+	c := testCluster(t, Config{InitialServers: 2})
+	c.SetTargetUsers(1) // the tie goes to the first server
 	ids := []string{c.Servers()[0].ID, c.Servers()[1].ID}
 	if err := c.RemoveReplica(ids[0]); err == nil {
 		t.Fatal("removed a non-empty server")
@@ -201,8 +191,8 @@ func TestRemoveReplicaGuards(t *testing.T) {
 	if err := c.RemoveReplica(ids[0]); err == nil {
 		t.Fatal("removed the last replica")
 	}
-	if c.Provider().ActiveCount() != 1 {
-		t.Fatalf("provider active = %d", c.Provider().ActiveCount())
+	if got := len(c.Servers()); got != 1 {
+		t.Fatalf("servers = %d, want the protected one", got)
 	}
 }
 
@@ -246,9 +236,20 @@ func TestEndSecondMatchesModelClosedForm(t *testing.T) {
 }
 
 func TestPowerScalesTickTime(t *testing.T) {
+	// Substitute the only server by a 2x machine, retire the old one, and
+	// the whole load runs at half the Eq. (1) tick.
 	p, mdl := testModel(t)
-	prov := cloud.NewProvider(cloud.Class{Name: "fast", Power: 2})
-	c := testCluster(t, Config{Params: p, Model: mdl, Provider: prov, BaseClass: "fast", InitialServers: 1})
+	c := testCluster(t, Config{Params: p, Model: mdl, InitialServers: 1})
+	old := c.Servers()[0].ID
+	if _, err := c.Substitute(old); err != nil {
+		t.Fatal(err)
+	}
+	for c.now < 30 { // highcpu's startup delay
+		c.EndSecond()
+	}
+	if err := c.RemoveReplica(old); err != nil {
+		t.Fatal(err)
+	}
 	c.SetTargetUsers(100)
 	st := c.EndSecond()
 	want := mdl.TickTime(1, 100, 0) / 2
@@ -265,11 +266,11 @@ func TestViolationCounting(t *testing.T) {
 	if st.Violations != 1 {
 		t.Fatalf("violations = %d", st.Violations)
 	}
-	if c.TotalViolations() != 1 {
-		t.Fatalf("total violations = %d", c.TotalViolations())
+	if c.totalViolations != 1 {
+		t.Fatalf("total violations = %d", c.totalViolations)
 	}
-	if c.PeakTickMS() <= 40 {
-		t.Fatalf("peak tick = %g", c.PeakTickMS())
+	if c.peakTick <= 40 {
+		t.Fatalf("peak tick = %g", c.peakTick)
 	}
 }
 
@@ -344,9 +345,6 @@ func TestSessionResultHelpers(t *testing.T) {
 	if got := res.MaxAvgCPU(); got != 55 {
 		t.Fatalf("MaxAvgCPU = %g", got)
 	}
-	if res.ReplicasAt(1) != 2 || res.ReplicasAt(-1) != 0 || res.ReplicasAt(99) != 0 {
-		t.Fatal("ReplicasAt wrong")
-	}
 }
 
 func TestSessionInvariantsUnderRandomTraces(t *testing.T) {
@@ -356,10 +354,17 @@ func TestSessionInvariantsUnderRandomTraces(t *testing.T) {
 	// reports negative statistics, and keeps leased ≥ ready replicas.
 	p, mdl := testModel(t)
 	prop := func(seed int64, base8, amp8, spike8 uint8) bool {
+		// A ramp up, one oscillation around base and a flash crowd.
+		base, amp, spike := int(base8), int(amp8%60), int(base8)+int(spike8)
+		trough := max(base-amp, 0)
 		trace := workload.Piecewise{Phases: []workload.Phase{
-			{Until: 100, Trace: workload.Ramp{From: 0, To: int(base8), Len: 100}},
-			{Until: 250, Trace: workload.Sine{Base: int(base8), Amplitude: int(amp8 % 60), Period: 70, Len: 150}},
-			{Until: 300, Trace: workload.Spike{Base: int(base8), Peak: int(base8) + int(spike8), Start: 20, Width: 25, Len: 50}},
+			{Until: 100, Trace: workload.Ramp{From: 0, To: base, Len: 100}},
+			{Until: 135, Trace: workload.Ramp{From: base, To: base + amp, Len: 35}},
+			{Until: 205, Trace: workload.Ramp{From: base + amp, To: trough, Len: 70}},
+			{Until: 250, Trace: workload.Ramp{From: trough, To: base, Len: 45}},
+			{Until: 270, Trace: workload.Constant{N: base, Len: 20}},
+			{Until: 295, Trace: workload.Constant{N: spike, Len: 25}},
+			{Until: 300, Trace: workload.Constant{N: base, Len: 5}},
 		}}
 		c, err := NewCluster(Config{Params: p, Model: mdl, Seed: seed, Join: JoinRandom})
 		if err != nil {
@@ -373,7 +378,7 @@ func TestSessionInvariantsUnderRandomTraces(t *testing.T) {
 			if c.ZoneUsers() != target {
 				return false // conservation broken
 			}
-			mgr.Step(c.Now())
+			mgr.Step(c.now)
 			if c.ZoneUsers() != target {
 				return false // migrations must not create or destroy users
 			}
@@ -418,63 +423,6 @@ func TestBaselineControllersRunClean(t *testing.T) {
 				t.Fatal("user conservation broken")
 			}
 		})
-	}
-}
-
-func TestCoordinatorOverTwoSimulatedZones(t *testing.T) {
-	// Two zones with opposite-phase populations (players commuting
-	// between areas), each with its own simulated cluster; one
-	// coordinator drives both through the same model. Both zones must
-	// scale independently and stay violation-free.
-	p, mdl := testModel(t)
-	mk := func(seed int64, initial int) *Cluster {
-		return testCluster(t, Config{Params: p, Model: mdl, Seed: seed, InitialServers: initial})
-	}
-	// West opens at its 250-user peak and is provisioned for it; east
-	// starts in its trough on one server.
-	west, east := mk(1, 2), mk(2, 1)
-	co := rms.NewCoordinator()
-	co.Add(1, rms.NewManager(west, rms.Config{Model: mdl}))
-	co.Add(2, rms.NewManager(east, rms.Config{Model: mdl}))
-
-	duration := 1200.0
-	westTrace := workload.Piecewise{Phases: []workload.Phase{
-		{Until: 600, Trace: workload.Ramp{From: 250, To: 40, Len: 600}},
-		{Until: 1200, Trace: workload.Ramp{From: 40, To: 250, Len: 600}},
-	}}
-	eastTrace := workload.Piecewise{Phases: []workload.Phase{
-		{Until: 600, Trace: workload.Ramp{From: 40, To: 250, Len: 600}},
-		{Until: 1200, Trace: workload.Ramp{From: 250, To: 40, Len: 600}},
-	}}
-
-	westPeak, eastPeak := 0, 0
-	for ts := 0.0; ts < duration; ts++ {
-		west.SetTargetUsers(westTrace.UsersAt(ts))
-		east.SetTargetUsers(eastTrace.UsersAt(ts))
-		co.Step(ts)
-		ws := west.EndSecond()
-		es := east.EndSecond()
-		if ws.ReadyReplicas > westPeak {
-			westPeak = ws.ReadyReplicas
-		}
-		if es.ReadyReplicas > eastPeak {
-			eastPeak = es.ReadyReplicas
-		}
-	}
-	if west.TotalViolations() != 0 || east.TotalViolations() != 0 {
-		t.Fatalf("violations: west=%d east=%d", west.TotalViolations(), east.TotalViolations())
-	}
-	// Both zones replicated during their respective peaks (250 > trigger
-	// 188) and scaled back down during their troughs.
-	if westPeak < 2 || eastPeak < 2 {
-		t.Fatalf("zones never replicated: west=%d east=%d", westPeak, eastPeak)
-	}
-	// At the end, west is at its peak again (2 replicas) and east shrunk.
-	if lastWest := len(west.ready()); lastWest < 2 {
-		t.Fatalf("west ended with %d replicas at peak load", lastWest)
-	}
-	if lastEast := len(east.ready()); lastEast != 1 {
-		t.Fatalf("east ended with %d replicas at trough load", lastEast)
 	}
 }
 

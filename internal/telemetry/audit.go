@@ -45,9 +45,6 @@ type AuditAction struct {
 type DecisionRecord struct {
 	// Time is the control-loop timestamp (session seconds).
 	Time float64 `json:"time"`
-	// Zone identifies the managed zone in multi-zone deployments (0 when
-	// the manager is not zone-tagged; see rms.Manager.SetZone).
-	Zone uint32 `json:"zone,omitempty"`
 	// Users, NPCs, Replicas are the model's n, m and l (ready replicas).
 	Users    int `json:"n"`
 	NPCs     int `json:"m"`

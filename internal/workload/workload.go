@@ -1,17 +1,13 @@
 // Package workload generates the user-count traces that drive sessions:
 // the "continuously changing number of users" of the paper's dynamic
-// load-balancing experiment (Fig. 8), plus standard shapes (ramps, diurnal
-// sines, flash-crowd spikes, step functions and replayed traces) for wider
-// evaluation.
+// load-balancing experiment (Fig. 8), built from constant, ramp and
+// piecewise phases, plus replayed recorded traces.
 //
 // A Trace maps session time in seconds to a target concurrent user count;
 // the simulator connects/disconnects users to track it.
 package workload
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Trace is a target user count over session time.
 type Trace interface {
@@ -52,48 +48,6 @@ func (r Ramp) UsersAt(t float64) int {
 
 // Duration implements Trace.
 func (r Ramp) Duration() float64 { return r.Len }
-
-// Sine oscillates around Base with the given Amplitude and Period — the
-// classic diurnal player-count pattern.
-type Sine struct {
-	Base, Amplitude int
-	Period          float64
-	Len             float64
-}
-
-// UsersAt implements Trace.
-func (s Sine) UsersAt(t float64) int {
-	if s.Period <= 0 {
-		return s.Base
-	}
-	n := float64(s.Base) + float64(s.Amplitude)*math.Sin(2*math.Pi*t/s.Period)
-	if n < 0 {
-		return 0
-	}
-	return int(math.Round(n))
-}
-
-// Duration implements Trace.
-func (s Sine) Duration() float64 { return s.Len }
-
-// Spike is a flash crowd: Base users, jumping to Peak during
-// [Start, Start+Width).
-type Spike struct {
-	Base, Peak   int
-	Start, Width float64
-	Len          float64
-}
-
-// UsersAt implements Trace.
-func (s Spike) UsersAt(t float64) int {
-	if t >= s.Start && t < s.Start+s.Width {
-		return s.Peak
-	}
-	return s.Base
-}
-
-// Duration implements Trace.
-func (s Spike) Duration() float64 { return s.Len }
 
 // Phase is one segment of a Piecewise trace.
 type Phase struct {
@@ -172,26 +126,4 @@ func PaperSession() Trace {
 		{Until: 1020, Trace: Ramp{From: 300, To: 80, Len: 360}},
 		{Until: 1200, Trace: Ramp{From: 80, To: 0, Len: 180}},
 	}}
-}
-
-// Peak returns the maximum user count a trace reaches, sampled per second.
-func Peak(tr Trace) int {
-	peak := 0
-	for t := 0.0; t <= tr.Duration(); t++ {
-		if n := tr.UsersAt(t); n > peak {
-			peak = n
-		}
-	}
-	return peak
-}
-
-// Checkpoints samples the trace at the given times, for table output.
-func Checkpoints(tr Trace, times []float64) []int {
-	sorted := append([]float64(nil), times...)
-	sort.Float64s(sorted)
-	out := make([]int, len(sorted))
-	for i, t := range sorted {
-		out[i] = tr.UsersAt(t)
-	}
-	return out
 }

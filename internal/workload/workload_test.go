@@ -46,32 +46,6 @@ func TestRampMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSineBoundsAndClamping(t *testing.T) {
-	s := Sine{Base: 100, Amplitude: 50, Period: 60, Len: 600}
-	for ts := 0.0; ts < 600; ts += 0.5 {
-		n := s.UsersAt(ts)
-		if n < 50 || n > 150 {
-			t.Fatalf("sine out of range at %g: %d", ts, n)
-		}
-	}
-	// Negative counts clamp to 0.
-	deep := Sine{Base: 10, Amplitude: 100, Period: 60}
-	if got := deep.UsersAt(45); got != 0 {
-		t.Fatalf("negative sine = %d, want 0", got)
-	}
-	// Degenerate period holds base.
-	if (Sine{Base: 5}).UsersAt(10) != 5 {
-		t.Fatal("zero-period sine wrong")
-	}
-}
-
-func TestSpike(t *testing.T) {
-	s := Spike{Base: 20, Peak: 200, Start: 100, Width: 50, Len: 300}
-	if s.UsersAt(99) != 20 || s.UsersAt(100) != 200 || s.UsersAt(149) != 200 || s.UsersAt(150) != 20 {
-		t.Fatal("spike edges wrong")
-	}
-}
-
 func TestPiecewisePhases(t *testing.T) {
 	p := Piecewise{Phases: []Phase{
 		{Until: 10, Trace: Constant{N: 1}},
@@ -114,8 +88,12 @@ func TestPaperSessionShape(t *testing.T) {
 	if tr.Duration() != 1200 {
 		t.Fatalf("duration = %g", tr.Duration())
 	}
-	if got := Peak(tr); got != 300 {
-		t.Fatalf("peak = %d, want 300 (paper: up to 300 users)", got)
+	peak := 0
+	for ts := 0.0; ts <= tr.Duration(); ts++ {
+		peak = max(peak, tr.UsersAt(ts))
+	}
+	if peak != 300 {
+		t.Fatalf("peak = %d, want 300 (paper: up to 300 users)", peak)
 	}
 	if tr.UsersAt(0) != 0 {
 		t.Fatalf("session starts at %d users", tr.UsersAt(0))
@@ -136,13 +114,5 @@ func TestPaperSessionShape(t *testing.T) {
 		if tr.UsersAt(ts) > tr.UsersAt(ts-1) {
 			t.Fatalf("decline phase not monotone at %g", ts)
 		}
-	}
-}
-
-func TestCheckpoints(t *testing.T) {
-	tr := Ramp{From: 0, To: 100, Len: 100}
-	got := Checkpoints(tr, []float64{50, 0, 100})
-	if got[0] != 0 || got[1] != 50 || got[2] != 100 {
-		t.Fatalf("checkpoints = %v", got)
 	}
 }
