@@ -680,7 +680,7 @@ func (h *harness) close() {
 		n["servers stopped"]++
 	}
 	for _, z := range h.p.zones {
-		if got := h.asg.Replicas(z); len(got) > 1 { // the last replica of a zone stays assigned
+		if got := h.asg.Replicas(z); len(got) > 0 {
 			h.res.bad = append(h.res.bad, fmt.Sprintf("%v still staff zone %d after Stop", got, z))
 		}
 	}

@@ -144,19 +144,21 @@ func (a *Assignment) AddReplica(z ID, serverID string) bool {
 }
 
 // RemoveReplica removes a server from the zone's replica group. It reports
-// false if the server was not in the group, and refuses (returning false)
-// to remove the last replica — every zone must be assigned to at least one
-// server (Section IV, resource removal).
+// false if the server was not in the group. Removing the last replica
+// leaves the zone unstaffed: keeping every zone served (Section IV,
+// resource removal) is the resource manager's rule, not the
+// assignment's, so a stopped server never stays listed.
 func (a *Assignment) RemoveReplica(z ID, serverID string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	group := a.replicas[z]
-	if len(group) <= 1 {
-		return false
-	}
 	for i, s := range group {
 		if s == serverID {
-			a.replicas[z] = append(append([]string(nil), group[:i]...), group[i+1:]...)
+			if len(group) == 1 {
+				delete(a.replicas, z)
+			} else {
+				a.replicas[z] = append(append([]string(nil), group[:i]...), group[i+1:]...)
+			}
 			return true
 		}
 	}

@@ -114,14 +114,18 @@ func TestAssignmentReplicaLifecycle(t *testing.T) {
 	}
 }
 
-func TestAssignmentNeverRemovesLastReplica(t *testing.T) {
+func TestAssignmentRemovingLastReplicaUnstaffsZone(t *testing.T) {
 	a := NewAssignment()
 	a.AddReplica(1, "s1")
-	if a.RemoveReplica(1, "s1") {
-		t.Fatal("removed the last replica of a zone")
+	a.AddReplica(2, "s2")
+	if !a.RemoveReplica(1, "s1") {
+		t.Fatal("the last replica of a zone was not removed")
 	}
-	if got := a.ReplicaCount(1); got != 1 {
-		t.Fatalf("ReplicaCount = %d, want 1", got)
+	if got := a.Replicas(1); len(got) != 0 || a.IsReplica(1, "s1") {
+		t.Fatalf("Replicas = %v, want the zone unstaffed", got)
+	}
+	if got := a.Zones(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("Zones = %v, want only the staffed zone 2", got)
 	}
 }
 
