@@ -88,7 +88,7 @@ func TestFleetExpositionSkeleton(t *testing.T) {
 	}
 	wantRest = append(wantRest, "# TYPE roia_slo_burn_rate gauge")
 	for _, slo := range []string{"tick_deadline", "client_rtt"} {
-		for _, window := range []string{"5m", "30m", "1h", "6h"} {
+		for _, window := range []string{"10s", "1m", "2m", "12m"} {
 			wantRest = append(wantRest, `roia_slo_burn_rate{slo="`+slo+`",window="`+window+`"}`)
 		}
 	}

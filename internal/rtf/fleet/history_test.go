@@ -205,8 +205,8 @@ func TestCollectorRecordsHistory(t *testing.T) {
 
 // TestSLOBurnOnSessionClock runs 400 control seconds of one replica in a
 // fraction of a wall second: every tick of the first minute misses the
-// deadline, none after it. On the session clock the 5 m burn window
-// (seconds 100..400) is clean while the 1 h window still holds the bad
+// deadline, none after it. On the session clock the 1 m burn window
+// (seconds 340..400) is clean while the 12 m window still holds the bad
 // minute; stamped with the wall clock, both windows would span the run.
 func TestSLOBurnOnSessionClock(t *testing.T) {
 	h := newTailHarness(t)
@@ -227,11 +227,11 @@ func TestSLOBurnOnSessionClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if burn := metricValue(t, out, "roia_slo_burn_rate", `slo="tick_deadline",window="5m"`); burn != 0 {
-		t.Fatalf("5m burn = %g, want 0: the last 300 session seconds were clean", burn)
+	if burn := metricValue(t, out, "roia_slo_burn_rate", `slo="tick_deadline",window="1m"`); burn != 0 {
+		t.Fatalf("1m burn = %g, want 0: the last 60 session seconds were clean", burn)
 	}
-	if burn := metricValue(t, out, "roia_slo_burn_rate", `slo="tick_deadline",window="1h"`); burn <= 0 {
-		t.Fatalf("1h burn = %g, want > 0: the bad first minute is inside the hour", burn)
+	if burn := metricValue(t, out, "roia_slo_burn_rate", `slo="tick_deadline",window="12m"`); burn <= 0 {
+		t.Fatalf("12m burn = %g, want > 0: the bad first minute is inside the 12 minutes", burn)
 	}
 }
 

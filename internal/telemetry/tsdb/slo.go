@@ -4,7 +4,7 @@
 // A point-in-time violation-rate alert answers "is it bad right now?"; the
 // burn-rate rules answer the operational question "at this rate, will the
 // objective survive the window?", using the multi-window multi-burn-rate
-// discipline (a fast 5m/1h page and a slow 30m/6h warn) so a lone spike
+// discipline (a fast 10s/2m page and a slow 1m/12m warn) so a lone spike
 // neither pages nor hides a slow bleed.
 package tsdb
 
@@ -38,21 +38,24 @@ type SLO struct {
 }
 
 // Burn-rate windows and thresholds: the Google SRE workbook's two-window
-// pairs, scaled to a 6h budget horizon. The fast pair pages on a
-// budget-destroying burst (14.4× burn: a 30-day budget gone in 2 days, or
-// here a 6h budget gone in 25 minutes); the slow pair warns on a sustained
-// bleed. The error budget is accounted over BudgetWindowSec, the slow
-// rule's long window, so "budget exhausted" and "slow burn at 1×" agree.
-// Windows are in seconds of the store's clock; a window longer than the
-// retained history (SeriesCapacity samples) reads all of it.
+// pairs, scaled to the history the store retains. The budget horizon is
+// that history, SeriesCapacity samples at one record per control second
+// (12 minutes), and the windows keep the workbook's ratios to it (5m, 1h,
+// 30m and 6h of a 6h budget): 10 s, 2 m, 1 m and 12 m. The fast pair pages
+// on a budget-destroying burst (14.4×: the budget gone in under a minute);
+// the slow pair warns on a sustained bleed. The error budget is accounted
+// over BudgetWindowSec, the slow rule's long window, so "budget exhausted"
+// and "slow burn at 1×" agree. Windows are in seconds of the store's clock.
 const (
-	FastShortSec    = 5 * 60
-	FastLongSec     = 3600
+	FastShortSec    = historySec / 72
+	FastLongSec     = historySec / 6
 	FastThreshold   = 14.4
-	SlowShortSec    = 30 * 60
-	SlowLongSec     = 6 * 3600
+	SlowShortSec    = historySec / 12
+	SlowLongSec     = historySec
 	SlowThreshold   = 6
 	BudgetWindowSec = SlowLongSec
+	// historySec is the retained history at the 1 s record interval.
+	historySec = SeriesCapacity * 1
 )
 
 // Rule names exported by SLOEngine.Rules.
@@ -121,6 +124,17 @@ func Increase(samples []Sample) float64 {
 	return inc
 }
 
+// holds reports whether the history of sel reaches back a full window
+// before now.
+func (e *SLOEngine) holds(sel Selector, windowSec, now float64) bool {
+	for _, sd := range e.store.Query(sel.Family, sel.Match, now-2*windowSec, now) {
+		if sd.Samples[0].T <= now-windowSec {
+			return true
+		}
+	}
+	return false
+}
+
 // BurnRate reports how fast the SLO consumes its error budget over the
 // trailing window: the bad-event fraction divided by the budget fraction
 // 1-Objective. 1.0 means "exactly sustainable"; 14.4 means the budget
@@ -149,24 +163,29 @@ func (e *SLOEngine) BudgetRemaining(s SLO, now float64) float64 {
 // telemetry.Rule kinds flowing through the same pending→firing→resolved
 // lifecycle as the model-threshold rules:
 //
-//   - slo_burn_fast: burn rate over BOTH the fast short (5m) and fast long
-//     (1h) windows exceeds FastThreshold (14.4×) — page-worthy; at this
-//     rate the budget is gone within the hour. The short window makes the
-//     rule resolve quickly once the burst ends; the long window keeps a
-//     lone spike from paging.
-//   - slo_burn_slow: burn rate over both the slow short (30m) and slow
-//     long (6h) windows exceeds SlowThreshold (6×) — a sustained bleed
-//     that will exhaust the budget within the day; warn-worthy.
+//   - slo_burn_fast: burn rate over BOTH the fast short (10s) and fast
+//     long (2m) windows exceeds FastThreshold (14.4×) — page-worthy; at
+//     this rate the budget is gone within a minute. The short window makes
+//     the rule resolve quickly once the burst ends; the long window keeps
+//     a lone spike from paging.
+//   - slo_burn_slow: burn rate over both the slow short (1m) and slow
+//     long (12m) windows exceeds SlowThreshold (6×) — a sustained bleed
+//     that will exhaust the budget within two minutes; warn-worthy.
 //
-// One instance per SLO (key = SLO name). The windows end at the store's
-// now, the newest stamp, so the rules judge the history as its writer
-// timed it, whatever timestamps the alert engine passes.
+// One instance per SLO (key = SLO name). A rule stays quiet until the
+// store holds its short window, so a fresh store's first seconds cannot
+// stand in for a whole window. The windows end at the store's now, the
+// newest stamp, so the rules judge the history as its writer timed it,
+// whatever timestamps the alert engine passes.
 func (e *SLOEngine) Rules(pendingFor int) []telemetry.Rule {
 	burn := func(shortSec, longSec, threshold float64) func(float64) []telemetry.RuleResult {
 		return func(_ float64) []telemetry.RuleResult {
 			now := e.store.Now()
 			var out []telemetry.RuleResult
 			for _, s := range e.slos {
+				if !e.holds(s.Total, shortSec, now) {
+					continue // too little history to judge the short window
+				}
 				short := e.BurnRate(s, shortSec, now)
 				long := e.BurnRate(s, longSec, now)
 				if short <= threshold || long <= threshold {
@@ -191,7 +210,7 @@ func (e *SLOEngine) Rules(pendingFor int) []telemetry.Rule {
 }
 
 // fmtWindow renders a window length in seconds as a compact duration
-// ("5m", "1h", "90s").
+// ("10s", "2m", "12m").
 func fmtWindow(sec float64) string {
 	switch {
 	case sec >= 3600 && sec == float64(int(sec/3600))*3600:

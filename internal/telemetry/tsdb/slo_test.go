@@ -54,7 +54,7 @@ func TestBurnRateHandComputed(t *testing.T) {
 	if burn := e.BurnRate(s, 600, now); !approx(burn, 10) {
 		t.Errorf("BurnRate(10m) = %g, want 10", burn)
 	}
-	// Budget over the 6 h window: only 600 s of history exists, so
+	// Budget over the 720 s window: only 600 s of history exists, so
 	// the increase-based accounting sees the same 1500/15000 → burn 10 →
 	// remaining 1-10 = -9 (overspent).
 	if rem := e.BudgetRemaining(s, now); !approx(rem, -9) {
@@ -67,64 +67,59 @@ func TestBurnRateHandComputed(t *testing.T) {
 	}
 }
 
+// burstSchedule feeds the store until the given second: 200 healthy
+// seconds, then 740 in which 10 of every 25 ticks miss the deadline
+// (fraction 0.4, a 40× burn at objective 0.99), then recovery. at runs
+// after each second's scrape.
+func burstSchedule(st *Store, until int, at func(sec int)) {
+	var ticks, viol float64
+	for sec := 0; sec < until; sec++ {
+		ticks += 25
+		if sec >= 200 && sec < 940 {
+			viol += 10
+		}
+		feedTicks(st, float64(sec), ticks, viol)
+		at(sec)
+	}
+}
+
 // TestSLOBurstLifecycle drives a synthetic deadline-violation burst
 // through the alert engine and asserts the burn rules pass pending →
-// firing → resolved at both the fast and slow windows. The rings retain
-// SeriesCapacity (720) seconds at 1 Hz, so the 1h, 30m and 6h windows read
-// the whole retained history and the 5m window is the only one shorter.
+// firing → resolved at both the fast and slow windows.
 func TestSLOBurstLifecycle(t *testing.T) {
 	st := NewStore()
 	e := NewSLOEngine(st, tickSLO())
 
 	sink := &telemetry.MemoryAlerts{}
 	engine := telemetry.NewAlertEngine(sink, e.Rules(1)...)
-
-	var ticks, viol float64
-	step := func(sec int, badPerSec float64) {
-		ticks += 25
-		viol += badPerSec
-		feedTicks(st, float64(sec), ticks, viol)
+	burstSchedule(st, 1740, func(sec int) {
 		engine.Eval(float64(sec))
-	}
-
-	// Phase 1 — healthy for 200 s: no transitions.
-	sec := 0
-	for ; sec < 200; sec++ {
-		step(sec, 0)
-	}
-	if n := len(sink.Snapshot()); n != 0 {
-		t.Fatalf("healthy phase emitted %d transitions", n)
-	}
-
-	// Phase 2 — burst: every second 10 of 25 ticks violate (fraction 0.4 →
-	// burn 40× ≫ 14.4 and 6). Run long enough to fill the retained
-	// history (720 s), so fast AND slow fire.
-	for ; sec < 940; sec++ {
-		step(sec, 10)
-	}
-	active := engine.Active()
-	var fastFiring, slowFiring bool
-	for _, a := range active {
-		if a.Key != "tick_deadline" || a.State != telemetry.AlertFiring {
-			continue
+		switch sec {
+		case 199: // healthy phase: no transitions
+			if n := len(sink.Snapshot()); n != 0 {
+				t.Fatalf("healthy phase emitted %d transitions", n)
+			}
+		case 939: // the burst (40× ≫ 14.4 and 6) fills the 720 s history
+			var fastFiring, slowFiring bool
+			for _, a := range engine.Active() {
+				if a.Key != "tick_deadline" || a.State != telemetry.AlertFiring {
+					continue
+				}
+				switch a.Rule {
+				case RuleSLOBurnFast:
+					fastFiring = true
+				case RuleSLOBurnSlow:
+					slowFiring = true
+				}
+			}
+			if !fastFiring || !slowFiring {
+				t.Fatalf("after the burst want both burn rules firing, got %+v", engine.Active())
+			}
 		}
-		switch a.Rule {
-		case RuleSLOBurnFast:
-			fastFiring = true
-		case RuleSLOBurnSlow:
-			slowFiring = true
-		}
-	}
-	if !fastFiring || !slowFiring {
-		t.Fatalf("after the burst want both burn rules firing, got %+v", active)
-	}
-
-	// Phase 3 — recovery: no further violations. The fast rule must
-	// resolve once the 5 m window drains below 14.4× (about 190 s); the
-	// slow rule once the retained 720 s drain below 6× (about 610 s).
-	for ; sec < 1740; sec++ {
-		step(sec, 0)
-	}
+	})
+	// Recovery: the fast rule resolves once its 10 s window drains below
+	// 14.4× (about 7 s), the slow rule once its 1 m window drains below 6×
+	// (about 52 s).
 	if n := len(engine.Active()); n != 0 {
 		t.Fatalf("after recovery want no active alerts, got %+v", engine.Active())
 	}
@@ -166,6 +161,50 @@ func TestSLOBurstLifecycle(t *testing.T) {
 	}
 }
 
+// TestSLOSlowPairReadsTwoWindows checks that the slow rule's two windows
+// see different history: a minute into recovery the short window is
+// clean while the long one still holds most of the burst. Windows longer
+// than the retained history would both read all of it and agree.
+func TestSLOSlowPairReadsTwoWindows(t *testing.T) {
+	st := NewStore()
+	e := NewSLOEngine(st, tickSLO())
+	burstSchedule(st, 1000, func(int) {})
+	now := st.Now()
+	short, long := e.BurnRate(tickSLO(), SlowShortSec, now), e.BurnRate(tickSLO(), SlowLongSec, now)
+	if short != 0 || long <= SlowThreshold {
+		t.Fatalf("slow burns at %g = %.2f/%.2f, want a clean short window and the long one above %d×",
+			now, short, long, SlowThreshold)
+	}
+}
+
+// TestSLOBurnWaitsForShortWindow bursts on a fresh store from its first
+// second: a rule must not fire before the store holds its short window,
+// or two scrapes would stand in for a whole window.
+func TestSLOBurnWaitsForShortWindow(t *testing.T) {
+	st := NewStore()
+	e := NewSLOEngine(st, tickSLO())
+	sink := &telemetry.MemoryAlerts{}
+	engine := telemetry.NewAlertEngine(sink, e.Rules(0)...)
+	short := map[string]float64{RuleSLOBurnFast: FastShortSec, RuleSLOBurnSlow: SlowShortSec}
+	for sec := 0; sec < 2*SlowShortSec; sec++ {
+		feedTicks(st, float64(sec), float64(25*sec), float64(10*sec))
+		engine.Eval(float64(sec))
+	}
+	fired := map[string]bool{}
+	for _, ev := range sink.Snapshot() {
+		if ev.State != "firing" {
+			continue
+		}
+		fired[ev.Rule] = true
+		if ev.Time < short[ev.Rule] {
+			t.Errorf("%s fired at second %g, before the store held its %gs short window", ev.Rule, ev.Time, short[ev.Rule])
+		}
+	}
+	if !fired[RuleSLOBurnFast] || !fired[RuleSLOBurnSlow] {
+		t.Fatalf("fired = %v, want both rules once their windows are held", fired)
+	}
+}
+
 func TestSLOWriteMetrics(t *testing.T) {
 	st := NewStore()
 	// Objective 0.5 and a 0.25 bad fraction keep every division exact in
@@ -187,10 +226,10 @@ func TestSLOWriteMetrics(t *testing.T) {
 		"# TYPE roia_slo_budget_remaining gauge",
 		`roia_slo_budget_remaining{zone="1",slo="tick_deadline"} 0.5`,
 		"# TYPE roia_slo_burn_rate gauge",
-		`roia_slo_burn_rate{zone="1",slo="tick_deadline",window="5m"} 0.5`,
-		`roia_slo_burn_rate{zone="1",slo="tick_deadline",window="30m"} 0.5`,
-		`roia_slo_burn_rate{zone="1",slo="tick_deadline",window="1h"} 0.5`,
-		`roia_slo_burn_rate{zone="1",slo="tick_deadline",window="6h"} 0.5`,
+		`roia_slo_burn_rate{zone="1",slo="tick_deadline",window="10s"} 0.5`,
+		`roia_slo_burn_rate{zone="1",slo="tick_deadline",window="1m"} 0.5`,
+		`roia_slo_burn_rate{zone="1",slo="tick_deadline",window="2m"} 0.5`,
+		`roia_slo_burn_rate{zone="1",slo="tick_deadline",window="12m"} 0.5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
